@@ -175,8 +175,6 @@ class RankAll:
         """Occurrences of character ``code`` in the prefix ``L[:i]``."""
         if not 0 <= i <= self._length:
             raise IndexError(f"prefix length {i} out of range 0..{self._length}")
-        if OBS.enabled:
-            OBS.metrics.counter("rank.rankall.occ_probes").inc()
         block_start = i - i % self._sample_rate
         count = self._flat[(i // self._sample_rate) * self._size + code]
         if i > block_start:
@@ -189,8 +187,6 @@ class RankAll:
         ``counts_at(i)[c] == occ(c, i)`` for every code ``c``; a single
         checkpoint-row slice plus at most ``sample_rate - 1`` tail reads.
         """
-        if OBS.enabled:
-            OBS.metrics.counter("rank.rankall.counts_at_probes").inc()
         size = self._size
         base = (i // self._sample_rate) * size
         row = self._flat[base:base + size].tolist()

@@ -218,14 +218,10 @@ class WaveletRank:
 
     def occ(self, code: int, i: int) -> int:
         """Occurrences of ``code`` in ``L[:i]`` (O(log σ) bit ranks)."""
-        if OBS.enabled:
-            OBS.metrics.counter("rank.wavelet.occ_probes").inc()
         return self._tree.rank(code, i)
 
     def counts_at(self, i: int) -> List[int]:
         """Per-code prefix counts at ``i`` (σ rank walks)."""
-        if OBS.enabled:
-            OBS.metrics.counter("rank.wavelet.counts_at_probes").inc()
         return [self._tree.rank(code, i) for code in range(self._size)]
 
     def occ_range(self, code: int, lo: int, hi: int) -> int:

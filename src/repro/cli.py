@@ -21,23 +21,24 @@ Subcommands
 ``serve-metrics``  Expose /metrics, /healthz, /readyz, /slo, /alerts,
                    /debug/queries and the /debug/stream SSE push over
                    HTTP, optionally driving a read workload to populate
-                   them (``--wide-events PATH`` appends one flat JSON
-                   event per query); shuts down cleanly on SIGTERM/SIGINT.
+                   them (``--wide-events PATH`` appends one JSON record
+                   per query); shuts down cleanly on SIGTERM/SIGINT.
 ``top``            Live terminal dashboard — QPS, latency percentiles,
                    error rate, worker utilization, per-engine and
                    per-shard tables — from a saved trace file or a live
                    server's /debug/stream (``--once``/``--json`` for
                    headless use).
-``events``         Read a wide-event query log: ``tail`` (newest events)
-                   and ``summarize`` (per-{engine,k} exact percentiles,
-                   batch return paths, event rate).
+``events``         Read telemetry records — a ``--wide-events`` log or a
+                   ``--flight-json`` dump: ``tail`` (newest records;
+                   ``--slow``, ``--spans``) and ``summarize``
+                   (per-{engine,k} exact percentiles, batch return
+                   paths, event rate).
 ``slo``            ``report`` (objectives, budgets burned, firing alerts),
                    ``check`` (exit 4 on violation — the CI gate) and
                    ``lint`` (strictly validate a rules file), over a live
                    ``--url`` or a saved trace file.
 ``metrics-lint``   Strictly validate an OpenMetrics exposition (file or
                    live URL) — the CI scrape-and-lint step.
-``flightrecorder`` Render a dumped flight-recorder / event-log JSONL file.
 ``bench``          Run the fixed CI workload; with ``--check-regression``,
                    gate against a committed baseline JSON;
                    ``--update-baseline`` rewrites that baseline in one step.
@@ -52,8 +53,8 @@ engine or alias works; ``repro-cli engines`` lists them.
 
 The ``index``, ``search``, ``map`` and ``compare`` subcommands accept
 ``--trace`` (print a span/metrics summary to stderr), ``--stats-json
-PATH`` (write the full machine-readable trace document), ``--events
-PATH`` (stream one JSON line per query/batch), ``--flight-json PATH``
+PATH`` (write the full machine-readable trace document), ``--wide-events
+PATH`` (append one JSON record per query/batch), ``--flight-json PATH``
 (dump the flight recorder on exit) and ``--profile PATH`` (sample the
 command under the wall-clock profiler; folded stacks, or speedscope
 JSON when PATH ends in ``.json``) — see ``docs/OBSERVABILITY.md``.
@@ -83,7 +84,7 @@ from .bench.reporting import (
 from .bench.suite import MethodSuite, PAPER_METHODS
 from .core.matcher import KMismatchIndex
 from .engine import CAP_MISMATCH, MODES, REGISTRY
-from .obs import OBS, MetricError, load_events, load_trace, render_records, render_trace
+from .obs import OBS, MetricError, load_trace, render_trace
 from .shard import ShardedIndex
 from .simulate.genome import GenomeConfig, generate_genome
 from .simulate.reads import ReadConfig, simulate_reads
@@ -595,16 +596,6 @@ def _cmd_metrics_lint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_flightrecorder(args: argparse.Namespace) -> int:
-    try:
-        records = load_events(args.records_file)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {args.records_file}: {exc}", file=sys.stderr)
-        return 2
-    print(render_records(records, slow_only=args.slow, show_spans=args.spans))
-    return 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench.regression import (
         RegressionError,
@@ -802,12 +793,13 @@ def _cmd_events(args: argparse.Namespace) -> int:
 
     try:
         if args.events_command == "tail":
-            records = tail_events(args.events_file, n=args.n)
+            records = tail_events(args.events_file, n=args.n,
+                                  slow_only=args.slow)
             if args.json_out:
                 for record in records:
                     print(json.dumps(record))
             else:
-                print(render_event_lines(records))
+                print(render_event_lines(records, show_spans=args.spans))
             return 0
         records = load_wide_events(
             args.events_file, include_backups=not args.no_backups
@@ -833,8 +825,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                         help="print a span/metrics summary to stderr when done")
     parser.add_argument("--stats-json", default="", metavar="PATH",
                         help="write the full trace document (spans + metrics) as JSON")
-    parser.add_argument("--events", default="", metavar="PATH",
-                        help="stream one JSON line per query/batch event to PATH")
     parser.add_argument("--flight-json", default="", metavar="PATH",
                         help="dump the flight recorder (recent + pinned slow "
                              "queries) as JSON lines on exit")
@@ -844,7 +834,7 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                              "folded stacks — or speedscope JSON when PATH ends "
                              "in .json — to PATH")
     parser.add_argument("--wide-events", default="", metavar="PATH",
-                        help="append one flat wide event per query/batch to PATH "
+                        help="append one JSON record per query/batch to PATH "
                              "(JSON lines; sampled via REPRO_EVENT_SAMPLE, "
                              "rotated at REPRO_EVENT_MAX_BYTES — read with "
                              "`repro-cli events`); REPRO_EVENT_LOG sets this "
@@ -986,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "/alerts endpoints (default: shipped defaults; "
                               "see docs/OBSERVABILITY.md)")
     p_serve.add_argument("--wide-events", default="", metavar="PATH",
-                         help="append one flat wide event per query/batch to "
+                         help="append one JSON record per query/batch to "
                               "PATH (JSON lines; sampled via REPRO_EVENT_SAMPLE, "
                               "rotated at REPRO_EVENT_MAX_BYTES — read with "
                               "`repro-cli events`)")
@@ -1019,23 +1009,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_events = sub.add_parser(
         "events",
-        help="read a wide-event query log written by --wide-events")
+        help="read telemetry records from a --wide-events log or a "
+             "--flight-json dump")
     ev_sub = p_events.add_subparsers(dest="events_command", required=True)
     p_ev_tail = ev_sub.add_parser(
-        "tail", help="print the newest events, one line each")
+        "tail", help="print the newest records, one line each")
     p_ev_tail.add_argument("events_file", metavar="EVENTS",
-                           help="wide-event JSONL file")
+                           help="record JSONL file (--wide-events or "
+                                "--flight-json)")
     p_ev_tail.add_argument("-n", type=int, default=20,
-                           help="events to show (default 20)")
+                           help="records to show (default 20; 0 = all)")
     p_ev_tail.add_argument("--json", dest="json_out", action="store_true",
                            help="print raw JSON lines instead of the table")
+    p_ev_tail.add_argument("--slow", action="store_true",
+                           help="show only records pinned as slow")
+    p_ev_tail.add_argument("--spans", action="store_true",
+                           help="render each record's span tree too")
     p_ev_tail.set_defaults(func=_cmd_events)
     p_ev_sum = ev_sub.add_parser(
         "summarize",
         help="aggregate: per-{engine,k} query counts and exact latency "
              "percentiles, batch return paths, event rate")
     p_ev_sum.add_argument("events_file", metavar="EVENTS",
-                          help="wide-event JSONL file (rotated .1/.2/... "
+                          help="record JSONL file (rotated .1/.2/... "
                                "generations are included)")
     p_ev_sum.add_argument("--json", dest="json_out", action="store_true",
                           help="emit the summary document as JSON")
@@ -1078,17 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exposition file, or an http(s) URL "
                              "(/metrics appended when missing)")
     p_lint.set_defaults(func=_cmd_metrics_lint)
-
-    p_flight = sub.add_parser(
-        "flightrecorder",
-        help="render a dumped flight-recorder / event-log JSONL file")
-    p_flight.add_argument("records_file", metavar="RECORDS",
-                          help="JSONL file from --flight-json / --events")
-    p_flight.add_argument("--slow", action="store_true",
-                          help="show only records pinned as slow")
-    p_flight.add_argument("--spans", action="store_true",
-                          help="render each record's span tree too")
-    p_flight.set_defaults(func=_cmd_flightrecorder)
 
     p_bench = sub.add_parser(
         "bench",
@@ -1185,7 +1170,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     trace = getattr(args, "trace", False) is True
     stats_json = getattr(args, "stats_json", "")
-    events_path = getattr(args, "events", "")
     flight_json = getattr(args, "flight_json", "")
     profile_path = getattr(args, "profile", "") if args.command != "profile" else ""
     # serve-metrics owns its wide log's lifecycle (it prints the sink
@@ -1196,7 +1180,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         wide_path = (getattr(args, "wide_events", "")
                      or os.environ.get("REPRO_EVENT_LOG", ""))
     observing = (
-        trace or bool(stats_json) or bool(events_path) or bool(flight_json)
+        trace or bool(stats_json) or bool(flight_json)
         or bool(profile_path) or bool(wide_path)
     )
     metrics_port = os.environ.get("REPRO_METRICS_PORT", "")
@@ -1210,8 +1194,6 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"for the duration of this command", file=sys.stderr)
     if observing:
         OBS.reset().enable()
-        if events_path:
-            OBS.open_event_log(events_path)
         if wide_path:
             OBS.open_wide_log(wide_path)
     if profile_path:
@@ -1233,15 +1215,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"written to {profile_path}", file=sys.stderr)
         if observing:
             OBS.disable()
-            OBS.close_event_log()
             if wide_path and OBS.wide_log is not None:
                 wide_state = OBS.wide_log.to_dict()
                 OBS.close_wide_log()
                 print(f"# wide events ({wide_state['lines_written']} written, "
                       f"{wide_state['lines_sampled_out']} sampled out) -> "
                       f"{wide_path}", file=sys.stderr)
-            if events_path:
-                print(f"# events streamed to {events_path}", file=sys.stderr)
             if flight_json:
                 n = OBS.recorder.dump_jsonl(flight_json)
                 print(f"# flight recorder ({n} record(s)) written to {flight_json}",

@@ -66,6 +66,11 @@ class KMismatchIndex:
     2
     """
 
+    #: The shard id when this index serves as one shard of a
+    #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``;
+    #: carried as ``shard`` on this facade's telemetry records.
+    shard: Optional[int] = None
+
     def __init__(
         self,
         text: str,
@@ -164,10 +169,11 @@ class KMismatchIndex:
         totals (``query.latency_ms``, ``query.count``, ...) and the
         dimensional series the paper's evaluation plots —
         ``query.search_ms{engine,k}`` and labelled ``query.count`` /
-        ``query.occurrences`` children — plus a flight-recorder record
-        sharing the latency observation's exemplar ``trace_id``.  Engine
-        labels use the registry's canonical name, so ``"A()"`` and
-        ``"algorithm_a"`` land in one series.
+        ``query.occurrences`` children — plus one telemetry record
+        (flight recorder and ``--wide-events`` sink) sharing the latency
+        observation's exemplar ``trace_id``.  Engine labels use the
+        registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
+        land in one series.
         """
         if not OBS.enabled:
             self._alphabet.validate(pattern)
@@ -186,11 +192,8 @@ class KMismatchIndex:
                 occurrences, stats = self._dispatch(pattern, k, method, record_mtree)
                 span.set(occurrences=len(occurrences))
         except Exception as exc:
-            record_query_error(engine_name, k, exc)
-            OBS.emit_wide(
-                "error", engine=engine_name, k=k, m=len(pattern),
-                trace_id=trace_id, error=type(exc).__name__,
-            )
+            record_query_error(engine_name, k, exc, m=len(pattern),
+                               trace_id=trace_id, shard=self.shard)
             raise
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
         OBS.metrics.histogram("query.latency_ms").observe(duration_ms)
@@ -207,25 +210,11 @@ class KMismatchIndex:
         # folded stacks the profiler collected while this query ran, so
         # the flight recorder answers "where did that outlier spend its
         # time" without a separate repro run.
-        profile = None
+        extra = {}
         slow_ms = OBS.recorder.slow_ms
         if profile_marker is not None and slow_ms is not None and duration_ms >= slow_ms:
-            profile = PROFILER.folded_since(profile_marker)
-        OBS.record_query(
-            engine=engine_name,
-            k=k,
-            m=len(pattern),
-            duration_ms=duration_ms,
-            occurrences=len(occurrences),
-            stats=stats,
-            spans=span.to_dict() if OBS.tracer.enabled else None,
-            trace_id=trace_id,
-            profile=profile,
-        )
-        # The wide-event sibling of the record above: one flat JSONL
-        # line per query (sampled/rotated sink — see repro.obs.events),
-        # sharing the trace_id so exemplar, record and event join.
-        OBS.emit_wide(
+            extra["profile"] = PROFILER.folded_since(profile_marker)
+        OBS.record_event(
             "query",
             engine=engine_name,
             k=k,
@@ -233,6 +222,10 @@ class KMismatchIndex:
             duration_ms=duration_ms,
             occurrences=len(occurrences),
             trace_id=trace_id,
+            stats=stats.to_dict(),
+            spans=span.to_dict() if OBS.tracer.enabled else None,
+            shard=self.shard,
+            **extra,
         )
         return occurrences, stats
 
@@ -273,6 +266,7 @@ class KMismatchIndex:
         clone._fm = self._fm
         clone._engines = {}
         clone.last_mtree = None
+        clone.shard = self.shard
         return clone
 
     def _dispatch(

@@ -234,7 +234,7 @@ class BatchExecutor:
         parallel = self.workers > 1 and len(items) > 1
         workers = min(self.workers, len(items)) if parallel else 1
         # One correlation id per batch run, threaded into the result's
-        # ``extra``, the flight-recorder record and the wide event — a
+        # ``extra`` and the batch's telemetry record — a
         # BatchResult in hand resolves to its telemetry via
         # /debug/queries?trace_id=... like a single query does.
         batch_trace_id = new_trace_id() if OBS.enabled else None
@@ -259,35 +259,19 @@ class BatchExecutor:
             from .registry import REGISTRY
 
             batch.extra["trace_id"] = batch_trace_id
-            duration_ms = (perf_counter() - start) * 1e3
-            occurrences = sum(len(r) for r in batch.results)
-            engine_name = REGISTRY.canonical_name(method)
-            return_path = str(batch.extra.get("return_path", ""))
             OBS.metrics.counter("engine.batch.items").inc(len(items))
             OBS.metrics.counter("engine.batch.chunks").inc(batch.n_chunks)
             OBS.metrics.gauge("engine.pool.workers").set(batch.workers)
             OBS.record_event(
                 "batch",
-                engine=engine_name,
+                engine=REGISTRY.canonical_name(method),
                 k=k,
-                duration_ms=duration_ms,
-                occurrences=occurrences,
+                duration_ms=(perf_counter() - start) * 1e3,
+                occurrences=sum(len(r) for r in batch.results),
+                trace_id=batch_trace_id,
                 stats=batch.stats.to_dict(),
-                trace_id=batch_trace_id,
+                return_path=str(batch.extra.get("return_path", "")),
                 kind=kind,
-                items=len(items),
-                chunks=batch.n_chunks,
-                workers=batch.workers,
-                mode=batch.mode,
-            )
-            OBS.emit_wide(
-                "batch",
-                engine=engine_name,
-                k=k,
-                duration_ms=duration_ms,
-                occurrences=occurrences,
-                return_path=return_path,
-                trace_id=batch_trace_id,
                 items=len(items),
                 chunks=batch.n_chunks,
                 workers=batch.workers,
@@ -677,14 +661,10 @@ def _pool_worker(
         # Under fork the worker inherits the parent's open engine.batch
         # span; drop it so worker spans finish as roots and get shipped.
         OBS.tracer.clear_stack()
-        # A fork-inherited event log would double-write every worker
-        # query to the parent's JSONL file (records already reach the
-        # parent through the ObsDelta payload and are re-recorded there).
-        # Detach without closing: the file handle belongs to the parent.
-        OBS.event_log = None
-        # Same for a fork-inherited wide-event sink: the parent emits
-        # the batch-level wide event; worker-side duplicates (writing
-        # through a shared file handle, no less) are not wanted.
+        # A fork-inherited sink would write worker records through the
+        # parent's file handle; they reach the parent's ring through the
+        # ObsDelta payload instead.  Detach without closing: the handle
+        # belongs to the parent.
         OBS.wide_log = None
     if profile_hz > 0:
         # Under fork the child inherits the parent's Profiler *object*
@@ -701,6 +681,7 @@ def _pool_worker(
         index = KMismatchIndex.loads(bytes(shm.buf[:blob_size]).decode("utf-8"))
     else:
         index = KMismatchIndex.from_binary(shm.buf)
+    index.shard = shard
     hydrate_ms = (perf_counter() - start) * 1e3
     result_q.put(("hydrated", worker_id, hydrate_ms))
     arena_shm = None

@@ -9,24 +9,31 @@ instrumentation on and a single export captures it.
 Quickstart
 ----------
 >>> from repro.obs import OBS
->>> OBS.reset(); OBS.enable()
+>>> _ = OBS.reset().enable()
 >>> from repro import KMismatchIndex
 >>> index = KMismatchIndex("acagaca")
 >>> _ = index.search("tcaca", k=2)
->>> OBS.disable()
+>>> _ = OBS.disable()
 >>> any(s.name == "kmismatch.search" for s in OBS.tracer.iter_finished())
 True
->>> OBS.metrics.counter("rank.rankall.occ_probes").value > 0
+>>> OBS.metrics.counter("search.rank_queries", engine="algorithm_a", k=2).value > 0
 True
 
-Instrumented code follows two rules:
+Instrumented code follows three rules:
 
 * **Per-region work** (a build phase, one query) opens a span:
   ``with OBS.span("fmindex.build", length=n): ...`` — `span()` returns a
   shared no-op when disabled.
-* **Per-operation work** (a rank probe, an LF step) guards with the
-  ``enabled`` flag: ``if OBS.enabled: OBS.metrics.counter(...).inc()`` —
-  one attribute read on the disabled path.
+* **Per-query counts** come from the
+  :class:`~repro.core.types.SearchStats` the search already keeps,
+  folded into the registry once when the search ends
+  (``search.rank_queries{engine,k}`` and friends) — no registry work
+  inside rank-probe loops.  Guard with the
+  ``enabled`` flag: ``if OBS.enabled: ...`` — one attribute read on
+  the disabled path.
+* **Per-query telemetry** is one record: :meth:`Observability.record_event`
+  keeps it in the flight recorder and writes it to the open
+  ``--wide-events`` sink (schema in :mod:`repro.obs.events`).
 
 The trace-file format written by :meth:`Observability.export` /
 ``repro-cli --stats-json`` is documented in ``docs/OBSERVABILITY.md``.
@@ -87,13 +94,9 @@ from .slo import (
 )
 from .recorder import (
     DEFAULT_SLOW_MS,
-    EventLog,
     FlightRecorder,
-    load_events,
-    make_record,
     new_trace_id,
     prune_span_tree,
-    render_records,
 )
 from .timeseries import (
     TimeSeriesStore,
@@ -105,7 +108,7 @@ from .events import (
     WIDE_EVENT_VERSION,
     WideEventLog,
     load_wide_events,
-    make_wide_event,
+    make_record,
     render_event_lines,
     render_event_summary,
     sample_keep,
@@ -157,8 +160,7 @@ class Observability:
     budget the test suite enforces.
     """
 
-    __slots__ = ("tracer", "metrics", "enabled", "recorder", "event_log",
-                 "wide_log")
+    __slots__ = ("tracer", "metrics", "enabled", "recorder", "wide_log")
 
     def __init__(self):
         self.tracer = Tracer(enabled=False)
@@ -166,9 +168,7 @@ class Observability:
         self.enabled = False
         #: Bounded ring of recent query/batch records (+ pinned slow ones).
         self.recorder = FlightRecorder()
-        #: Optional JSONL sink; set via :meth:`open_event_log`.
-        self.event_log = None
-        #: Optional sampling/rotating wide-event sink (:meth:`open_wide_log`).
+        #: Optional sampling/rotating record sink (:meth:`open_wide_log`).
         self.wide_log = None
 
     # -- switches -------------------------------------------------------------
@@ -187,7 +187,7 @@ class Observability:
 
     def reset(self) -> "Observability":
         """Drop all collected spans, metrics and flight-recorder records
-        (enabled state and any open event log unchanged)."""
+        (enabled state and any open sink unchanged)."""
         self.tracer.reset()
         self.metrics.reset()
         self.recorder.clear()
@@ -231,33 +231,16 @@ class Observability:
         if self.enabled:
             self.metrics.counter(name, **labels).inc(n)
 
-    # -- flight recorder / event log ------------------------------------------
-
-    def open_event_log(self, path: str) -> EventLog:
-        """Start streaming every recorded event to ``path`` (JSON lines).
-
-        Replaces (and closes) any previously open log.  The log receives
-        records regardless of the ``enabled`` flag's later toggles — it
-        is closed only by :meth:`close_event_log`.
-        """
-        self.close_event_log()
-        self.event_log = EventLog(path)
-        return self.event_log
-
-    def close_event_log(self) -> None:
-        """Close and detach the JSONL event sink (no-op when none open)."""
-        if self.event_log is not None:
-            self.event_log.close()
-            self.event_log = None
+    # -- flight recorder / sink ---------------------------------------------
 
     def open_wide_log(self, path: str, sample=None, max_bytes=None,
                       backups=None) -> WideEventLog:
-        """Start emitting wide events to ``path`` (JSON lines, head
+        """Start appending every record to ``path`` (JSON lines, head
         sampling + size rotation — see :mod:`repro.obs.events`).
 
-        Replaces (and closes) any previously open wide log.  Like the
-        event log, the sink outlives ``enabled`` toggles; call sites
-        guard emission themselves.
+        Replaces (and closes) any previously open sink.  The sink
+        outlives ``enabled`` toggles; it is closed only by
+        :meth:`close_wide_log`.
         """
         self.close_wide_log()
         self.wide_log = WideEventLog(path, sample=sample,
@@ -265,68 +248,24 @@ class Observability:
         return self.wide_log
 
     def close_wide_log(self) -> None:
-        """Close and detach the wide-event sink (no-op when none open)."""
+        """Close and detach the sink (no-op when none open)."""
         if self.wide_log is not None:
             self.wide_log.close()
             self.wide_log = None
 
-    def emit_wide(self, event: str, **fields) -> bool:
-        """Build and emit one wide event iff a wide log is open.
-
-        Returns whether the event was written (False when no sink is
-        open or head sampling dropped it).  Cheap when no log is open —
-        the one-attribute-read contract of the disabled path.
-        """
-        if self.wide_log is None:
-            return False
-        return self.wide_log.emit(make_wide_event(event, **fields))
-
     def record_event(self, event: str, **fields) -> dict:
-        """Build, retain and (if a log is open) stream one record.
+        """Build, retain and (if a sink is open) write one record.
 
-        The record lands in the flight recorder's ring (pinned too when
-        it crosses the slow threshold) and in the JSONL event log.  Call
-        sites guard with ``if OBS.enabled`` — this method does not.
+        The one telemetry record per query, routed query, batch or
+        error (fields: :func:`~repro.obs.events.make_record`).  It lands
+        in the flight recorder's ring (pinned too when it crosses the
+        slow threshold) and in the sampled, rotating sink.  Call sites
+        guard with ``if OBS.enabled`` — this method does not.
         """
         record = self.recorder.record(make_record(event, **fields))
-        if self.event_log is not None:
-            self.event_log.emit(record)
+        if self.wide_log is not None:
+            self.wide_log.emit(record)
         return record
-
-    def record_query(
-        self,
-        engine: str,
-        k: int,
-        m: int,
-        duration_ms: float,
-        occurrences: int,
-        stats=None,
-        spans=None,
-        trace_id=None,
-        profile=None,
-    ) -> dict:
-        """One per-query record (the facade's per-search call).
-
-        ``trace_id`` is the correlation handle shared with the query's
-        histogram exemplar — ``/debug/queries?trace_id=...`` finds this
-        record from a ``/metrics`` bucket annotation.  ``profile`` is the
-        folded-stack slice the sampling profiler collected during the
-        query (attached only for slow queries, and only while the
-        profiler runs).
-        """
-        extra = {"profile": profile} if profile is not None else {}
-        return self.record_event(
-            "query",
-            engine=engine,
-            k=k,
-            m=m,
-            duration_ms=duration_ms,
-            occurrences=occurrences,
-            stats=stats.to_dict() if stats is not None else None,
-            spans=spans,
-            trace_id=trace_id,
-            **extra,
-        )
 
     # -- export ---------------------------------------------------------------
 
@@ -472,24 +411,20 @@ __all__ = [
     "HealthMonitor",
     "READINESS",
     "index_canary",
-    # flight recorder / event log (repro.obs.recorder)
+    # flight recorder (repro.obs.recorder)
     "FlightRecorder",
-    "EventLog",
     "DEFAULT_SLOW_MS",
-    "make_record",
     "new_trace_id",
     "prune_span_tree",
-    "load_events",
-    "render_records",
     # time-series store (repro.obs.timeseries)
     "TimeSeriesStore",
     "get_timeseries",
     "configure_timeseries",
-    # wide-event query log (repro.obs.events)
+    # the record schema, its sink and reader (repro.obs.events)
     "WIDE_EVENT_FORMAT",
     "WIDE_EVENT_VERSION",
     "WideEventLog",
-    "make_wide_event",
+    "make_record",
     "sample_keep",
     "load_wide_events",
     "tail_events",

@@ -1,33 +1,36 @@
-"""Wide-event query log: one structured JSONL event per query.
+"""The per-query telemetry record: its one schema, one sink, one reader.
 
-The flight recorder retains a bounded in-memory ring; the metrics
-registry keeps aggregates.  This module is the durable, per-event
-middle ground — the "wide event" of structured-logging practice: one
-flat JSON object per query/batch carrying *every* dimension an operator
-might later group by (engine, ``k``, pattern length, occurrence count,
-shard fan-out, latency, return path, trace id), so ad-hoc questions —
-"p99 by engine for k=3 queries that fanned out to 4 shards" — are a
-``jq``/``events summarize`` pass over one file instead of a new metric.
+Every query, routed query, batch and error produces exactly one record,
+built by :func:`make_record` — one flat JSON object carrying *every*
+dimension an operator might later group by (engine, ``k``, pattern
+length, occurrence count, shard fan-out, latency, the
+:class:`~repro.core.types.SearchStats` counts, trace id).
+:meth:`repro.obs.Observability.record_event` puts it in the flight
+recorder's ring and, when a sink is open, appends the same record to
+the :class:`WideEventLog`, so ``--flight-json`` dumps and
+``--wide-events`` logs share one schema and one reader
+(``repro-cli events {tail,summarize}``).
 
-Three production concerns are handled here rather than by call sites:
+Three production concerns are handled by the sink rather than by call
+sites:
 
 * **Head-based sampling** — ``REPRO_EVENT_SAMPLE`` (0..1, default 1.0)
-  keeps that fraction of events, decided *deterministically* from the
-  event's ``trace_id`` hash: every layer's events for one query (the
-  matcher's, the router's, the executor's) share the trace id, so a
-  sampled query keeps its whole story and a dropped one vanishes
-  entirely — no half-traces.  Events without a trace id fall back to a
-  per-log counter so the kept fraction still converges.
+  keeps that fraction of records, decided *deterministically* from the
+  record's ``trace_id`` hash, so a verdict is reproducible across runs
+  and processes.  Each record mints its own trace id — a routed query's
+  shard records do not share the router record's id — so the records
+  of one routed query are sampled independently.  Records without a
+  trace id fall back to a per-log counter so the kept fraction still
+  converges.
 * **Size-based rotation** — ``REPRO_EVENT_MAX_BYTES`` (default 64 MiB)
   rolls ``path`` to ``path.1`` (older generations shifting to ``.2``,
   ``.3``, ... up to ``REPRO_EVENT_BACKUPS``) before a write would cross
   the bound, so a long-lived server cannot fill a disk.
 * **Loss accounting** — sampled-out and rotated-away lines are counted
-  on the log object (and surfaced by ``events summarize``), never
-  silently gone.
+  on the log object (and printed when the sink closes), never silently
+  gone.
 
-``repro-cli events {tail,summarize}`` is the reading surface; the
-schema is documented in ``docs/OBSERVABILITY.md``.
+The schema is documented in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -40,11 +43,16 @@ import threading
 import time
 from typing import Any, Dict, IO, List, Optional
 
-#: Format tag written into every wide event.
+from .recorder import prune_span_tree
+from .tracing import render_span_tree
+
+#: Format tag written into every record.
 WIDE_EVENT_FORMAT = "repro-wide-event"
 
-#: Wide-event schema version.
-WIDE_EVENT_VERSION = 1
+#: Record schema version.  Version 2 is the single record schema: the
+#: flight-recorder fields (``stats``, ``spans``, ``seq``, ``slow``) and
+#: the shard stamp joined the version-1 wide-event fields.
+WIDE_EVENT_VERSION = 2
 
 #: Default kept fraction (head-based sampling) — env REPRO_EVENT_SAMPLE.
 DEFAULT_EVENT_SAMPLE = float(os.environ.get("REPRO_EVENT_SAMPLE", "1.0"))
@@ -60,12 +68,12 @@ DEFAULT_EVENT_BACKUPS = int(os.environ.get("REPRO_EVENT_BACKUPS", "3"))
 
 def sample_keep(trace_id: Optional[str], sample: float,
                 fallback_seq: int = 0) -> bool:
-    """Whether an event with ``trace_id`` survives head sampling.
+    """Whether a record with ``trace_id`` survives head sampling.
 
     Deterministic in the trace id (a stable hash scaled to [0, 1)), so
-    multi-layer events of one query are kept or dropped together across
-    processes.  ``fallback_seq`` drives a modular decision for events
-    without a trace id.
+    the verdict for one record is the same in every process and run.
+    ``fallback_seq`` drives a modular decision for records without a
+    trace id.
     """
     if sample >= 1.0:
         return True
@@ -79,7 +87,7 @@ def sample_keep(trace_id: Optional[str], sample: float,
     return fraction < sample
 
 
-def make_wide_event(
+def make_record(
     event: str,
     *,
     engine: str = "",
@@ -88,16 +96,31 @@ def make_wide_event(
     duration_ms: float = 0.0,
     occurrences: int = 0,
     shards: int = 0,
-    return_path: str = "",
     trace_id: Optional[str] = None,
+    stats: Optional[dict] = None,
+    spans: Optional[dict] = None,
+    shard: Optional[int] = None,
+    return_path: str = "",
     **extra: Any,
 ) -> Dict[str, Any]:
-    """One flat wide event (JSON-compatible, every field top-level).
+    """One telemetry record (JSON-compatible, every field top-level).
 
-    ``event`` is ``"query"`` (one search, matcher- or router-level),
-    ``"batch"`` (one executor run) or ``"error"``; ``shards`` is the
-    router fan-out (0 = unsharded); ``return_path`` is the executor's
-    result transport (``arena``/``queue``/``mixed``, '' elsewhere).
+    ``event`` is ``"query"`` (one search: a facade's, a shard facade's
+    or the router's merged fan-out), ``"batch"`` (one executor run) or
+    ``"error"``; ``shards`` is the router fan-out (0 = not routed);
+    ``shard`` marks a shard facade's own query (omitted elsewhere);
+    ``stats`` is the query's :meth:`SearchStats.to_dict`; ``spans`` its
+    span tree (:meth:`~repro.obs.tracing.Span.to_dict`) when tracing
+    was on; ``return_path`` the executor's result transport
+    (``arena``/``queue``/``mixed``).  ``trace_id`` (see
+    :func:`~repro.obs.recorder.new_trace_id`) is the correlation id
+    histogram exemplars point at.  Unset optionals are omitted.
+
+    Recorded span trees are bounded by ``REPRO_FLIGHT_SPAN_DEPTH`` /
+    ``REPRO_FLIGHT_SPAN_ATTRS`` (see
+    :func:`~repro.obs.recorder.prune_span_tree`; 0 or unset =
+    unlimited), so one deep trace cannot make every retained record
+    heavyweight.
     """
     record: Dict[str, Any] = {
         "format": WIDE_EVENT_FORMAT,
@@ -111,16 +134,26 @@ def make_wide_event(
         "occurrences": occurrences,
         "shards": shards,
     }
-    if return_path:
-        record["return_path"] = return_path
     if trace_id:
         record["trace_id"] = trace_id
+    if stats is not None:
+        record["stats"] = stats
+    if spans is not None:
+        max_depth = int(os.environ.get("REPRO_FLIGHT_SPAN_DEPTH", "0") or 0)
+        max_attrs = int(os.environ.get("REPRO_FLIGHT_SPAN_ATTRS", "0") or 0)
+        if max_depth or max_attrs:
+            spans = prune_span_tree(spans, max_depth, max_attrs)
+        record["spans"] = spans
+    if shard is not None:
+        record["shard"] = shard
+    if return_path:
+        record["return_path"] = return_path
     record.update(extra)
     return record
 
 
 class WideEventLog:
-    """Sampling, rotating JSONL sink for wide events.  Thread-safe.
+    """Sampling, rotating JSONL sink for records.  Thread-safe.
 
     Rotation happens *before* the write that would cross ``max_bytes``:
     ``path`` moves to ``path.1`` (existing generations shifting up, the
@@ -206,8 +239,9 @@ class WideEventLog:
 
 def load_wide_events(path: str,
                      include_backups: bool = True) -> List[Dict[str, Any]]:
-    """Parse a wide-event JSONL file, rotated generations included
-    (oldest first), blank lines skipped."""
+    """Parse a record JSONL file (a ``--wide-events`` log, rotated
+    generations included oldest first, or a ``--flight-json`` dump),
+    blank lines skipped."""
     paths: List[str] = []
     if include_backups:
         generation = 1
@@ -227,14 +261,19 @@ def load_wide_events(path: str,
     return records
 
 
-def tail_events(path: str, n: int = 20) -> List[Dict[str, Any]]:
-    """The newest ``n`` events of the live file (no backups)."""
-    return load_wide_events(path, include_backups=False)[-max(0, n):]
+def tail_events(path: str, n: int = 20,
+                slow_only: bool = False) -> List[Dict[str, Any]]:
+    """The newest ``n`` records of the live file (no backups; ``n = 0``
+    means all), only the ones pinned as slow with ``slow_only``."""
+    records = load_wide_events(path, include_backups=False)
+    if slow_only:
+        records = [record for record in records if record.get("slow")]
+    return records[-max(0, n):]
 
 
 def _exact_percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile of raw values (exact, unlike histogram
-    bucket resolution — wide events carry the raw durations)."""
+    bucket resolution — records carry the raw durations)."""
     if not values:
         return 0.0
     ordered = sorted(values)
@@ -243,13 +282,18 @@ def _exact_percentile(values: List[float], q: float) -> float:
 
 
 def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate a wide-event list into the ``events summarize`` report.
+    """Aggregate a record list into the ``events summarize`` report.
 
-    Groups query events by ``(engine, k)`` with exact (nearest-rank)
-    latency percentiles from the raw durations, counts batch events by
-    return path, and reports the overall event span and rate.
+    Groups query records by ``(engine, k)`` with exact (nearest-rank)
+    latency percentiles from the raw durations, counts batch records by
+    return path, and reports the overall event span and rate.  A shard
+    facade's own query (a record with ``shard``) is one leg of a routed
+    query, counted in ``n_shard_queries`` rather than as a query.
     """
-    queries = [r for r in records if r.get("event") == "query"]
+    queries = [r for r in records
+               if r.get("event") == "query" and "shard" not in r]
+    shard_queries = sum(1 for r in records
+                        if r.get("event") == "query" and "shard" in r)
     batches = [r for r in records if r.get("event") == "batch"]
     errors = [r for r in records if r.get("event") == "error"]
     timestamps = [r.get("ts", 0.0) for r in records if r.get("ts")]
@@ -290,6 +334,7 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         "version": 1,
         "n_events": len(records),
         "n_queries": len(queries),
+        "n_shard_queries": shard_queries,
         "n_batches": len(batches),
         "n_errors": len(errors),
         "span_s": round(span_s, 3),
@@ -303,6 +348,7 @@ def render_event_summary(summary: Dict[str, Any]) -> str:
     """Aligned plain-text rendering of :func:`summarize_events`."""
     lines = [
         f"{summary['n_events']} event(s): {summary['n_queries']} query, "
+        f"{summary['n_shard_queries']} shard query, "
         f"{summary['n_batches']} batch, {summary['n_errors']} error "
         f"over {summary['span_s']:g} s"
         + (f" ({summary['events_per_s']:g}/s)" if summary["span_s"] else ""),
@@ -325,8 +371,10 @@ def render_event_summary(summary: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_event_lines(records: List[Dict[str, Any]]) -> str:
-    """One aligned line per event for ``events tail``."""
+def render_event_lines(records: List[Dict[str, Any]],
+                       show_spans: bool = False) -> str:
+    """One aligned line per record for ``events tail`` (plus the
+    record's span tree with ``show_spans``)."""
     if not records:
         return "(no events)"
     lines = []
@@ -335,14 +383,21 @@ def render_event_lines(records: List[Dict[str, Any]]) -> str:
         extra = ""
         if record.get("shards"):
             extra += f" shards={record['shards']}"
+        if "shard" in record:
+            extra += f" shard={record['shard']}"
         if record.get("return_path"):
             extra += f" path={record['return_path']}"
+        if record.get("slow"):
+            extra += " SLOW"
         lines.append(
             f"{record.get('ts', 0):.3f} {record.get('event', '?'):<6} "
             f"{record.get('engine', '?'):<18} k={record.get('k', 0):<2} "
             f"m={record.get('m', 0):<4} {record.get('duration_ms', 0):>9.3f}ms "
             f"occ={record.get('occurrences', 0):<6} trace={trace}{extra}"
         )
+        if show_spans and record.get("spans"):
+            tree = render_span_tree([record["spans"]])
+            lines.extend("      " + line for line in tree.splitlines())
     return "\n".join(lines)
 
 
@@ -353,7 +408,7 @@ __all__ = [
     "DEFAULT_EVENT_MAX_BYTES",
     "DEFAULT_EVENT_BACKUPS",
     "sample_keep",
-    "make_wide_event",
+    "make_record",
     "WideEventLog",
     "load_wide_events",
     "tail_events",

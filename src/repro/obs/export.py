@@ -7,8 +7,8 @@ payloads parse identically, see :func:`~repro.obs.metrics.iter_series`):
 * **OpenMetrics rendering** — :func:`render_openmetrics` turns the
   registry payload into the Prometheus/OpenMetrics text exposition
   format served by :mod:`repro.obs.server` on ``/metrics``.  Dotted
-  metric names become underscore-separated (``rank.rankall.occ_probes``
-  → ``rank_rankall_occ_probes``), counters gain the conventional
+  metric names become underscore-separated (``search.rank_queries``
+  → ``search_rank_queries``), counters gain the conventional
   ``_total`` suffix, histograms expand into cumulative
   ``_bucket{le="..."}`` series plus ``_sum`` / ``_count``, labelled
   children render as ``{label="value"}`` series under one ``# TYPE``
@@ -105,8 +105,8 @@ _LABEL_NAME_LEADING = re.compile(r"^[^a-zA-Z_]")
 def sanitize_metric_name(name: str) -> str:
     """A Prometheus-legal metric name for a dotted repro metric name.
 
-    >>> sanitize_metric_name("rank.rankall.occ_probes")
-    'rank_rankall_occ_probes'
+    >>> sanitize_metric_name("search.rank_queries")
+    'search_rank_queries'
     >>> sanitize_metric_name("9bad name")
     '_bad_name'
     """

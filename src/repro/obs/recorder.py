@@ -1,23 +1,19 @@
-"""Flight recorder and structured event log.
+"""Flight recorder: the in-memory ring of recent telemetry records.
 
 The metrics registry answers "how much, in total"; the flight recorder
 answers "what just happened" — a bounded ring buffer of the most recent
-per-query records (engine, ``k``, pattern length, duration, occurrence
-count, the full :class:`~repro.core.types.SearchStats` dictionary, and
-the query's span tree when tracing is on).  Queries slower than a
-configurable threshold are additionally **pinned** into a separate
-bounded list, so the interesting outliers survive long after the ring
-has churned past them — the black-box-recorder property the name is
-borrowed from.
+records (see :func:`repro.obs.events.make_record`: engine, ``k``,
+pattern length, duration, occurrence count, the full
+:class:`~repro.core.types.SearchStats` dictionary, and the query's span
+tree when tracing is on).  Queries slower than a configurable threshold
+are additionally **pinned** into a separate bounded list, so the
+interesting outliers survive long after the ring has churned past them
+— the black-box-recorder property the name is borrowed from.
 
-The :class:`EventLog` is the streaming sibling: one JSON object per
-line, appended as records arrive, so long benchmark runs and served
-traffic leave a replayable, greppable trail (``repro-cli flightrecorder``
-renders these files).
-
-Both consume the same record dictionaries, produced by
-:meth:`repro.obs.Observability.record_query` /
-:meth:`~repro.obs.Observability.record_event`.
+Records arrive through :meth:`repro.obs.Observability.record_event`,
+which also appends each one to the open ``--wide-events`` sink;
+``--flight-json`` dumps the ring in the same schema, so
+``repro-cli events`` reads both.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
 import uuid
 from collections import deque
 from typing import Any, Dict, IO, List, Optional, Union
@@ -87,56 +82,6 @@ def prune_span_tree(span: Dict[str, Any], max_depth: int = 0, max_attrs: int = 0
         return pruned
 
     return walk(span, max_depth)
-
-
-def make_record(
-    event: str,
-    *,
-    engine: str = "",
-    k: int = 0,
-    m: int = 0,
-    duration_ms: float = 0.0,
-    occurrences: int = 0,
-    stats: Optional[dict] = None,
-    spans: Optional[dict] = None,
-    trace_id: Optional[str] = None,
-    **extra: Any,
-) -> Dict[str, Any]:
-    """One flight-recorder/event-log record (plain JSON-compatible dict).
-
-    ``event`` is ``"query"`` for single searches and ``"batch"`` for
-    executor runs; ``spans`` is the query's span tree
-    (:meth:`~repro.obs.tracing.Span.to_dict`) or ``None`` when tracing
-    was off; ``trace_id`` (see :func:`new_trace_id`) is the correlation
-    id histogram exemplars point at — omitted from the record when the
-    producer did not mint one.
-
-    Recorded span trees are bounded by ``REPRO_FLIGHT_SPAN_DEPTH`` /
-    ``REPRO_FLIGHT_SPAN_ATTRS`` (see :func:`prune_span_tree`; 0 or unset
-    = unlimited), so one deep trace cannot make every retained record
-    heavyweight.
-    """
-    record: Dict[str, Any] = {
-        "event": event,
-        "ts": time.time(),
-        "engine": engine,
-        "k": k,
-        "m": m,
-        "duration_ms": round(float(duration_ms), 6),
-        "occurrences": occurrences,
-    }
-    if trace_id:
-        record["trace_id"] = trace_id
-    if stats is not None:
-        record["stats"] = stats
-    if spans is not None:
-        max_depth = int(os.environ.get("REPRO_FLIGHT_SPAN_DEPTH", "0") or 0)
-        max_attrs = int(os.environ.get("REPRO_FLIGHT_SPAN_ATTRS", "0") or 0)
-        if max_depth or max_attrs:
-            spans = prune_span_tree(spans, max_depth, max_attrs)
-        record["spans"] = spans
-    record.update(extra)
-    return record
 
 
 class FlightRecorder:
@@ -259,69 +204,3 @@ class FlightRecorder:
         for record in records:
             out.write(json.dumps(record) + "\n")
         return len(records)
-
-
-class EventLog:
-    """Append-only JSON-lines sink for telemetry records.
-
-    One :func:`make_record` dictionary per line; flushed per write so a
-    killed process loses at most the current line.  Thread-safe.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle: Optional[IO[str]] = open(path, "a")
-        self._lock = threading.Lock()
-        self.lines_written = 0
-
-    def emit(self, record: Dict[str, Any]) -> None:
-        """Append one record (no-op after :meth:`close`)."""
-        with self._lock:
-            if self._handle is None:
-                return
-            self._handle.write(json.dumps(record) + "\n")
-            self._handle.flush()
-            self.lines_written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
-
-
-def load_events(path: str) -> List[Dict[str, Any]]:
-    """Parse an event-log / flight-recorder JSONL file (blank lines skipped)."""
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def render_records(
-    records: List[Dict[str, Any]], slow_only: bool = False, show_spans: bool = False
-) -> str:
-    """Aligned table of records for ``repro-cli flightrecorder``."""
-    from .tracing import render_span_tree
-
-    rows = [r for r in records if not slow_only or r.get("slow")]
-    if not rows:
-        return "(no records)"
-    header = f"{'seq':>5}  {'event':<6} {'engine':<18} {'k':>2} {'m':>4} " \
-             f"{'ms':>10} {'occ':>6}  flags"
-    lines = [header, "-" * len(header)]
-    for record in rows:
-        flags = "SLOW" if record.get("slow") else ""
-        lines.append(
-            f"{record.get('seq', '-'):>5}  {record.get('event', '?'):<6} "
-            f"{record.get('engine', '?'):<18} {record.get('k', '-'):>2} "
-            f"{record.get('m', '-'):>4} {record.get('duration_ms', 0):>10.3f} "
-            f"{record.get('occurrences', 0):>6}  {flags}"
-        )
-        if show_spans and record.get("spans"):
-            tree = render_span_tree([record["spans"]])
-            lines.extend("      " + line for line in tree.splitlines())
-    return "\n".join(lines)

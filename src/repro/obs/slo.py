@@ -128,13 +128,16 @@ def count_query_error(engine: str, k: Any, kind: str) -> None:
     OBS.metrics.counter(QUERY_ERRORS_METRIC, engine=engine, k=k, kind=kind).inc()
 
 
-def record_query_error(engine: str, k: Any, exc: BaseException) -> str:
+def record_query_error(engine: str, k: Any, exc: BaseException,
+                       **fields: Any) -> str:
     """Count one raised query exactly once, however many layers see it.
 
     The facade, the shard router and the batch executor each wrap their
     query paths with this call; the exception object is tagged on first
     count so an error bubbling through all three layers still produces
-    one ``query.errors`` increment.  Returns the classified kind.
+    one ``query.errors`` increment and one ``"error"`` record.
+    ``fields`` (``m``, ``trace_id``, ``shard``) go into that record.
+    Returns the classified kind.
     """
     kind = classify_error(exc)
     if getattr(exc, "_repro_error_counted", False):
@@ -149,7 +152,9 @@ def record_query_error(engine: str, k: Any, exc: BaseException) -> str:
     if OBS.enabled:
         OBS.record_event(
             "error", engine=engine, k=k, kind=kind,
+            error=type(exc).__name__,
             message=f"{type(exc).__name__}: {exc}"[:300],
+            **fields,
         )
     return kind
 
@@ -607,20 +612,18 @@ class SLOEngine:
     process-wide engine shares :func:`~repro.obs.timeseries.get_timeseries`,
     so burn-rate windows and ``rate``/``percentile_over_time`` queries
     read one substrate) or let the engine build a private store from
-    ``registry``/``clock``/``max_snapshots``.  The engine pins the
-    store's retention horizon to its slow window.
+    ``registry``/``clock``.  The engine pins the store's retention
+    horizon to its slow window.
     """
 
     def __init__(self, rules: Optional[SLORules] = None, registry=None,
                  clock: Optional[Callable[[], float]] = None,
-                 max_snapshots: int = 512,
                  store: Optional[TimeSeriesStore] = None):
         self.rules = rules or default_rules()
         self._registry = registry
         self.clock = clock or time.monotonic
         if store is None:
-            store = TimeSeriesStore(registry=registry, clock=self.clock,
-                                    capacity=max_snapshots)
+            store = TimeSeriesStore(registry=registry, clock=self.clock)
         self.store = store
         self.store.retention_s = self.rules.policy.slow_s
         self.alerts = AlertManager()
@@ -631,30 +634,6 @@ class SLOEngine:
         if self._registry is not None:
             return self._registry
         return self.store.registry()
-
-    # -- snapshot plumbing ----------------------------------------------------
-
-    @property
-    def _snapshots(self) -> List[Tuple[float, Dict[str, dict]]]:
-        """The store's retained ring (kept as an attribute-shaped view —
-        pre-store callers and tests read it directly)."""
-        return self.store._snapshots
-
-    @property
-    def max_snapshots(self) -> int:
-        return self.store.capacity
-
-    @max_snapshots.setter
-    def max_snapshots(self, value: int) -> None:
-        self.store.capacity = max(2, int(value))
-
-    def _window_delta(self, window_s: float, now: float,
-                      current: Dict[str, dict]):
-        """(delta payload, seconds actually covered) for one window, or
-        (None, 0.0) before any baseline snapshot exists.  With history
-        shorter than the window, the oldest snapshot serves as baseline
-        — the window reports what it can actually see."""
-        return self.store.window_delta(window_s, now, current)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -673,7 +652,8 @@ class SLOEngine:
                     ("fast", policy.fast_s, policy.fast_burn),
                     ("slow", policy.slow_s, policy.slow_burn),
                 ):
-                    delta, covered = self._window_delta(window_s, now, current)
+                    delta, covered = self.store.window_delta(window_s, now,
+                                                             current)
                     if delta is None:
                         status = {"no_data": True, "total": 0, "bad": 0,
                                   "burn_rate": 0.0, "ok": True}

@@ -41,7 +41,7 @@ from ..core.wildcard import DEFAULT_WILDCARD
 from ..dna import reverse_complement
 from ..engine.registry import REGISTRY
 from ..errors import IndexCorruptionError, PatternError
-from ..obs import OBS, record_query_error
+from ..obs import OBS, new_trace_id, record_query_error
 from .builder import build_shards_parallel, record_build_ms
 from .manifest import (
     DEFAULT_MAX_K,
@@ -139,13 +139,16 @@ class QueryRouter:
         before re-raising (idempotently: per-shard facades count their
         own failures first and tag the exception).
         """
+        trace_id = new_trace_id() if OBS.enabled else None
         try:
-            return self._route_inner(pattern, k, shard_fn, engine, window, rebase)
+            return self._route_inner(pattern, k, shard_fn, engine, window,
+                                     rebase, trace_id)
         except Exception as exc:
-            record_query_error(engine, k, exc)
+            record_query_error(engine, k, exc, m=len(pattern), trace_id=trace_id)
             raise
 
-    def _route_inner(self, pattern, k, shard_fn, engine, window=None, rebase=None):
+    def _route_inner(self, pattern, k, shard_fn, engine, window, rebase,
+                     trace_id):
         sharded = self._sharded
         window = window if window is not None else len(pattern)
         sharded.check_seam_budget(window)
@@ -203,28 +206,18 @@ class QueryRouter:
                 OBS.metrics.counter(
                     "query.shard_occurrences", engine=engine, k=k, shard=shard_id
                 ).inc(len(occurrences))
-            duration_ms = (perf_counter_ns() - start_ns) / 1e6
+            # ``shards`` > 0 marks the user-facing fan-out; each shard
+            # facade wrote its own record, stamped with its ``shard``.
             OBS.record_event(
-                "router",
-                engine=engine,
-                k=k,
-                m=len(pattern),
-                duration_ms=duration_ms,
-                shards=len(items),
-                occurrences=len(merged),
-                stats=stats.to_dict(),
-            )
-            # The routed query's wide event: ``shards`` > 0 marks it as
-            # the user-facing fan-out (per-shard searches emit their own
-            # shards=0 events underneath).
-            OBS.emit_wide(
                 "query",
                 engine=engine,
                 k=k,
                 m=len(pattern),
-                duration_ms=duration_ms,
+                duration_ms=(perf_counter_ns() - start_ns) / 1e6,
                 occurrences=len(merged),
                 shards=len(items),
+                trace_id=trace_id,
+                stats=stats.to_dict(),
             )
         return merged, stats
 
@@ -318,6 +311,8 @@ class ShardedIndex:
             )
         self._manifest = manifest
         self._shards = list(shards)
+        for shard_id, index in enumerate(self._shards):
+            index.shard = shard_id
         self._alphabet = Alphabet(manifest.alphabet)
         self._text: Optional[str] = None
         self.router = router or QueryRouter(self)
@@ -561,7 +556,8 @@ class ShardedIndex:
             # The router never runs for an invalid pattern; count the
             # rejection here so sharded serving has the same error
             # accounting as the unsharded facade.
-            record_query_error(REGISTRY.canonical_name(method), k, exc)
+            record_query_error(REGISTRY.canonical_name(method), k, exc,
+                               m=len(pattern))
             raise
         return self.router.search_with_stats(pattern, k, method)
 

@@ -14,28 +14,37 @@ import pytest
 
 from repro.alphabet import Alphabet
 from repro.bwt.fmindex import FMIndex
+from repro.bwt.rankall import RankAll
 from repro.core.matcher import KMismatchIndex
 from repro.engine.executor import BatchExecutor
 from repro.errors import IndexCorruptionError, SerializationError
 from repro.io import binfmt
 from repro.obs import OBS
 
-PROBE_COUNTERS = ("rank.rankall.occ_probes", "rank.rankall.counts_at_probes")
-
-
 def _random_text(rnd, symbols, length):
     return "".join(rnd.choice(symbols) for _ in range(length))
 
 
 def _probe_counts(fn):
-    """Run ``fn`` under a fresh OBS and return the rankall probe totals."""
-    OBS.reset().enable()
+    """Run ``fn`` and return how often it probed ``RankAll.occ`` /
+    ``RankAll.counts_at`` (counted by wrappers, restored afterwards)."""
+    counts = {"occ": 0, "counts_at": 0}
+    originals = {name: getattr(RankAll, name) for name in counts}
+
+    def counting(name):
+        def probe(self, *args):
+            counts[name] += 1
+            return originals[name](self, *args)
+        return probe
+
     try:
+        for name in counts:
+            setattr(RankAll, name, counting(name))
         fn()
-        return {name: OBS.metrics.counter(name).value for name in PROBE_COUNTERS}
     finally:
-        OBS.disable()
-        OBS.reset()
+        for name, original in originals.items():
+            setattr(RankAll, name, original)
+    return counts
 
 
 def _exercise(fm, queries):

@@ -139,34 +139,39 @@ class TestCommands:
         events = tmp_path / "events.jsonl"
         flight = tmp_path / "flight.jsonl"
         rc = main(["search", str(genome_file), "tcaca", "-k", "2",
-                   "--events", str(events), "--flight-json", str(flight)])
+                   "--wide-events", str(events), "--flight-json", str(flight)])
         assert rc == 0
-        from repro.obs import load_events
+        from repro.obs import load_wide_events
 
-        event_records = load_events(str(events))
+        event_records = load_wide_events(str(events))
         assert len(event_records) == 1
         assert event_records[0]["event"] == "query"
         assert event_records[0]["engine"] == "algorithm_a"
-        flight_records = load_events(str(flight))
+        flight_records = load_wide_events(str(flight))
         assert len(flight_records) == 1
         assert flight_records[0]["stats"]["rank_queries"] > 0
+        # One record, one schema: the sink line is the ring's record.
+        assert flight_records == event_records
         err = capsys.readouterr().err
-        assert "events streamed" in err and "flight recorder" in err
+        assert "wide events" in err and "flight recorder" in err
 
     def test_flightrecorder_renders_dump(self, genome_file, tmp_path, capsys):
         flight = tmp_path / "flight.jsonl"
         assert main(["search", str(genome_file), "tcaca", "-k", "2",
                      "--flight-json", str(flight)]) == 0
         capsys.readouterr()
-        rc = main(["flightrecorder", str(flight), "--spans"])
+        rc = main(["events", "tail", str(flight), "-n", "0", "--spans"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "algorithm_a" in out
         assert "kmismatch.search" in out  # --spans renders the span tree
+        # Nothing crosses the default 250 ms slow threshold here.
+        assert main(["events", "tail", str(flight), "--slow"]) == 0
+        assert capsys.readouterr().out.strip() == "(no events)"
 
     def test_flightrecorder_unreadable_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
-        rc = main(["flightrecorder", str(missing)])
+        rc = main(["events", "tail", str(missing)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 

@@ -315,10 +315,9 @@ class TestProcessPoolObsParity:
     """
 
     PARITY_COUNTERS = (
-        "rank.rankall.occ_probes",
-        "rank.rankall.counts_at_probes",
-        "query.count",
-        "engine.batch.items",
+        ("search.rank_queries", {"engine": "stree", "k": 2}),
+        ("query.count", {}),
+        ("engine.batch.items", {}),
     )
 
     @pytest.fixture(scope="class")
@@ -340,11 +339,9 @@ class TestProcessPoolObsParity:
             results = index.search_batch(reads, 2, method="stree", **batch_kwargs)
         finally:
             OBS.disable()
-        snapshot = OBS.metrics.to_dict()
         counters = {
-            name: snapshot[name]["value"]
-            for name in self.PARITY_COUNTERS
-            if name in snapshot
+            name: OBS.metrics.counter(name, **labels).value
+            for name, labels in self.PARITY_COUNTERS
         }
         def walk(span):
             yield span
@@ -368,7 +365,7 @@ class TestProcessPoolObsParity:
             index, reads, workers=2, mode="process", chunk_size=5
         )
         assert process_results == serial_results
-        assert serial["rank.rankall.occ_probes"] > 0
+        assert serial["search.rank_queries"] > 0
         assert process == serial
         assert process_spans == serial_spans > 0
 

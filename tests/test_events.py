@@ -1,6 +1,7 @@
-"""Tests for the wide-event query log: deterministic head sampling,
-size-based rotation, loss accounting, the summarize/tail readers, and
-the trace-id joinability the executor threads through batches."""
+"""Tests for the one telemetry record and its sink: the record schema,
+deterministic head sampling, size-based rotation, loss accounting, the
+summarize/tail readers, and the trace-id joinability the executor
+threads through batches."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from repro.obs import (
     WIDE_EVENT_VERSION,
     WideEventLog,
     load_wide_events,
-    make_wide_event,
+    make_record,
     render_event_lines,
     render_event_summary,
     sample_keep,
@@ -50,8 +51,8 @@ class TestSampling:
         assert 120 < kept < 280
 
     def test_multi_layer_events_share_the_verdict(self):
-        # The matcher's, router's and executor's events for one query
-        # carry the same trace id: they live or die together.
+        # Every record that carries one trace id (the ring's copy and
+        # the sink's, in any process) gets the same verdict.
         for i in range(50):
             trace_id = f"query-{i}"
             verdicts = {sample_keep(trace_id, 0.3) for _ in ("matcher",
@@ -66,11 +67,13 @@ class TestSampling:
 
 
 class TestMakeWideEvent:
+    """make_record builds the one record the ring and the sink share."""
+
     def test_core_fields(self):
-        event = make_wide_event("query", engine="bwt_mismatch", k=2, m=24,
-                                duration_ms=1.5, occurrences=3, shards=4,
-                                return_path="arena", trace_id="abc123",
-                                custom="x")
+        event = make_record("query", engine="bwt_mismatch", k=2, m=24,
+                            duration_ms=1.5, occurrences=3, shards=4,
+                            return_path="arena", trace_id="abc123",
+                            stats={"leaves": 7}, shard=1, custom="x")
         assert event["format"] == WIDE_EVENT_FORMAT
         assert event["version"] == WIDE_EVENT_VERSION
         assert event["event"] == "query"
@@ -80,13 +83,17 @@ class TestMakeWideEvent:
         assert event["occurrences"] == 3 and event["shards"] == 4
         assert event["return_path"] == "arena"
         assert event["trace_id"] == "abc123"
+        assert event["stats"] == {"leaves": 7}
+        assert event["shard"] == 1
         assert event["custom"] == "x"
         assert event["ts"] > 0
 
     def test_empty_optionals_are_omitted(self):
-        event = make_wide_event("query")
-        assert "return_path" not in event
-        assert "trace_id" not in event
+        event = make_record("query")
+        assert event["shards"] == 0
+        for optional in ("return_path", "trace_id", "stats", "spans",
+                         "shard"):
+            assert optional not in event
 
 
 class TestWideEventLog:
@@ -94,8 +101,8 @@ class TestWideEventLog:
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path, sample=1.0)
         for i in range(3):
-            assert log.emit(make_wide_event("query", k=i,
-                                            trace_id=f"t{i}")) is True
+            assert log.emit(make_record("query", k=i,
+                                        trace_id=f"t{i}")) is True
         log.close()
         events = load_wide_events(path)
         assert [event["k"] for event in events] == [0, 1, 2]
@@ -105,7 +112,7 @@ class TestWideEventLog:
     def test_sampled_out_events_are_counted_not_written(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path, sample=0.0)
-        assert log.emit(make_wide_event("query", trace_id="t")) is False
+        assert log.emit(make_record("query", trace_id="t")) is False
         log.close()
         assert log.lines_written == 0
         assert log.lines_sampled_out == 1
@@ -115,16 +122,16 @@ class TestWideEventLog:
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path)
         log.close()
-        assert log.emit(make_wide_event("query")) is False
+        assert log.emit(make_record("query")) is False
         assert log.lines_written == 0
 
     def test_rotation_shifts_generations(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        line_size = len(json.dumps(make_wide_event("query", i=0)) + "\n")
+        line_size = len(json.dumps(make_record("query", i=0)) + "\n")
         log = WideEventLog(path, sample=1.0, max_bytes=line_size * 3 + 10,
                            backups=2)
         for i in range(10):
-            log.emit(make_wide_event("query", i=i))
+            log.emit(make_record("query", i=i))
         log.close()
         assert log.rotations >= 2
         assert (tmp_path / "events.jsonl.1").exists()
@@ -134,11 +141,11 @@ class TestWideEventLog:
 
     def test_load_orders_backups_oldest_first(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
-        line_size = len(json.dumps(make_wide_event("query", i=0)) + "\n")
+        line_size = len(json.dumps(make_record("query", i=0)) + "\n")
         log = WideEventLog(path, sample=1.0, max_bytes=line_size * 4 + 10,
                            backups=8)
         for i in range(10):
-            log.emit(make_wide_event("query", i=i))
+            log.emit(make_record("query", i=i))
         log.close()
         events = load_wide_events(path)
         # Rotation loses nothing while backups suffice; order is global.
@@ -151,7 +158,7 @@ class TestWideEventLog:
     def test_to_dict_accounting(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path, sample=1.0, max_bytes=123456, backups=2)
-        log.emit(make_wide_event("query"))
+        log.emit(make_record("query"))
         doc = log.to_dict()
         log.close()
         assert doc["path"] == path
@@ -164,14 +171,14 @@ class TestReaders:
     def sample_records(self):
         records = []
         for duration in (1.0, 2.0, 3.0, 10.0):
-            records.append(make_wide_event(
+            records.append(make_record(
                 "query", engine="bwt_mismatch", k=2, m=24,
                 duration_ms=duration, occurrences=1, shards=3,
                 trace_id=f"t{duration}"))
-        records.append(make_wide_event("batch", engine="bwt_mismatch", k=2,
-                                       return_path="arena", trace_id="b1"))
-        records.append(make_wide_event("error", engine="bwt_mismatch", k=2,
-                                       error="PatternError"))
+        records.append(make_record("batch", engine="bwt_mismatch", k=2,
+                                   return_path="arena", trace_id="b1"))
+        records.append(make_record("error", engine="bwt_mismatch", k=2,
+                                   error="PatternError"))
         return records
 
     def test_summarize_hand_computed(self):
@@ -203,7 +210,7 @@ class TestReaders:
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path, sample=1.0)
         for i in range(5):
-            log.emit(make_wide_event("query", i=i))
+            log.emit(make_record("query", i=i))
         log.close()
         assert [event["i"] for event in tail_events(path, 2)] == [3, 4]
 
@@ -223,13 +230,14 @@ class TestObservabilityIntegration:
         path = str(tmp_path / "wide.jsonl")
         OBS.enable()
         OBS.open_wide_log(path)
-        assert OBS.emit_wide("query", engine="x", k=1, trace_id="t1") is True
+        record = OBS.record_event("query", engine="x", k=1, trace_id="t1")
         OBS.close_wide_log()
         assert OBS.wide_log is None
-        assert OBS.emit_wide("query", engine="x", k=1) is False
+        OBS.record_event("query", engine="y", k=1)
         events = load_wide_events(path)
-        assert len(events) == 1
-        assert events[0]["engine"] == "x"
+        # The sink holds exactly the ring's record, seq and slow included.
+        assert events == [record]
+        assert [r["engine"] for r in OBS.recorder.recent()] == ["x", "y"]
 
     def test_matcher_emits_wide_query_events(self, tmp_path):
         path = str(tmp_path / "wide.jsonl")
@@ -269,3 +277,42 @@ class TestObservabilityIntegration:
         assert batch_events[0]["trace_id"] == trace_id
         assert batch_events[0]["items"] == len(reads)
         assert batch_events[0]["workers"] == 2
+
+    def test_routed_queries_count_once(self, tmp_path):
+        from repro import ShardedIndex
+
+        path = str(tmp_path / "wide.jsonl")
+        text = "".join(("acgt"[(i * 7 + i // 5) % 4]) for i in range(2000))
+        index = ShardedIndex.build(text, 4, max_pattern=24, max_k=2)
+        OBS.enable()
+        OBS.open_wide_log(path)
+        for i in range(10):
+            index.search(text[100 * i:100 * i + 20], 1)
+        OBS.close_wide_log()
+        records = load_wide_events(path)
+        routed = [r for r in records if r.get("shards")]
+        assert len(routed) == 10
+        assert {r["event"] for r in routed} == {"query"}
+        assert all(r["trace_id"] and "shard" not in r for r in routed)
+        assert sorted({r["shard"] for r in records if "shard" in r}) == [0, 1, 2, 3]
+        assert index.shards[3].clone_for_worker().shard == 3
+        summary = summarize_events(records)
+        assert summary["n_queries"] == 10
+        assert summary["n_shard_queries"] == 40
+        assert summary["by_engine"][0]["queries"] == 10
+
+    def test_failed_query_has_one_record_in_ring_and_sink(self, tmp_path):
+        from repro.errors import AlphabetError
+
+        path = str(tmp_path / "wide.jsonl")
+        OBS.enable()
+        OBS.open_wide_log(path)
+        index = KMismatchIndex("acagaca" * 20)
+        with pytest.raises(AlphabetError):
+            index.search("acxgaca", 1)
+        OBS.close_wide_log()
+        (error,) = OBS.recorder.recent()
+        assert load_wide_events(path) == [error]
+        assert error["event"] == "error" and error["m"] == 7
+        assert error["kind"] == "pattern" and error["error"] == "AlphabetError"
+        assert error["trace_id"]

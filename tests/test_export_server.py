@@ -1,5 +1,5 @@
 """Tests for telemetry export: OpenMetrics, snapshot deltas, the flight
-recorder/event log, and the HTTP endpoint."""
+recorder and its sink, and the HTTP endpoint."""
 
 from __future__ import annotations
 
@@ -13,17 +13,16 @@ import pytest
 from repro import KMismatchIndex
 from repro.obs import (
     OBS,
-    EventLog,
     FlightRecorder,
     MetricsRegistry,
     ObsDelta,
-    load_events,
+    load_wide_events,
     make_record,
     merge_metrics,
     merge_obs_delta,
     metrics_delta,
+    render_event_lines,
     render_openmetrics,
-    render_records,
     sanitize_metric_name,
 )
 from repro.obs.server import MetricsServer
@@ -183,7 +182,7 @@ class TestFlightRecorder:
             recorder.record(make_record("query", duration_ms=1.0))
         path = tmp_path / "fr.jsonl"
         n = recorder.dump_jsonl(str(path))
-        records = load_events(str(path))
+        records = load_wide_events(str(path))
         assert n == len(records) == 3  # 2 ring + 1 evicted-but-pinned
         assert sorted(r["seq"] for r in records) == [1, 4, 5]
         assert len({r["seq"] for r in records}) == 3
@@ -208,33 +207,22 @@ class TestFlightRecorder:
         ]
         records[0]["seq"], records[1]["seq"] = 1, 2
         records[1]["slow"] = True
-        text = render_records(records)
+        text = render_event_lines(records)
         assert "algorithm_a" in text and "SLOW" in text
-        assert render_records(records, slow_only=True).count("stree") == 1
-        assert render_records([]) == "(no records)"
+        assert text.splitlines()[0].count("SLOW") == 0
+        assert render_event_lines([]) == "(no events)"
 
 
 class TestEventLog:
-    def test_emit_appends_json_lines(self, tmp_path):
+    def test_obs_record_event_feeds_recorder_and_log(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        log = EventLog(str(path))
-        log.emit({"event": "query", "k": 1})
-        log.emit({"event": "batch", "items": 3})
-        log.close()
-        records = load_events(str(path))
-        assert [r["event"] for r in records] == ["query", "batch"]
-        assert log.lines_written == 2
-        log.emit({"event": "late"})  # no-op after close
-        assert len(load_events(str(path))) == 2
-
-    def test_obs_record_query_feeds_recorder_and_log(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        OBS.open_event_log(str(path))
-        OBS.record_query(engine="algorithm_a", k=2, m=8, duration_ms=3.0,
-                         occurrences=1)
-        OBS.close_event_log()
+        OBS.open_wide_log(str(path))
+        OBS.record_event("query", engine="algorithm_a", k=2, m=8,
+                         duration_ms=3.0, occurrences=1)
+        OBS.close_wide_log()
         assert len(OBS.recorder.recent()) == 1
-        records = load_events(str(path))
+        records = load_wide_events(str(path))
+        assert records == OBS.recorder.recent()
         assert records[0]["engine"] == "algorithm_a"
         assert records[0]["event"] == "query"
 
@@ -274,7 +262,7 @@ class TestServer:
         assert status == 200
         assert content_type.startswith("text/plain")
         assert "repro_query_count_total 1" in body
-        assert "repro_rank_rankall_occ_probes_total" in body
+        assert 'repro_search_rank_queries_total{engine="algorithm_a",k="2"}' in body
         assert body.endswith("# EOF\n")
 
     def test_healthz(self, server):
@@ -578,10 +566,10 @@ class TestLabelledDelta:
 
     def test_obs_delta_ships_flight_records(self):
         OBS.enable()
-        OBS.record_query(engine="stree", k=1, m=5, duration_ms=0.4,
+        OBS.record_event("query", engine="stree", k=1, m=5, duration_ms=0.4,
                          occurrences=0, trace_id="aaaa1111")
         snapshot = ObsDelta.capture(OBS)
-        OBS.record_query(engine="stree", k=2, m=5, duration_ms=0.6,
+        OBS.record_event("query", engine="stree", k=2, m=5, duration_ms=0.6,
                          occurrences=3, trace_id="bbbb2222")
         payload = snapshot.finish(OBS)
         OBS.disable()

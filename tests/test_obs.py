@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 
 import pytest
@@ -321,7 +322,9 @@ class TestEngineIntegration:
         assert {"kmismatch.build", "fmindex.build", "rankall.build",
                 "kmismatch.search", "algorithm_a.search"} <= names
         metrics = OBS.metrics
-        assert metrics.counter("rank.rankall.occ_probes").value > 0
+        assert metrics.counter(
+            "search.rank_queries", engine="algorithm_a", k=2
+        ).value > 0
         assert metrics.counter("query.count").value == 1
         assert metrics.histogram("query.latency_ms").count == 1
 
@@ -332,11 +335,13 @@ class TestEngineIntegration:
         from repro.bwt.fmindex import FMIndex
 
         fm = FMIndex("acagaca", rank_backend="wavelet")
-        fm.count("aca")
+        assert fm.count("aca") == 2
         OBS.disable()
         names = {span.name for span in OBS.tracer.iter_finished()}
         assert "stree.search" in names and "wavelet.build" in names
-        assert OBS.metrics.counter("rank.wavelet.occ_probes").value > 0
+        assert OBS.metrics.counter(
+            "search.rank_queries", engine="stree", k=1
+        ).value > 0
         assert OBS.metrics.histogram(
             "search.leaf_depth", COUNT_BUCKETS, engine="stree", k=1
         ).count > 0
@@ -404,6 +409,38 @@ class TestDisabledOverhead:
                 pass
         per_call = (time.perf_counter() - start) / n
         assert per_call < 5e-6  # microseconds, not milliseconds
+
+
+class TestEnabledBudget:
+    def test_registry_work_does_not_grow_with_rank_probes(self, monkeypatch):
+        """Enabled observability costs a fixed number of registry lookups
+        per query: probe counts come from ``SearchStats`` once at the end
+        of the search, never from the rank-probe loop.  Counted, not
+        timed: both patterns hit once, the long one at ``k = 4`` makes
+        hundreds of times the rank queries of the exact short one."""
+        rnd = random.Random(11)
+        genome = "".join(rnd.choice("acgt") for _ in range(4000))
+        index = KMismatchIndex(genome)
+        calls = []
+        family = MetricsRegistry._family
+
+        def counting_family(self, *args, **kwargs):
+            calls.append(args[0])
+            return family(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_family", counting_family)
+        OBS.enable()
+
+        def registry_calls(pattern, k):
+            before = len(calls)
+            occurrences, stats = index.search_with_stats(pattern, k)
+            return len(calls) - before, stats.rank_queries, len(occurrences)
+
+        short_calls, short_probes, short_hits = registry_calls(genome[100:112], 0)
+        long_calls, long_probes, long_hits = registry_calls(genome[1000:1080], 4)
+        assert short_hits == long_hits == 1
+        assert long_probes > 100 * short_probes
+        assert long_calls <= short_calls
 
 
 class TestSearchStatsMerge:

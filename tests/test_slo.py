@@ -349,12 +349,12 @@ class TestSLOEngineWindows:
 
     def test_snapshot_pruning_is_bounded(self):
         engine, registry, clock = self._engine()
-        engine.max_snapshots = 8
+        engine.store.capacity = 8
         for step in range(100):
             clock["now"] = float(step)
             registry.counter("query.count").inc()
             engine.tick()
-        assert len(engine._snapshots) <= 8
+        assert len(engine.store) <= 8
         # The oldest retained snapshot still anchors the slow window.
         report = engine.tick()
         slow = report["objectives"][0]["windows"]["slow"]

@@ -272,16 +272,16 @@ class TestTopCLI:
 
 class TestEventsCLI:
     def _events_file(self, tmp_path):
-        from repro.obs import WideEventLog, make_wide_event
+        from repro.obs import WideEventLog, make_record
 
         path = str(tmp_path / "events.jsonl")
         log = WideEventLog(path, sample=1.0)
         for i in range(5):
-            log.emit(make_wide_event("query", engine="bwt_mismatch", k=2,
-                                     duration_ms=float(i), occurrences=1,
-                                     trace_id=f"t{i}"))
-        log.emit(make_wide_event("batch", engine="bwt_mismatch", k=2,
-                                 return_path="arena"))
+            log.emit(make_record("query", engine="bwt_mismatch", k=2,
+                                 duration_ms=float(i), occurrences=1,
+                                 trace_id=f"t{i}"))
+        log.emit(make_record("batch", engine="bwt_mismatch", k=2,
+                             return_path="arena"))
         log.close()
         return path
 
