@@ -14,19 +14,18 @@ on a 4-shard index.  It then compares what the serving surfaces show:
 
 Time fields (timestamps, durations, latency percentiles, rates,
 utilization, trace ids, span trees) and file paths are left out of
-every comparison.  Expected differences are passed as options, and
-anything else fails::
+every comparison.  The differences the one-record-per-query telemetry
+change makes on purpose are listed below as constants (``RETIRED``,
+``RENAMED_EVENTS``, ``FILLED`` and the sharded ``events summarize``
+counts); anything else fails::
 
-    python benchmarks/telemetry_diff.py OLD_SRC NEW_SRC \\
-        --retired rank.rankall.occ_probes,rank.rankall.counts_at_probes \\
-        --renamed-event router=query --filled error.m --sink-fixes
+    python benchmarks/telemetry_diff.py OLD_SRC NEW_SRC
 
-exits 0 when the only differences are the listed ones.
+exits 0 when the only differences are the expected ones.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -41,6 +40,19 @@ VOLATILE_KEYS = {
     "uptime_s", "rss_bytes", "qps", "utilization", "window_s", "covered_s",
     "source",
 }
+
+#: Metric families the new tree no longer emits: per-probe rank counters,
+#: replaced by ``search.rank_queries{engine,k}``.
+RETIRED = {
+    "rank.rankall.occ_probes", "rank.rankall.counts_at_probes",
+    "rank.wavelet.occ_probes", "rank.wavelet.counts_at_probes",
+}
+
+#: Record ``event`` renames: the router writes ``query`` with ``shards``.
+RENAMED_EVENTS = {"router": "query"}
+
+#: Record fields the old tree left at their default and the new one fills.
+FILLED = {"error": ("m",)}
 
 
 def run_workload(out: Path, shards: int) -> None:
@@ -149,18 +161,17 @@ def load(side: Path, name: str):
     return json.loads((side / name).read_text())
 
 
-def compare(old: Path, new: Path, retired, renamed, filled,
-            sink_fixes) -> list:
+def compare(old: Path, new: Path, sharded: bool) -> list:
     """Every unexpected difference between the two runs' surfaces."""
     problems = []
     old_metrics, new_metrics = load(old, "metrics.json"), load(new, "metrics.json")
     gone = set(old_metrics) - set(new_metrics)
-    if gone - retired:
-        problems.append(f"metrics: families gone: {sorted(gone - retired)}")
+    if gone - RETIRED:
+        problems.append(f"metrics: families gone: {sorted(gone - RETIRED)}")
     if set(new_metrics) - set(old_metrics):
         problems.append(f"metrics: families added: "
                         f"{sorted(set(new_metrics) - set(old_metrics))}")
-    for name in retired:
+    for name in RETIRED:
         old_metrics.pop(name, None)
     problems += ["metrics" + p for p in missing_or_changed(
         metric_view(old_metrics), metric_view(new_metrics))]
@@ -168,8 +179,8 @@ def compare(old: Path, new: Path, retired, renamed, filled,
     old_records = load(old, "queries.json")["recent"]
     new_records = load(new, "queries.json")["recent"]
     for record in old_records:
-        record["event"] = renamed.get(record["event"], record["event"])
-        for field in filled.get(record["event"], ()):
+        record["event"] = RENAMED_EVENTS.get(record["event"], record["event"])
+        for field in FILLED.get(record["event"], ()):
             record.pop(field, None)
     problems += ["queries" + p for p in missing_or_changed(
         stable(old_records), stable(new_records))]
@@ -179,7 +190,8 @@ def compare(old: Path, new: Path, retired, renamed, filled,
             stable(load(old, name)), stable(load(new, name)))]
 
     old_events, new_events = load(old, "events.json"), load(new, "events.json")
-    if sink_fixes:
+    if sharded:
+        # Routed queries count once, and every rejected read is an error.
         meta = load(new, "meta.json")
         for key, expected in (("n_queries", meta["queries"]),
                               ("n_errors", meta["rejected"])):
@@ -194,49 +206,26 @@ def compare(old: Path, new: Path, retired, renamed, filled,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old_src", nargs="?")
-    parser.add_argument("new_src", nargs="?")
-    parser.add_argument("--retired", default="",
-                        help="comma-separated metric families the new tree "
-                             "deliberately no longer emits")
-    parser.add_argument("--renamed-event", action="append", default=[],
-                        metavar="OLD=NEW", help="record event renames")
-    parser.add_argument("--filled", action="append", default=[],
-                        metavar="EVENT.FIELD",
-                        help="a record field the old tree left at its "
-                             "default and the new tree fills in")
-    parser.add_argument("--sink-fixes", action="store_true",
-                        help="on the sharded workload, expect events "
-                             "summarize to count each routed query once "
-                             "and every rejected read as an error")
-    parser.add_argument("--run", metavar="OUTDIR", help=argparse.SUPPRESS)
-    parser.add_argument("--shards", type=int, default=1, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.run:
-        run_workload(Path(args.run), args.shards)
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--run"]:  # child mode: OUTDIR SHARDS
+        run_workload(Path(argv[1]), int(argv[2]))
         return 0
-    if not (args.old_src and args.new_src):
-        parser.error("OLD_SRC and NEW_SRC are required")
-    retired = {name for name in args.retired.split(",") if name}
-    renamed = dict(item.split("=", 1) for item in args.renamed_event)
-    filled = {}
-    for item in args.filled:
-        event, field = item.split(".", 1)
-        filled.setdefault(event, []).append(field)
+    if len(argv) != 2:
+        print(__doc__)
+        return 2
+    old_src, new_src = argv
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for shards in (1, 4):
             sides = []
-            for label, src in (("old", args.old_src), ("new", args.new_src)):
+            for label, src in (("old", old_src), ("new", new_src)):
                 out = Path(tmp) / f"{label}-{shards}"
                 out.mkdir()
                 env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
                 subprocess.run([sys.executable, __file__, "--run", str(out),
-                                "--shards", str(shards)], env=env, check=True)
+                                str(shards)], env=env, check=True)
                 sides.append(out)
-            problems = compare(*sides, retired, renamed, filled,
-                               args.sink_fixes and shards > 1)
+            problems = compare(*sides, shards > 1)
             print(f"{shards} shard(s): "
                   f"{'OK' if not problems else f'{len(problems)} difference(s)'}")
             for problem in problems:

@@ -68,7 +68,9 @@ class KMismatchIndex:
 
     #: The shard id when this index serves as one shard of a
     #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``;
-    #: carried as ``shard`` on this facade's telemetry records.
+    #: carried as ``shard`` on this facade's telemetry records.  The
+    #: stamp is permanent, so a query sent straight to
+    #: ``sharded.shards[i]`` also reports as a shard leg.
     shard: Optional[int] = None
 
     def __init__(

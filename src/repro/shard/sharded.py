@@ -480,7 +480,11 @@ class ShardedIndex:
 
     @property
     def shards(self) -> List[KMismatchIndex]:
-        """The per-shard indexes, in core order."""
+        """The per-shard indexes, in core order.
+
+        Each is stamped with its shard id, so its telemetry records
+        carry ``shard`` even when it is searched directly: ``events
+        summarize`` counts those as ``n_shard_queries``, not queries."""
         return self._shards
 
     @property

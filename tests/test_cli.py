@@ -169,6 +169,25 @@ class TestCommands:
         assert main(["events", "tail", str(flight), "--slow"]) == 0
         assert capsys.readouterr().out.strip() == "(no events)"
 
+    def test_events_tail_slow_shows_only_slow_records(self, tmp_path, capsys):
+        import json as json_module
+
+        from repro.obs import FlightRecorder, make_record
+
+        recorder = FlightRecorder(capacity=4, slow_ms=100.0)
+        recorder.record(make_record("query", engine="algorithm_a",
+                                    duration_ms=1.0))
+        recorder.record(make_record("query", engine="stree",
+                                    duration_ms=900.0))
+        flight = tmp_path / "flight.jsonl"
+        recorder.dump_jsonl(str(flight))
+        assert main(["events", "tail", str(flight), "--slow", "--json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json_module.loads(line)["engine"] for line in lines] == ["stree"]
+        assert main(["events", "tail", str(flight), "--slow"]) == 0
+        out = capsys.readouterr().out
+        assert "stree" in out and "SLOW" in out and "algorithm_a" not in out
+
     def test_flightrecorder_unreadable_file(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
         rc = main(["events", "tail", str(missing)])

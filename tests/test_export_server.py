@@ -24,6 +24,7 @@ from repro.obs import (
     render_event_lines,
     render_openmetrics,
     sanitize_metric_name,
+    tail_events,
 )
 from repro.obs.server import MetricsServer
 
@@ -211,6 +212,20 @@ class TestFlightRecorder:
         assert "algorithm_a" in text and "SLOW" in text
         assert text.splitlines()[0].count("SLOW") == 0
         assert render_event_lines([]) == "(no events)"
+
+    def test_tail_slow_only_keeps_the_slow_record(self, tmp_path):
+        recorder = FlightRecorder(capacity=4, slow_ms=100.0)
+        recorder.record(make_record("query", engine="algorithm_a",
+                                    duration_ms=1.0))
+        recorder.record(make_record("query", engine="stree",
+                                    duration_ms=900.0))
+        path = tmp_path / "fr.jsonl"
+        recorder.dump_jsonl(str(path))
+        assert [r["engine"] for r in tail_events(str(path), n=0)] == [
+            "algorithm_a", "stree"]
+        slow = tail_events(str(path), n=0, slow_only=True)
+        assert [r["engine"] for r in slow] == ["stree"]
+        assert slow[0]["slow"] is True
 
 
 class TestEventLog:
