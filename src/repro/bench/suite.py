@@ -16,6 +16,7 @@ index-based methods.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -121,6 +122,9 @@ class MethodSuite:
         machinery is supposed to help.
         """
         runner = self._runner_for(method, k)
+        # A full collection owed to earlier allocations (tens of ms on a
+        # large heap) must not land inside one method's few-ms timing.
+        gc.collect()
         last_stats: Optional[SearchStats] = None
         n_occurrences = 0
         latency_hist = Histogram("suite.latency_ms", LATENCY_BUCKETS_MS)

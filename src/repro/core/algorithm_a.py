@@ -36,7 +36,7 @@ from ..errors import PatternError
 from ..mismatch.tables import MismatchTables
 from ..obs import COUNT_BUCKETS, OBS
 from .mtree import MTree
-from .stree import _ensure_recursion_headroom, compute_phi, record_search_metrics
+from .stree import compute_phi, record_search_metrics, recursion_headroom
 from .types import Occurrence, SearchStats
 
 #: Stored segments at most this long are re-scored by direct comparison;
@@ -201,9 +201,7 @@ class AlgorithmASearcher:
         stats = SearchStats()
         if m > fm.text_length:
             return [], stats
-        _ensure_recursion_headroom(m)
-
-        with OBS.span(
+        with recursion_headroom(m), OBS.span(
             self.engine_name + ".search", m=m, k=k, reuse=self._enable_reuse, phi=self._use_phi
         ) as span:
             self._n = fm.text_length

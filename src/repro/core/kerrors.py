@@ -28,7 +28,7 @@ from typing import Dict, List
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
-from .stree import _ensure_recursion_headroom
+from .stree import recursion_headroom
 
 _INF = float("inf")
 
@@ -98,9 +98,7 @@ class KErrorsSearcher:
             raise PatternError(f"k must be non-negative, got {k}")
         fm = self._fm
         m = len(pattern)
-        _ensure_recursion_headroom(m + k)
-
-        with OBS.span("kerrors.search", m=m, k=k) as span:
+        with recursion_headroom(m + k), OBS.span("kerrors.search", m=m, k=k) as span:
             self._m = m
             self._k = k
             self._n = fm.text_length

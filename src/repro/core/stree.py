@@ -21,7 +21,9 @@ pattern is consumed left-to-right (paper Sec. IV: ``L = BWT(s̄)``).
 from __future__ import annotations
 
 import sys
-from typing import List, Sequence, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Iterator, List, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
@@ -61,38 +63,99 @@ def record_search_metrics(
 def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
     """The paper's φ table for one pattern.
 
-    ``phi[i]`` = number of consecutive disjoint substrings of
-    ``pattern[i:]`` that do not occur in the target.  Computed greedily:
-    from position ``i`` extend until the current substring vanishes from
-    the index, count one, restart after it.  Since the extension test is
-    the same "consume a character forward" primitive as the search itself,
-    the reversed-text index answers it directly.
+    ``phi[i]`` = the largest number of disjoint substrings of
+    ``pattern[i:]`` that do not occur in the target.  One right-to-left
+    chain answers every offset at once: ``s_1`` is the largest ``s`` with
+    ``pattern[s:m]`` absent, ``s_2`` the largest ``s`` with
+    ``pattern[s:s_1]`` absent, and so on; ``phi[i]`` counts the ``s_c``
+    at or after ``i``.  Taking the latest-starting absent substring first
+    is optimal for every suffix at once (the interval-scheduling exchange
+    argument, docs/ALGORITHM.md §2).  For a fixed end, absence is
+    monotone in the start, so each ``s_c`` is found by galloping down from
+    the end and then binary search, each test an early-exit forward
+    extension on the reversed-text index: O(m log m) backward-search steps
+    instead of the O(m²) of restarting a search at every offset.
 
     The returned list has length ``m + 1`` with ``phi[m] = 0``.
+
+    >>> from repro.alphabet import DNA
+    >>> fm = FMIndex("acagaca"[::-1], DNA)
+    >>> compute_phi(fm, DNA.encode("tcaca"))
+    [2, 1, 0, 0, 0, 0]
     """
     m = len(pattern_codes)
-    # first_vanish[i] = smallest e such that pattern[i..e] does not occur,
-    # or m when pattern[i:] occurs entirely.
-    first_vanish = [m] * (m + 1)
-    for i in range(m):
-        rng = fm_reverse.full_range()
-        for e in range(i, m):
-            rng = fm_reverse.extend(rng, pattern_codes[e])
+    full = fm_reverse.full_range()
+    extend = fm_reverse.extend
+
+    def absent(start: int, end: int) -> bool:
+        rng = full
+        for pos in range(start, end):
+            rng = extend(rng, pattern_codes[pos])
             if rng.is_empty:
-                first_vanish[i] = e
+                return True
+        return False
+
+    def latest_absent_start(end: int) -> int:
+        """Largest ``s`` with ``pattern[s:end]`` absent, or -1 if none is."""
+        # Gallop: widen pattern[end - step : end] until it is absent ...
+        present, step = end, 1
+        while True:
+            start = max(end - step, 0)
+            if absent(start, end):
                 break
+            if start == 0:
+                return -1
+            present, step = start, step * 2
+        # ... then binary search between the absent and present starts.
+        while present - start > 1:
+            mid = (start + present) // 2
+            if absent(mid, end):
+                start = mid
+            else:
+                present = mid
+        return start
+
     phi = [0] * (m + 1)
+    start = latest_absent_start(m)
+    while start >= 0:
+        phi[start] = 1
+        start = latest_absent_start(start)
     for i in range(m - 1, -1, -1):
-        e = first_vanish[i]
-        phi[i] = 0 if e >= m else 1 + phi[e + 1]
+        phi[i] += phi[i + 1]
     return phi
 
 
-def _ensure_recursion_headroom(depth: int) -> None:
-    """Raise the interpreter recursion limit for a DFS of ``depth`` levels."""
+# Searches currently inside recursion_headroom, and the limit to restore
+# when the last of them leaves.  Module-level because the recursion limit
+# itself is process-wide.
+_headroom_lock = threading.Lock()
+_headroom_users = 0
+_headroom_saved = 0
+
+
+@contextmanager
+def recursion_headroom(depth: int) -> Iterator[None]:
+    """Raise the recursion limit for a DFS of ``depth`` levels, then restore it.
+
+    Searches may overlap on several threads; a lock-guarded count of the
+    searches inside keeps the limit raised until the last one leaves, and
+    then restores the limit found when the first one entered.
+    """
+    global _headroom_users, _headroom_saved
     needed = depth * 4 + 2000
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+    with _headroom_lock:
+        if _headroom_users == 0:
+            _headroom_saved = sys.getrecursionlimit()
+        _headroom_users += 1
+        if sys.getrecursionlimit() < needed:
+            sys.setrecursionlimit(needed)
+    try:
+        yield
+    finally:
+        with _headroom_lock:
+            _headroom_users -= 1
+            if _headroom_users == 0:
+                sys.setrecursionlimit(_headroom_saved)
 
 
 class STreeSearcher:
@@ -141,9 +204,9 @@ class STreeSearcher:
         stats = SearchStats()
         if m > fm.text_length:
             return [], stats
-        _ensure_recursion_headroom(m)
-
-        with OBS.span(self.engine_name + ".search", m=m, k=k, phi=self._use_phi) as span:
+        with recursion_headroom(m), OBS.span(
+            self.engine_name + ".search", m=m, k=k, phi=self._use_phi
+        ) as span:
             self._n = fm.text_length
             self._m = m
             self._k = k

@@ -19,7 +19,7 @@ from typing import List, Optional
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
-from .stree import _ensure_recursion_headroom
+from .stree import recursion_headroom
 from .types import Occurrence
 
 #: Default wild-card character (IUPAC "any nucleotide").
@@ -55,9 +55,9 @@ class WildcardSearcher:
         m = len(pattern)
         if m > fm.text_length:
             return []
-        _ensure_recursion_headroom(m)
-
-        with OBS.span("wildcard.search", m=m, k=k, wildcard=self._wildcard) as span:
+        with recursion_headroom(m), OBS.span(
+            "wildcard.search", m=m, k=k, wildcard=self._wildcard
+        ) as span:
             self._m = m
             self._k = k
             self._n = fm.text_length
