@@ -73,15 +73,16 @@ def test_ablation_reuse(benchmark, results_dir):
                         f"{stats.rank_queries:,}",
                         f"{stats.reuse_hits:,}",
                         f"{stats.chars_replayed:,}",
+                        f"{stats.derivation_jumps:,}",
                     ]
                 )
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = format_table(
-        ["k", "variant", "time", "rank queries", "reuse hits", "chars replayed"],
+        ["k", "variant", "time", "rank queries", "reuse hits", "chars replayed", "merge steps"],
         rows,
         title=f"Ablation A3: subtree reuse on satellite repeats ({len(text):,} bp)",
-    )
+    ) + "\nEach variant is a fresh searcher: the memo starts cold for every row."
     write_result(results_dir, "ablation_reuse", table)
     # Reuse must strictly reduce rank queries vs the no-reuse run at max k.
     last_block = rows[-(len(WIDTHS) + 1):]

@@ -15,6 +15,9 @@ Scale knobs (environment):
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -28,9 +31,29 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def provenance() -> str:
+    """One line naming the host's CPU count, the Python version and the
+    commit (``+dirty`` when ``src/`` or ``benchmarks/`` differ from it)."""
+    root = Path(__file__).resolve().parent.parent
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        commit = head.stdout.strip() if head.returncode == 0 else "unknown"
+        if head.returncode == 0 and git("diff", "--quiet", "HEAD", "--", "src", "benchmarks/*.py").returncode:
+            commit += "+dirty"
+    except OSError:
+        commit = "unknown"
+    return f"# host: {os.cpu_count()} CPUs, Python {platform.python_version()}, commit {commit}"
+
+
 def write_result(results_dir: Path, name: str, content: str) -> None:
-    """Persist one experiment's table and echo it for -s runs."""
+    """Persist one experiment's table, stamped with :func:`provenance`,
+    and echo it for -s runs."""
     path = results_dir / f"{name}.txt"
+    content = f"{content}\n{provenance()}"
     path.write_text(content + "\n")
     print(f"\n{content}\n[written to {path}]")
 

@@ -1,26 +1,30 @@
 """Algorithm A: k-mismatch search with mismatch-information derivation.
 
-This is the paper's contribution (Sec. IV-C/D).  The search explores the
-same conceptual S-tree as the baseline of [34], but maintains a **hash
-table of visited pairs**: the key is the BWT row range of a node.  The
+This is the paper's contribution (Sec. IV-C/D): the S-tree search of [34]
+plus a **hash table of visited pairs** keyed by BWT row range.  The
 continuation of a range in the index is *identical* wherever the range
 recurs — only the pattern offset it is aligned against differs — so on a
-repeat visit the subtree is **derived** instead of re-searched:
+repeat visit the stored continuation is re-scored instead of re-searched.
 
-* matching runs recorded at the first visit (offset ``i``) are re-scored
-  against the new offset ``j`` with kangaroo jumps over the pattern's
-  self-mismatch structure — the information carried by the tables
-  ``R_1..R_{m-1}`` — at O(1) per mismatch rather than O(1) per character;
-* characters that mismatched at the first visit are stored explicitly
-  (the M-tree's ``<char, position>`` nodes) and re-compared directly;
-* interleaving the two streams is exactly the paper's ``merge()`` /
-  ``node-creation()`` step pattern (Sec. IV-B, Fig. 5).
+Here that is literally the S-tree loop (:func:`~repro.core.stree.tree_search`)
+plus one hook, called on every range at least ``min_memo_width`` rows wide:
 
-Where the stored subtree ends before the new context does — the paper's
-case ``i > j`` ("D[u] needs to be extended"), a budget-pruned stub, or a
-dead branch that the new budget could pass — the search resumes live from
-the stored BWT range, so the answer set is always exactly the k-mismatch
-occurrence set (the property tests pin this against the naive scan).
+* on a miss the hook asks the index for the range's children and records
+  them; a range with a single child instead extends a *chain* — the codes
+  and ranges of a unary run of the index, up to the next branch point;
+* on a hit it hands stored children back to the loop, or re-scores a
+  stored chain against the current offset and hands back the node where
+  the chain ends, or where the budget runs out.  A chain that this same
+  query recorded at another offset, with more than ``_DIRECT_SCAN_LIMIT``
+  characters to score, is re-scored by the paper's ``merge()``: kangaroo
+  jumps over the pattern's self-mismatches (the information of the tables
+  ``R_1..R_{m-1}``) interleaved with the chain's own recorded mismatches,
+  O(1) per mismatch rather than per character.  Any other chain is
+  compared character by character.
+
+Leaves, φ and budget cuts, locating and the M-tree all stay in the loop,
+so the answer set is exactly the S-tree's (the property tests pin both
+against the naive scan).
 
 Complexity: O(k·n' + n + m log m) with ``n'`` the number of M-tree leaves
 (paper Sec. IV-D); preprocessing builds the ``R`` tables once per pattern.
@@ -28,72 +32,60 @@ Complexity: O(k·n' + n + m log m) with ``n'`` the number of M-tree leaves
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
 from ..mismatch.tables import MismatchTables
 from ..obs import COUNT_BUCKETS, OBS
 from .mtree import MTree
-from .stree import compute_phi, record_search_metrics, recursion_headroom
+from .stree import Hook, LeafCallback, Mismatches, compute_phi, record_search_metrics, tree_search
 from .types import Occurrence, SearchStats
 
-#: Stored segments at most this long are re-scored by direct comparison;
-#: longer ones use the O(k) kangaroo-jump merge.  Pure constant-factor
-#: tuning: in CPython, generator setup costs more than ~a dozen integer
-#: comparisons.
+#: Chains with at most this many characters to score are compared
+#: directly; longer ones recorded by the same query use the kangaroo
+#: merge.  Pure constant-factor tuning: in CPython, generator setup costs
+#: more than ~a dozen integer comparisons.
 _DIRECT_SCAN_LIMIT = 24
 
+#: Soft bound on memo entries.  After each search the oldest entries are
+#: dropped down to it; the entries the search itself recorded are kept,
+#: so one very large search may leave the memo above the bound.
+MEMO_LIMIT = 200_000
 
-class _Run:
-    """A stored S-tree path segment (unary chain of consumed characters).
 
-    ``codes[d]`` / ``ranges[d]`` give the character consumed at relative
-    depth ``d`` and the BWT range reached after consuming it; at first
-    exploration ``codes[d]`` was compared against
-    ``pattern[start_offset + d]``, and ``mm_rel`` lists the relative depths
-    where that comparison failed.  ``status`` records how the segment
-    ends:
+class _Chain:
+    """A unary run of the index, recorded by the memo hook.
 
-    ========  =======================================================
-    'open'    still being explored (transient)
-    'inner'   ends at a branch point; ``children`` holds the branches
-    'dead'    the index has no continuation
-    'end'     the pattern was exhausted at first exploration
-    'stub'    never explored — the first visit's budget was spent
-    'ref'     continuation is another memoised entry (``ref``)
-    ========  =======================================================
-
-    ``gen`` is the searcher query generation that recorded the segment;
-    replays from a *later* generation (persistent cross-query memo) skip
-    the kangaroo merge — ``mm_rel``/``start_offset`` describe comparisons
-    against an earlier pattern — and re-score the stored characters
-    directly instead.
+    ``codes[j]`` leads from ``ranges[j]`` to ``ranges[j + 1]``, and every
+    range but the last has that single child.  Query ``gen`` first scored
+    ``codes[j]`` against ``pattern[offset + j]``; ``mm_rel`` lists the
+    ``j`` where that comparison failed (what the kangaroo merge needs).
     """
 
-    __slots__ = ("start_offset", "codes", "ranges", "mm_rel", "status", "children", "ref", "gen")
+    __slots__ = ("offset", "gen", "codes", "ranges", "mm_rel")
 
-    def __init__(
-        self,
-        start_offset: int,
-        codes: List[int],
-        ranges: List[Range],
-        mm_rel: List[int],
-        gen: int = 0,
-    ):
-        self.start_offset = start_offset
-        self.codes = codes
-        self.ranges = ranges
-        self.mm_rel = mm_rel
-        self.status = "open"
-        self.children: List["_Run"] = []
-        self.ref: Optional[Tuple["_Run", int]] = None
+    def __init__(self, offset: int, gen: int, head: Range):
+        self.offset = offset
         self.gen = gen
+        self.codes: List[int] = []
+        self.ranges: List[Range] = [head]
+        self.mm_rel: List[int] = []
 
 
 class AlgorithmASearcher:
     """The paper's Algorithm A over an FM-index of the reversed target.
+
+    The pair hash table persists across calls to :meth:`search` on one
+    instance: a range recorded while serving one read is reused when a
+    later read reaches it (``stats.shared_reuse_hits``).  A range's
+    continuation depends only on the target, so stored records stay valid
+    for every pattern; records from an earlier query are re-scored
+    directly (the kangaroo merge needs the same pattern).
+    :meth:`clear_memo` gives a cold start, and the table is held near
+    :data:`MEMO_LIMIT` entries by dropping the oldest.
 
     Parameters
     ----------
@@ -104,8 +96,8 @@ class AlgorithmASearcher:
         of the most recent search (Sec. IV-D structure; used by the worked
         examples and tests — adds overhead).
     enable_reuse:
-        When False, the pair hash table is disabled and every subtree is
-        searched live — the ablation baseline isolating the paper's
+        When False, the pair hash table is disabled and the search is the
+        plain S-tree loop — the ablation baseline isolating the paper's
         derivation idea.
     use_phi:
         Additionally apply the φ(i) cut-off of [34] (sound,
@@ -114,29 +106,12 @@ class AlgorithmASearcher:
         genome scale, so it is on by default here — the ablation
         benchmarks isolate its effect).
     min_memo_width:
-        Ranges narrower than this are explored with a lean, non-recording
-        DFS instead of being entered into the hash table.  A width-1
-        range is a single text position; its subtree is a thin path whose
+        Ranges narrower than this bypass the hash table.  A width-1 range
+        is a single text position; its subtree is a thin path whose
         re-derivation saves almost nothing, while recording it costs a
-        hash insert plus node storage per character.  The paper's literal
-        behaviour (every pair recorded) is ``min_memo_width=1``; the
-        ablation benchmark sweeps this knob.
-    persistent_memo:
-        When True (default) the pair hash table survives across calls to
-        :meth:`search` on this instance: a range pair recorded while
-        serving one read is derived — never re-searched — when a later
-        read reaches the same BWT range.  The continuation of a range in
-        the index depends only on the *target*, so stored segments stay
-        valid for every future pattern; replays of segments recorded by
-        an earlier query re-score the stored characters directly (the
-        kangaroo merge needs same-pattern self-mismatch structure).
-        Cross-query hits are counted in ``stats.shared_reuse_hits``.
-    memo_limit:
-        Soft bound on persistent hash-table entries.  After each search,
-        entries recorded by the oldest generations are evicted until the
-        table fits (the current query's entries are never evicted, so one
-        very large query may transiently exceed the bound).  Eviction and
-        occupancy are exported via ``OBS`` under ``algorithm_a.memo.*``.
+        hash insert per character.  The paper's literal behaviour (every
+        pair recorded) is ``min_memo_width=1``; the ablation benchmark
+        sweeps this knob.
 
     >>> from repro.alphabet import DNA
     >>> fm = FMIndex("acagaca"[::-1], DNA)
@@ -156,28 +131,28 @@ class AlgorithmASearcher:
         enable_reuse: bool = True,
         use_phi: bool = True,
         min_memo_width: int = 4,
-        persistent_memo: bool = True,
-        memo_limit: int = 200_000,
     ):
         if min_memo_width < 1:
             raise PatternError("min_memo_width must be >= 1")
-        if memo_limit < 1:
-            raise PatternError("memo_limit must be >= 1")
         self._fm = fm_reverse
         self._record_mtree = record_mtree
         self._enable_reuse = enable_reuse
         self._use_phi = use_phi
         self._min_memo_width = min_memo_width
-        self._persistent_memo = persistent_memo
-        self._memo_limit = memo_limit
+        #: Range -> ``(record, t, gen)``: ``record`` is the range's children
+        #: (``t == -1``) or the :class:`_Chain` holding it at ``ranges[t]``;
+        #: ``gen`` is the query that recorded it.  Insertion order is age.
         self._memo: dict = {}
         self._generation = 0
+        self._pattern: Optional[str] = None
+        self._k = 0
+        self._tables_cache: Optional[MismatchTables] = None
         #: M-tree of the most recent search (when ``record_mtree``).
         self.last_mtree: Optional[MTree] = None
 
     @property
     def memo_entries(self) -> int:
-        """Live entries in the (persistent) pair hash table."""
+        """Live entries in the pair hash table."""
         return len(self._memo)
 
     def clear_memo(self) -> None:
@@ -201,41 +176,42 @@ class AlgorithmASearcher:
         stats = SearchStats()
         if m > fm.text_length:
             return [], stats
-        with recursion_headroom(m), OBS.span(
+        with OBS.span(
             self.engine_name + ".search", m=m, k=k, reuse=self._enable_reuse, phi=self._use_phi
         ) as span:
-            self._n = fm.text_length
-            self._m = m
-            self._k = k
-            self._pcodes = fm.alphabet.encode(pattern)
+            pattern_codes = fm.alphabet.encode(pattern)
+            phi = compute_phi(fm, pattern_codes) if self._use_phi else None
             # Preprocessing (paper's O(m log m) term): the R tables and the
-            # kangaroo oracle that backs their unbounded extension.  Built
-            # lazily — only derivations over segments longer than the direct-
-            # scan threshold consult them, and many searches never do.
+            # kangaroo oracle behind them, built lazily by ``tables`` — only
+            # the kangaroo merge consults them, and most searches never do.
             self._pattern = pattern
-            self._tables_cache: Optional[MismatchTables] = None
-            self._phi = compute_phi(fm, self._pcodes) if self._use_phi else None
-            if not self._persistent_memo:
-                self._memo = {}
+            self._k = k
+            self._tables_cache = None
             self._generation += 1
-            self._stats = stats
-            self._occurrences: List[Occurrence] = []
-            self._path: List[Tuple[int, int]] = []  # (pattern offset, code) per mismatch
-            self._mtree = MTree(m) if self._record_mtree else None
-
-            self._continue_live(fm.full_range(), 0, 0)
-
+            recorded_before = len(self._memo)
+            mtree = MTree(m) if self._record_mtree else None
+            hook = self._memo_hook(pattern_codes, k, stats) if self._enable_reuse else None
+            occurrences = tree_search(
+                fm,
+                pattern_codes,
+                k,
+                phi,
+                stats,
+                hook,
+                self._min_memo_width,
+                None if mtree is None else _mtree_recorder(mtree, fm.alphabet.symbol),
+            )
             stats.memo_size = len(self._memo)
-            evicted = self._evict_memo() if self._persistent_memo else 0
+            evicted = self._evict_memo(recorded_before)
             span.set(
                 leaves=stats.leaves,
                 reuse_hits=stats.reuse_hits,
                 shared_reuse_hits=stats.shared_reuse_hits,
                 memo_size=stats.memo_size,
-                occurrences=len(self._occurrences),
+                occurrences=len(occurrences),
             )
         if OBS.enabled:
-            record_search_metrics(self.engine_name, stats, len(self._occurrences), k)
+            record_search_metrics(self.engine_name, stats, len(occurrences), k)
             # Derivation-machinery families, labelled {engine,k} like every
             # other search series (the flat search.algorithm_a.* names they
             # replace are retired — see docs/OBSERVABILITY.md).
@@ -256,378 +232,129 @@ class AlgorithmASearcher:
             )
             metrics.counter(self.engine_name + ".memo.evicted").inc(evicted)
             metrics.gauge(self.engine_name + ".memo.entries").set(len(self._memo))
-        self.last_mtree = self._mtree
-        return sorted(self._occurrences), stats
+        self.last_mtree = mtree
+        return sorted(occurrences), stats
 
-    def _evict_memo(self) -> int:
-        """Enforce ``memo_limit`` by dropping oldest-generation entries.
+    def _evict_memo(self, recorded_before: int) -> int:
+        """Drop the oldest entries down to :data:`MEMO_LIMIT`.
 
-        Generation granularity keeps this out of the per-node hot path: a
-        single O(table) sweep between queries, no per-hit LRU bookkeeping.
-        Entries recorded by the just-finished query are never dropped, so
-        the bound is soft for a single oversized search.
+        The memo's first ``recorded_before`` entries predate the search
+        that just finished; only those may go.  One O(dropped) sweep
+        between queries, no per-hit bookkeeping.
         """
-        excess = len(self._memo) - self._memo_limit
-        if excess <= 0:
+        drop = min(len(self._memo) - MEMO_LIMIT, recorded_before)
+        if drop <= 0:
             return 0
-        per_gen: dict = {}
-        for entry in self._memo.values():
-            gen = entry[0].gen
-            per_gen[gen] = per_gen.get(gen, 0) + 1
-        cutoff = -1
-        drop = 0
-        for gen in sorted(per_gen):
-            if gen == self._generation or drop >= excess:
-                break
-            drop += per_gen[gen]
-            cutoff = gen
-        if cutoff < 0:
-            return 0
-        self._memo = {
-            key: value for key, value in self._memo.items() if value[0].gen > cutoff
-        }
+        for key in list(islice(self._memo, drop)):
+            del self._memo[key]
         return drop
 
     @property
     def tables(self) -> Optional[MismatchTables]:
         """The R tables of the most recent search (built on first use)."""
-        if getattr(self, "_pattern", None) is None:
+        if self._pattern is None:
             return None
         if self._tables_cache is None:
             self._tables_cache = MismatchTables(self._pattern, self._k)
         return self._tables_cache
 
-    @property
-    def _oracle(self):
-        return self.tables.oracle
+    # -- the memo hook -------------------------------------------------------------
 
-    # -- path recording -----------------------------------------------------------
-
-    def _record_complete(self, rng: Range) -> None:
-        stats = self._stats
-        stats.leaves += 1
-        stats.completed_paths += 1
-        mm = tuple(pos for pos, _ in self._path)
-        fm = self._fm
-        for row in range(rng.lo, rng.hi):
-            start = self._n - fm.suffix_position(row) - self._m
-            stats.rows_located += 1
-            self._occurrences.append(Occurrence(start, mm))
-        if self._mtree is not None:
-            self._mtree.add_path(self._decorated_path())
-
-    def _record_dead(self, length: int) -> None:
-        self._stats.leaves += 1
-        self._stats.dead_ends += 1
-        if self._mtree is not None:
-            self._mtree.add_path(self._decorated_path(), length=length)
-
-    def _record_budget_cut(self, pos: int, code: int) -> None:
-        self._stats.leaves += 1
-        self._stats.budget_pruned += 1
-        if self._mtree is not None:
-            extra = self._decorated_path() + [(pos, self._fm.alphabet.symbol(code))]
-            self._mtree.add_path(extra, length=pos + 1)
-
-    def _record_phi_cut(self, length: int) -> None:
-        self._stats.leaves += 1
-        self._stats.phi_pruned += 1
-        if self._mtree is not None:
-            self._mtree.add_path(self._decorated_path(), length=length)
-
-    def _decorated_path(self) -> List[Tuple[int, str]]:
-        symbol = self._fm.alphabet.symbol
-        return [(pos, symbol(code)) for pos, code in self._path]
-
-    # -- live exploration -----------------------------------------------------------
-
-    def _continue_live(self, rng: Range, offset: int, used: int) -> None:
-        """Match ``pattern[offset:]`` from ``rng`` (offset < m), memo-aware."""
-        if rng.hi - rng.lo < self._min_memo_width:
-            self._light(rng, offset, used)
-            return
-        if self._phi is not None and self._k - used < self._phi[offset]:
-            self._record_phi_cut(offset)
-            return
-        key = (rng.lo, rng.hi)
-        hit = self._memo.get(key) if self._enable_reuse else None
-        if hit is not None:
-            self._stats.reuse_hits += 1
-            if hit[0].gen != self._generation:
-                self._stats.shared_reuse_hits += 1
-            self._replay(hit[0], hit[1], offset, used)
-            return
-        self._stats.rank_queries += 1
-        branches = self._fm.children(rng)
-        pseudo = _Run(offset, [], [rng], [], self._generation)
-        if self._enable_reuse:
-            self._memo[key] = (pseudo, -1)
-        if not branches:
-            pseudo.status = "dead"
-            self._record_dead(offset)
-            return
-        self._expand_branches(pseudo, branches, offset, used)
-
-    def _light(self, rng: Range, offset: int, used: int) -> None:
-        """Lean non-recording DFS for ranges below the memo threshold.
-
-        Identical pruning and leaf accounting to the recording path, but
-        no hash-table inserts and no stored structure — these subtrees are
-        thin and their re-derivation would save (almost) nothing.
-        """
-        if offset == self._m:
-            self._record_complete(rng)
-            return
-        if self._phi is not None and self._k - used < self._phi[offset]:
-            self._record_phi_cut(offset)
-            return
-        self._stats.rank_queries += 1
-        children = self._fm.children(rng)
-        if not children:
-            self._record_dead(offset)
-            return
-        stats = self._stats
-        pcode = self._pcodes[offset]
-        k = self._k
-        path = self._path
-        for code, crng in children:
-            if code == pcode:
-                stats.nodes_expanded += 1
-                self._light(crng, offset + 1, used)
-            elif used < k:
-                stats.nodes_expanded += 1
-                path.append((offset, code))
-                self._light(crng, offset + 1, used + 1)
-                path.pop()
-            else:
-                self._record_budget_cut(offset, code)
-
-    def _expand_branches(self, parent: _Run, branches: List[Tuple[int, Range]], offset: int, used: int) -> None:
-        """Attach and explore one child per branch.
-
-        Children recorded for derivation become :class:`_Run` nodes;
-        budget stubs and below-threshold ("light") children stay as raw
-        ``(code, range)`` tuples — the replay machinery re-scores the one
-        character directly and resumes live from the stored range.
-        """
-        # Attach the (mutable) list before exploring so concurrent replays
-        # (range recurrence along this very path) see a valid, if partial,
-        # tree.
-        kids: List[object] = []
-        parent.children = kids
-        parent.status = "inner"
-        pcode = self._pcodes[offset]
-        k = self._k
-        threshold = self._min_memo_width
-        path = self._path
-        for code, crng in branches:
-            is_mm = code != pcode
-            if used + is_mm > k:
-                kids.append((code, crng))
-                self._record_budget_cut(offset, code)
-                continue
-            self._stats.nodes_expanded += 1
-            if is_mm:
-                path.append((offset, code))
-            if crng.hi - crng.lo < threshold:
-                kids.append((code, crng))
-                self._light(crng, offset + 1, used + is_mm)
-            else:
-                child = _Run(offset, [code], [crng], [0] if is_mm else [], self._generation)
-                kids.append(child)
-                self._fill_run(child, used + is_mm)
-            if is_mm:
-                path.pop()
-
-    def _fill_run(self, run: _Run, used: int) -> None:
-        """Extend ``run`` along unary continuations; recurse at branch points.
-
-        On entry the run holds exactly one consumed character whose
-        mismatch (if any) is already reflected in ``used`` and
-        ``self._path``.
-        """
-        fm = self._fm
+    def _memo_hook(self, pattern_codes: Sequence[int], k: int, stats: SearchStats) -> Hook:
+        """The hook :func:`tree_search` calls on wide ranges for one query."""
         memo = self._memo
-        pcodes = self._pcodes
-        m, k = self._m, self._k
-        stats = self._stats
-        pushed = 0
-        t = 0
-        while True:
-            rng = run.ranges[t]
-            nxt = run.start_offset + t + 1
-            if nxt == m:
-                run.status = "end"
-                self._record_complete(rng)
-                break
-            if self._phi is not None and k - used < self._phi[nxt]:
-                run.status = "phi"
-                self._record_phi_cut(nxt)
-                break
-            key = (rng.lo, rng.hi)
-            if self._enable_reuse:
-                hit = memo.get(key)
-                if hit is not None:
-                    run.status = "ref"
-                    run.ref = hit
-                    stats.reuse_hits += 1
-                    if hit[0].gen != self._generation:
-                        stats.shared_reuse_hits += 1
-                    self._replay(hit[0], hit[1], nxt, used)
-                    break
-            stats.rank_queries += 1
-            branches = fm.children(rng)
-            if not branches:
-                run.status = "dead"
-                if self._enable_reuse:
-                    memo[key] = (run, t)
-                self._record_dead(nxt)
-                break
-            if len(branches) == 1:
-                code, crng = branches[0]
-                is_mm = code != pcodes[nxt]
-                if used + is_mm <= k and crng.hi - crng.lo >= self._min_memo_width:
-                    if self._enable_reuse:
-                        memo[key] = (run, t)
-                    run.codes.append(code)
-                    run.ranges.append(crng)
-                    stats.nodes_expanded += 1
-                    if is_mm:
-                        run.mm_rel.append(t + 1)
-                        self._path.append((nxt, code))
-                        pushed += 1
-                        used += 1
-                    t += 1
-                    continue
-            if self._enable_reuse:
-                memo[key] = (run, t)
-            self._expand_branches(run, branches, nxt, used)
-            break
-        for _ in range(pushed):
-            self._path.pop()
+        gen = self._generation
+        m = len(pattern_codes)
+        children_of = self._fm.children
+        merge = self._iter_replay_mismatches
+        # The chain whose last recorded child is the frame the loop pops
+        # next (it pushes children last-first), or None.  Every call resets
+        # it, so only that child can extend the chain.
+        open_chain: Optional[_Chain] = None
 
-    # -- derivation (replay of memoised subtrees) ------------------------------------
-
-    def _replay(self, run: _Run, t: int, offset: int, used: int) -> None:
-        """Re-score the stored continuation of ``run`` after index ``t``
-        against pattern offset ``offset`` — the paper's node-creation().
-        """
-        m, k = self._m, self._k
-        if self._phi is not None and k - used < self._phi[offset]:
-            self._record_phi_cut(offset)
-            return
-        stored = len(run.codes) - (t + 1)
-        need = m - offset
-        window = min(stored, need)
-        a = run.start_offset + t + 1  # original comparison offset
-        pushed = 0
-        cut = False
-        if window > 0:
-            if window <= _DIRECT_SCAN_LIMIT or run.gen != self._generation:
-                # Direct compare loop: for short stored segments it beats
-                # the kangaroo-jump setup cost; for segments recorded by an
-                # *earlier query* (persistent memo) it is the only sound
-                # option — the kangaroo merge interprets ``mm_rel`` against
-                # the pattern the segment was first scored on.  Stored
-                # codes themselves are pattern-independent, so comparing
-                # them against the current pattern is exact either way.
-                codes = run.codes
-                pcodes = self._pcodes
-                base = t + 1
-                path = self._path
-                for o in range(window):
-                    code = codes[base + o]
-                    if code != pcodes[offset + o]:
-                        if used == k:
-                            self._record_budget_cut(offset + o, code)
-                            cut = True
-                            break
-                        used += 1
-                        path.append((offset + o, code))
-                        pushed += 1
-            else:
-                for o, code in self._iter_replay_mismatches(run, t, a, offset, window):
-                    if used == k:
-                        self._record_budget_cut(offset + o, code)
-                        cut = True
-                        break
-                    used += 1
-                    self._path.append((offset + o, code))
-                    pushed += 1
-            self._stats.chars_replayed += window
-        if not cut:
-            if need <= stored:
-                # Paper case i < j: the stored subtree out-covers the new
-                # context; the occurrence range is mid-run.
-                self._record_complete(run.ranges[t + need])
-            else:
-                after = offset + stored
-                status = run.status
-                if status == "inner":
-                    for child in run.children:
-                        if type(child) is _Run:
-                            self._replay(child, -1, after, used)
-                        else:
-                            self._replay_slot(child[0], child[1], after, used)
-                elif status == "dead":
-                    self._record_dead(after)
-                elif status == "ref":
-                    self._stats.reuse_hits += 1
-                    if run.ref[0].gen != self._generation:
-                        self._stats.shared_reuse_hits += 1
-                    self._replay(run.ref[0], run.ref[1], after, used)
+        def hook(rng: Range, i: int, mm: Mismatches):
+            nonlocal open_chain
+            chain, open_chain = open_chain, None
+            hit = memo.get(rng)
+            if hit is None:
+                stats.rank_queries += 1
+                children = children_of(rng)
+                if len(children) != 1:
+                    memo[rng] = (children, -1, gen)
+                    return i, mm, children
+                if chain is None or chain.ranges[-1] is not rng:
+                    chain = _Chain(i, gen, rng)
+                t = len(chain.codes)
+                code, child = children[0]
+                chain.codes.append(code)
+                chain.ranges.append(child)
+                if code != pattern_codes[i]:
+                    chain.mm_rel.append(t)
+                memo[rng] = (chain, t, gen)
+                open_chain = chain
+                return i, mm, children
+            record, t, recorded = hit
+            stats.reuse_hits += 1
+            if recorded != gen:
+                stats.shared_reuse_hits += 1
+            if t < 0:
+                return i, mm, record
+            # Score the chain here up to its last character (or the
+            # pattern's end); the loop scores that one, or the first
+            # mismatch the budget cannot pay for.
+            codes = record.codes
+            n = min(len(codes) - t, m - i) - 1
+            if n > 0:
+                if recorded == gen and n > _DIRECT_SCAN_LIMIT:
+                    mismatches = merge(record, t, i, n, pattern_codes, stats)
                 else:
-                    # 'end' (paper case i > j: extend), 'stub' (first visit
-                    # had no budget), 'phi' (first visit cut by φ), 'light'
-                    # (below-threshold subtree, re-walked leanly), or
-                    # 'open' (range recurrence along the path under
-                    # construction): resume a live search.
-                    self._continue_live(run.ranges[-1], after, used)
-        for _ in range(pushed):
-            self._path.pop()
+                    mismatches = [
+                        (o, code)
+                        for o, code in enumerate(codes[t:t + n])
+                        if code != pattern_codes[i + o]
+                    ]
+                used = len(mm)
+                for o, code in mismatches:
+                    if used == k:
+                        n = o
+                        break
+                    mm += ((i + o, code),)
+                    used += 1
+                stats.chars_replayed += n
+                i += n
+                t += n
+            return i, mm, [(codes[t], record.ranges[t + 1])]
 
-    def _replay_slot(self, code: int, crng: Range, offset: int, used: int) -> None:
-        """Re-score an unrecorded child slot (stub or light) at ``offset``."""
-        is_mm = code != self._pcodes[offset]
-        if used + is_mm > self._k:
-            self._record_budget_cut(offset, code)
-            return
-        if is_mm:
-            self._path.append((offset, code))
-        if offset + 1 == self._m:
-            self._record_complete(crng)
-        else:
-            self._continue_live(crng, offset + 1, used + is_mm)
-        if is_mm:
-            self._path.pop()
+        return hook
 
     def _iter_replay_mismatches(
-        self, run: _Run, t: int, a: int, offset: int, window: int
+        self,
+        chain: _Chain,
+        t: int,
+        offset: int,
+        window: int,
+        pattern_codes: Sequence[int],
+        stats: SearchStats,
     ) -> Iterator[Tuple[int, int]]:
-        """Yield ``(o, code)`` for every relative depth ``o < window`` where
-        the stored character disagrees with ``pattern[offset + o]``.
+        """Yield ``(o, code)`` for every ``o < window`` where the stored
+        ``chain.codes[t + o]`` disagrees with ``pattern[offset + o]``.
 
         Two sorted streams are merged, mirroring the paper's merge():
 
-        * kangaroo self-mismatch offsets between pattern suffixes ``a``
-          and ``offset`` — positions that *matched* at the first visit and
-          now fall on a pattern self-disagreement;
-        * the run's original mismatch depths — stored characters compared
+        * kangaroo self-mismatch offsets between pattern suffixes
+          ``chain.offset + t`` (where the chain was first scored) and
+          ``offset`` — positions that *matched* at the first visit and now
+          fall on a pattern self-disagreement;
+        * the chain's original mismatch depths — stored characters compared
           directly against the new pattern position (paper step 4).
         """
-        pcodes = self._pcodes
-        codes = run.codes
-        orig = run.mm_rel
-        stats = self._stats
-        qi = bisect_right(orig, t)
-        kang = (
-            self._oracle.iter_mismatch_offsets(a, offset, window)
-            if a != offset
-            else iter(())
-        )
+        codes = chain.codes
+        orig = chain.mm_rel
+        qi = bisect_left(orig, t)
+        kang = self.tables.oracle.iter_mismatch_offsets(chain.offset + t, offset, window)
         ko = next(kang, None)
         while True:
-            oo = orig[qi] - (t + 1) if qi < len(orig) else None
+            oo = orig[qi] - t if qi < len(orig) else None
             if oo is not None and oo >= window:
                 oo = None
             if ko is None and oo is None:
@@ -637,12 +364,23 @@ class AlgorithmASearcher:
                 # Matched originally (stored char == pattern[a+o]); the
                 # pattern disagrees with itself here, so it is a mismatch
                 # against the new offset.
-                yield ko, codes[t + 1 + ko]
+                yield ko, codes[t + ko]
                 ko = next(kang, None)
             else:
                 if ko is not None and ko == oo:
                     ko = next(kang, None)  # same depth; resolved directly
-                code = codes[t + 1 + oo]
-                if code != pcodes[offset + oo]:
+                code = codes[t + oo]
+                if code != pattern_codes[offset + oo]:
                     yield oo, code
                 qi += 1
+
+
+def _mtree_recorder(mtree: MTree, symbol) -> LeafCallback:
+    """A leaf callback adding each search path to ``mtree``."""
+
+    def on_leaf(depth: int, mm: Mismatches) -> None:
+        # A budget-cut path also covers the offset of the mismatch it cut.
+        length = max(depth, mm[-1][0] + 1) if mm else depth
+        mtree.add_path([(pos, symbol(code)) for pos, code in mm], length=length)
+
+    return on_leaf

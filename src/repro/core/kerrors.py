@@ -23,12 +23,11 @@ O(kn) expected behaviour on the text side).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
-from .stree import recursion_headroom
 
 _INF = float("inf")
 
@@ -98,63 +97,65 @@ class KErrorsSearcher:
             raise PatternError(f"k must be non-negative, got {k}")
         fm = self._fm
         m = len(pattern)
-        with recursion_headroom(m + k), OBS.span("kerrors.search", m=m, k=k) as span:
-            self._m = m
-            self._k = k
-            self._n = fm.text_length
-            self._pcodes = fm.alphabet.encode(pattern)
-            self._out: List[EditOccurrence] = []
-            self._seen: set = set()
-
-            # DP row over pattern prefixes: row[j] = min edits aligning the
-            # consumed target substring against pattern[:j].  Depth 0: row[j]
-            # = j (delete j pattern characters), banded at k.
-            row = [j if j <= k else _INF for j in range(m + 1)]
-            self._walk(fm.full_range(), 0, row)
-            span.set(occurrences=len(self._out))
+        with OBS.span("kerrors.search", m=m, k=k) as span:
+            out = self._walk(fm.alphabet.encode(pattern), k)
+            span.set(occurrences=len(out))
         if OBS.enabled:
             OBS.metrics.counter("search.queries", engine="kerrors", k=k).inc()
             OBS.metrics.histogram(
                 "search.occurrences", COUNT_BUCKETS, engine="kerrors", k=k
-            ).observe(len(self._out))
-        return sorted(self._out)
+            ).observe(len(out))
+        return sorted(out)
 
     # -- internals ------------------------------------------------------------
 
-    def _emit(self, rng: Range, depth: int, distance: int) -> None:
-        fm = self._fm
-        for bwt_row in range(rng.lo, rng.hi):
-            position = fm.suffix_position(bwt_row)
-            start = self._n - position - depth
-            key = (start, depth)
-            if key not in self._seen:
-                self._seen.add(key)
-                self._out.append(EditOccurrence(start, depth, distance))
+    def _walk(self, pattern_codes: Sequence[int], k: int) -> List[EditOccurrence]:
+        """The S-tree walk over an explicit stack of ``(range, depth, row)``
+        frames.
 
-    def _walk(self, rng: Range, depth: int, row: List[float]) -> None:
-        m, k = self._m, self._k
-        if row[m] <= k and depth > 0:
-            self._emit(rng, depth, int(row[m]))
-        # The matched window never needs to exceed m + k characters.
-        if depth >= m + k:
-            return
-        if min(row) > k:
-            return
-        pcodes = self._pcodes
-        for code, child_rng in self._fm.children(rng):
-            new_row: List[float] = [0.0] * (m + 1)
-            # First column: depth+1 target characters vs empty pattern
-            # prefix = depth+1 deletions from the target window.
-            new_row[0] = depth + 1 if depth + 1 <= k else _INF
-            for j in range(1, m + 1):
-                best = min(
-                    row[j] + 1,                               # extra target char
-                    new_row[j - 1] + 1,                       # extra pattern char
-                    row[j - 1] + (code != pcodes[j - 1]),     # (mis)match
-                )
-                new_row[j] = best if best <= k else _INF
-            if min(new_row) <= k:
-                self._walk(child_rng, depth + 1, new_row)
+        ``row[j]`` is the edit distance between the consumed target
+        substring and ``pattern[:j]``, or infinity above ``k``.  At depth
+        ``d`` only cells with ``|j - d| <= k`` can be finite, so each row is
+        computed on that band of 2k+1 cells.
+        """
+        fm = self._fm
+        m = len(pattern_codes)
+        n = fm.text_length
+        out: List[EditOccurrence] = []
+        seen: set = set()
+        # Depth 0: row[j] = j (delete j pattern characters), banded at k.
+        root = [j if j <= k else _INF for j in range(m + 1)]
+        stack: List[Tuple[Range, int, List[float]]] = [(fm.full_range(), 0, root)]
+        while stack:
+            rng, depth, row = stack.pop()
+            if row[m] <= k and depth > 0:
+                for bwt_row in range(rng.lo, rng.hi):
+                    start = n - fm.suffix_position(bwt_row) - depth
+                    if (start, depth) not in seen:
+                        seen.add((start, depth))
+                        out.append(EditOccurrence(start, depth, int(row[m])))
+            # The matched window never needs to exceed m + k characters.
+            if depth >= m + k:
+                continue
+            d = depth + 1
+            lo, hi = max(1, d - k), min(m, d + k)
+            for code, child in fm.children(rng):
+                new_row: List[float] = [_INF] * (m + 1)
+                # First column: d target characters vs the empty pattern
+                # prefix = d deletions from the target window.
+                if d <= k:
+                    new_row[0] = d
+                for j in range(lo, hi + 1):
+                    best = min(
+                        row[j] + 1,                                   # extra target char
+                        new_row[j - 1] + 1,                           # extra pattern char
+                        row[j - 1] + (code != pattern_codes[j - 1]),  # (mis)match
+                    )
+                    if best <= k:
+                        new_row[j] = best
+                if min(new_row[lo - 1:hi + 1]) <= k:
+                    stack.append((child, d, new_row))
+        return out
 
 
 def best_per_start(occurrences: List[EditOccurrence]) -> List[EditOccurrence]:

@@ -146,12 +146,11 @@ class MTree:
     def render(self) -> str:
         """ASCII rendering (for debugging and the worked examples)."""
         lines: List[str] = []
-
-        def walk(node: MTreeNode, depth: int) -> None:
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             marker = f"  × {node.leaf_paths}" if node.leaf_paths and not node.children else ""
             lines.append("  " * depth + node.label() + marker)
-            for key in sorted(node.children, key=str):
-                walk(node.children[key], depth + 1)
-
-        walk(self.root, 0)
+            for key in sorted(node.children, key=str, reverse=True):
+                stack.append((node.children[key], depth + 1))
         return "\n".join(lines)

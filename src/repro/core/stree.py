@@ -16,14 +16,15 @@ quantifies that claim.
 
 The searcher operates over an FM-index of the *reversed* target so the
 pattern is consumed left-to-right (paper Sec. IV: ``L = BWT(s̄)``).
+
+:func:`tree_search` is the package's one tree search: a loop over an
+explicit stack.  :class:`STreeSearcher` runs it as is; Algorithm A
+(:mod:`repro.core.algorithm_a`) runs it with a memo hook.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
-from contextlib import contextmanager
-from typing import Iterator, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
@@ -125,37 +126,109 @@ def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
     return phi
 
 
-# Searches currently inside recursion_headroom, and the limit to restore
-# when the last of them leaves.  Module-level because the recursion limit
-# itself is process-wide.
-_headroom_lock = threading.Lock()
-_headroom_users = 0
-_headroom_saved = 0
+#: A path's mismatches: ``(pattern offset, code)`` pairs in offset order;
+#: its length is the mismatch budget the path has spent.
+Mismatches = Tuple[Tuple[int, int], ...]
+#: Children of a node: ``(code, range)`` pairs, as :meth:`FMIndex.children`.
+Children = List[Tuple[int, Range]]
+#: ``hook(rng, i, mm) -> (i, mm, children)``: see :func:`tree_search`.
+Hook = Callable[[Range, int, Mismatches], Tuple[int, Mismatches, Children]]
+#: ``on_leaf(depth, mm)``: called once per leaf; see :func:`tree_search`.
+LeafCallback = Callable[[int, Mismatches], None]
 
 
-@contextmanager
-def recursion_headroom(depth: int) -> Iterator[None]:
-    """Raise the recursion limit for a DFS of ``depth`` levels, then restore it.
+def tree_search(
+    fm: FMIndex,
+    pattern_codes: Sequence[int],
+    k: int,
+    phi: Optional[Sequence[int]],
+    stats: SearchStats,
+    hook: Optional[Hook] = None,
+    min_width: int = 1,
+    on_leaf: Optional[LeafCallback] = None,
+) -> List[Occurrence]:
+    """The S-tree search: every path of at most ``k`` mismatches, depth first.
 
-    Searches may overlap on several threads; a lock-guarded count of the
-    searches inside keeps the limit raised until the last one leaves, and
-    then restores the limit found when the first one entered.
+    The one tree search behind both :class:`STreeSearcher` and Algorithm A.
+    It walks an explicit stack of frames ``(range, offset, mismatches)``,
+    so its depth is bounded by memory, not by the recursion limit.  A
+    frame at offset ``m`` is a completed path: its rows are located and
+    reported.  Otherwise the φ cut applies, then the node's children are
+    scored against ``pattern[offset]``: a match keeps the budget, a
+    mismatch spends one unit, and a mismatch with no budget left is a
+    budget-cut leaf.  Children are pushed in reverse so they are explored
+    in code order.
+
+    ``hook``, when given, replaces ``fm.children`` on ranges at least
+    ``min_width`` rows wide.  It returns ``(offset, mismatches, children)``
+    for a node on the same path — the frame's own node, or a deeper one
+    when it has scored stored characters itself (Algorithm A's memo).
+    ``on_leaf(depth, mismatches)`` is called once per leaf; a budget-cut
+    leaf passes the mismatch that was cut as its last pair.
+
+    Counts are added to ``stats``; the occurrences come back unsorted.
     """
-    global _headroom_users, _headroom_saved
-    needed = depth * 4 + 2000
-    with _headroom_lock:
-        if _headroom_users == 0:
-            _headroom_saved = sys.getrecursionlimit()
-        _headroom_users += 1
-        if sys.getrecursionlimit() < needed:
-            sys.setrecursionlimit(needed)
-    try:
-        yield
-    finally:
-        with _headroom_lock:
-            _headroom_users -= 1
-            if _headroom_users == 0:
-                sys.setrecursionlimit(_headroom_saved)
+    m = len(pattern_codes)
+    n = fm.text_length
+    children_of = fm.children
+    locate = fm.suffix_position
+    occurrences: List[Occurrence] = []
+    report = occurrences.append
+    nodes = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    stack: List[Tuple[Range, int, Mismatches]] = [(fm.full_range(), 0, ())]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        rng, i, mm = pop()
+        if i == m:
+            completed += 1
+            lo, hi = rng
+            rows += hi - lo
+            positions = tuple([pos for pos, _ in mm])
+            for row in range(lo, hi):
+                report(Occurrence(n - locate(row) - m, positions))
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        used = len(mm)
+        if phi is not None and k - used < phi[i]:
+            phi_cuts += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        if hook is not None and rng[1] - rng[0] >= min_width:
+            i, mm, children = hook(rng, i, mm)
+            used = len(mm)
+        else:
+            probes += 1
+            children = children_of(rng)
+        if not children:
+            dead += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        want = pattern_codes[i]
+        deeper = i + 1
+        for code, child in reversed(children):
+            if code == want:
+                push((child, deeper, mm))
+            elif used < k:
+                push((child, deeper, mm + ((i, code),)))
+            else:
+                budget_cuts += 1
+                if on_leaf is not None:
+                    on_leaf(i, mm + ((i, code),))
+                continue
+            nodes += 1
+    stats.nodes_expanded += nodes
+    stats.rank_queries += probes
+    stats.rows_located += rows
+    stats.completed_paths += completed
+    stats.phi_pruned += phi_cuts
+    stats.dead_ends += dead
+    stats.budget_pruned += budget_cuts
+    stats.leaves += completed + phi_cuts + dead + budget_cuts
+    return occurrences
 
 
 class STreeSearcher:
@@ -204,79 +277,21 @@ class STreeSearcher:
         stats = SearchStats()
         if m > fm.text_length:
             return [], stats
-        with recursion_headroom(m), OBS.span(
-            self.engine_name + ".search", m=m, k=k, phi=self._use_phi
-        ) as span:
-            self._n = fm.text_length
-            self._m = m
-            self._k = k
-            self._pcodes = fm.alphabet.encode(pattern)
-            self._phi = compute_phi(fm, self._pcodes) if self._use_phi else None
-            self._stats = stats
-            self._occurrences: List[Occurrence] = []
-            self._path_mm: List[int] = []
-            # Prebound so the per-leaf hot path pays one None check when
-            # tracing is off (the paper's S-tree depth distribution).
-            self._leaf_depth = (
-                OBS.metrics.histogram(
+        with OBS.span(self.engine_name + ".search", m=m, k=k, phi=self._use_phi) as span:
+            pattern_codes = fm.alphabet.encode(pattern)
+            phi = compute_phi(fm, pattern_codes) if self._use_phi else None
+            on_leaf = None
+            if OBS.enabled:
+                # The paper's S-tree leaf-depth distribution.
+                depths = OBS.metrics.histogram(
                     "search.leaf_depth", COUNT_BUCKETS, engine=self.engine_name, k=k
                 )
-                if OBS.enabled
-                else None
-            )
 
-            self._expand(fm.full_range(), 0, 0)
-            span.set(leaves=stats.leaves, occurrences=len(self._occurrences))
+                def on_leaf(depth: int, mm: Mismatches) -> None:
+                    depths.observe(depth)
+
+            occurrences = tree_search(fm, pattern_codes, k, phi, stats, on_leaf=on_leaf)
+            span.set(leaves=stats.leaves, occurrences=len(occurrences))
         if OBS.enabled:
-            record_search_metrics(self.engine_name, stats, len(self._occurrences), k)
-        return sorted(self._occurrences), stats
-
-    # -- internals -----------------------------------------------------------
-
-    def _emit(self, rng: Range) -> None:
-        fm = self._fm
-        mm = tuple(self._path_mm)
-        for row in range(rng.lo, rng.hi):
-            start = self._n - fm.suffix_position(row) - self._m
-            self._stats.rows_located += 1
-            self._occurrences.append(Occurrence(start, mm))
-
-    def _expand(self, rng: Range, i: int, used: int) -> None:
-        """Explore all continuations of ``rng`` at pattern offset ``i``."""
-        stats = self._stats
-        if i == self._m:
-            stats.leaves += 1
-            stats.completed_paths += 1
-            if self._leaf_depth is not None:
-                self._leaf_depth.observe(i)
-            self._emit(rng)
-            return
-        if self._phi is not None and self._k - used < self._phi[i]:
-            stats.leaves += 1
-            stats.phi_pruned += 1
-            if self._leaf_depth is not None:
-                self._leaf_depth.observe(i)
-            return
-        stats.rank_queries += 1
-        children = self._fm.children(rng)
-        if not children:
-            stats.leaves += 1
-            stats.dead_ends += 1
-            if self._leaf_depth is not None:
-                self._leaf_depth.observe(i)
-            return
-        pcode = self._pcodes[i]
-        for code, child_rng in children:
-            if code == pcode:
-                stats.nodes_expanded += 1
-                self._expand(child_rng, i + 1, used)
-            elif used < self._k:
-                stats.nodes_expanded += 1
-                self._path_mm.append(i)
-                self._expand(child_rng, i + 1, used + 1)
-                self._path_mm.pop()
-            else:
-                stats.leaves += 1
-                stats.budget_pruned += 1
-                if self._leaf_depth is not None:
-                    self._leaf_depth.observe(i)
+            record_search_metrics(self.engine_name, stats, len(occurrences), k)
+        return sorted(occurrences), stats

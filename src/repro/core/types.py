@@ -41,7 +41,8 @@ class SearchStats:
     totals come from here; benchmarks report them alongside wall time.
     """
 
-    #: Characters consumed by live index search (S-tree nodes created).
+    #: S-tree nodes created: children the search loop pushed, whether they
+    #: came from the index or from Algorithm A's memo.
     nodes_expanded: int = 0
     #: ``children()`` calls — each costs O(|Σ|) rankall probes.
     rank_queries: int = 0
@@ -55,14 +56,18 @@ class SearchStats:
     dead_ends: int = 0
     #: Paths cut by the φ(i) heuristic (S-tree baseline only).
     phi_pruned: int = 0
-    #: Hash-table hits: subtrees derived instead of re-searched (Alg. A).
+    #: Memo hits: ranges whose stored continuation was re-scored instead
+    #: of re-searched (Alg. A).
     reuse_hits: int = 0
     #: Subset of ``reuse_hits`` on entries recorded by an *earlier* query
     #: (Alg. A with a persistent cross-query memo).
     shared_reuse_hits: int = 0
-    #: Stored characters replayed through derivation (Alg. A).
+    #: Stored chain characters the memo hook re-scored (Alg. A).  The last
+    #: character of a replayed chain is scored by the search loop and
+    #: counts in ``nodes_expanded`` instead.
     chars_replayed: int = 0
-    #: Kangaroo-jump probes used during derivation (Alg. A).
+    #: Steps of the kangaroo merge (Alg. A): one per self-mismatch or
+    #: recorded mismatch it visits.
     derivation_jumps: int = 0
     #: Occurrence rows located (suffix-array walks).
     rows_located: int = 0

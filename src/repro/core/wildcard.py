@@ -14,12 +14,11 @@ nucleotide), the default here.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..bwt.fmindex import FMIndex, Range
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
-from .stree import recursion_headroom
 from .types import Occurrence
 
 #: Default wild-card character (IUPAC "any nucleotide").
@@ -55,45 +54,43 @@ class WildcardSearcher:
         m = len(pattern)
         if m > fm.text_length:
             return []
-        with recursion_headroom(m), OBS.span(
-            "wildcard.search", m=m, k=k, wildcard=self._wildcard
-        ) as span:
-            self._m = m
-            self._k = k
-            self._n = fm.text_length
+        with OBS.span("wildcard.search", m=m, k=k, wildcard=self._wildcard) as span:
             # None marks a wild-card slot.
-            self._pcodes: List[Optional[int]] = [
+            wanted: List[Optional[int]] = [
                 None if ch == self._wildcard else fm.alphabet.code(ch) for ch in pattern
             ]
-            self._out: List[Occurrence] = []
-            self._path_mm: List[int] = []
-            self._expand(fm.full_range(), 0, 0)
-            span.set(occurrences=len(self._out))
+            out = self._walk(wanted, k)
+            span.set(occurrences=len(out))
         if OBS.enabled:
             OBS.metrics.counter("search.queries", engine="wildcard", k=k).inc()
             OBS.metrics.histogram(
                 "search.occurrences", COUNT_BUCKETS, engine="wildcard", k=k
-            ).observe(len(self._out))
-        return sorted(self._out)
+            ).observe(len(out))
+        return sorted(out)
 
     # -- internals -----------------------------------------------------------
 
-    def _expand(self, rng: Range, offset: int, used: int) -> None:
-        if offset == self._m:
-            fm = self._fm
-            mm = tuple(self._path_mm)
-            for row in range(rng.lo, rng.hi):
-                start = self._n - fm.suffix_position(row) - self._m
-                self._out.append(Occurrence(start, mm))
-            return
-        wanted = self._pcodes[offset]
-        for code, child_rng in self._fm.children(rng):
-            if wanted is None or code == wanted:
-                self._expand(child_rng, offset + 1, used)
-            elif used < self._k:
-                self._path_mm.append(offset)
-                self._expand(child_rng, offset + 1, used + 1)
-                self._path_mm.pop()
+    def _walk(self, wanted: List[Optional[int]], k: int) -> List[Occurrence]:
+        """The S-tree walk over an explicit stack of ``(range, offset,
+        mismatch offsets)`` frames; a wild card takes every child free."""
+        fm = self._fm
+        m = len(wanted)
+        n = fm.text_length
+        out: List[Occurrence] = []
+        stack: List[Tuple[Range, int, Tuple[int, ...]]] = [(fm.full_range(), 0, ())]
+        while stack:
+            rng, offset, mm = stack.pop()
+            if offset == m:
+                for row in range(rng.lo, rng.hi):
+                    out.append(Occurrence(n - fm.suffix_position(row) - m, mm))
+                continue
+            want = wanted[offset]
+            for code, child in fm.children(rng):
+                if want is None or code == want:
+                    stack.append((child, offset + 1, mm))
+                elif len(mm) < k:
+                    stack.append((child, offset + 1, mm + (offset,)))
+        return out
 
 
 def naive_wildcard_search(

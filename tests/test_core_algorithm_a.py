@@ -1,10 +1,13 @@
 """Tests for Algorithm A (repro.core.algorithm_a)."""
 
+import random
+
 import pytest
 
 from repro.alphabet import DNA
 from repro.bwt import FMIndex
 from repro.core.algorithm_a import AlgorithmASearcher
+from repro.core.stree import STreeSearcher
 from repro.errors import PatternError
 
 from conftest import (
@@ -158,3 +161,39 @@ class TestStats:
                     i for i, (a, b) in enumerate(zip(window, pattern)) if a != b
                 )
                 assert occ.mismatches == direct
+
+
+class TestPaperPath:
+    """Algorithm A is the S-tree loop plus a memo hook."""
+
+    def test_without_reuse_it_is_the_stree(self, rng):
+        for _ in range(40):
+            text = random_dna(rng, rng.randint(10, 300), "acgt" if rng.random() < 0.7 else "ac")
+            pattern = random_dna(rng, rng.randint(1, 24))
+            k = rng.randint(0, 5)
+            use_phi = rng.random() < 0.7
+            fm = FMIndex(text[::-1], DNA)
+            a_occs, a_stats = AlgorithmASearcher(
+                fm, enable_reuse=False, use_phi=use_phi
+            ).search(pattern, k)
+            s_occs, s_stats = STreeSearcher(fm, use_phi=use_phi).search(pattern, k)
+            assert a_occs == s_occs
+            assert a_stats.to_dict() == s_stats.to_dict(), (text, pattern, k)
+
+    def test_kangaroo_merge_runs_and_is_exact(self):
+        # Satellite repeats: the same unary runs of the index recur at
+        # many pattern offsets within one read, so stored chains longer
+        # than the direct-scan limit are re-scored by the merge.
+        rnd = random.Random(4)
+        unit = random_dna(rnd, 24)
+        text = "".join(
+            "".join(ch if rnd.random() >= 0.01 else rnd.choice("acgt") for ch in unit)
+            for _ in range(1000)
+        )
+        read = list(text[12_011:12_111])
+        read[20] = "a" if read[20] != "a" else "c"
+        read[70] = "g" if read[70] != "g" else "t"
+        read = "".join(read)
+        occs, stats = make_searcher(text).search(read, 2)
+        assert stats.derivation_jumps > 0
+        assert [(o.start, o.mismatches) for o in occs] == reference_occurrences(text, read, 2)

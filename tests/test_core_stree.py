@@ -9,9 +9,11 @@ import pytest
 from repro.alphabet import DNA
 from repro.bwt import FMIndex
 from repro.core import AlgorithmASearcher
+from repro.baselines.bitparallel import myers_match_ends
+from repro.baselines.naive import naive_search
 from repro.core.kerrors import KErrorsSearcher
 from repro.core.stree import STreeSearcher, compute_phi
-from repro.core.wildcard import WildcardSearcher
+from repro.core.wildcard import WildcardSearcher, naive_wildcard_search
 from repro.errors import PatternError
 
 from conftest import PAPER_PATTERN, PAPER_TARGET, random_dna, reference_occurrences
@@ -143,93 +145,97 @@ class TestPhi:
         assert calls <= 4 * m
 
 
-class TestRecursionHeadroom:
-    @staticmethod
-    def long_search_inputs(seed):
-        # A pattern twice the current recursion limit: the S-tree's DFS
-        # only completes while the limit is raised.
-        before = sys.getrecursionlimit()
-        text = random_dna(random.Random(seed), 3 * before)
-        return before, text, text[:2 * before]
+class TestLongReads:
+    """Every tree search is a loop over an explicit stack: a read longer
+    than the recursion limit is answered, and the limit is never touched."""
 
     @staticmethod
-    def search_in_thread(fm, pattern, errors):
-        def search():
+    def long_case(seed):
+        """A read with three substitutions, a little longer than the limit."""
+        limit = sys.getrecursionlimit()
+        rnd = random.Random(seed)
+        text = random_dna(rnd, limit + 400)
+        read = list(text[150:150 + limit + 50])
+        for pos in (7, limit // 2, limit + 40):
+            read[pos] = "acgt"[("acgt".index(read[pos]) + 1) % 4]
+        return limit, text, "".join(read)
+
+    @staticmethod
+    def watched(fm, limit, barrier=None):
+        """Check the recursion limit from inside every ``children`` call;
+        with a barrier, the first call waits there for the other thread."""
+        children = fm.children
+        calls = []
+
+        def checked(rng):
+            if barrier is not None and not calls:
+                barrier.wait(timeout=60)
+            calls.append(sys.getrecursionlimit())
+            assert calls[-1] == limit
+            return children(rng)
+
+        fm.children = checked
+        return calls
+
+    @staticmethod
+    def searches(text, read):
+        """Each long search paired with its independent answer."""
+        wild = read[:40] + "n" + read[41:500] + "n" + read[501:]
+        # Two edits: read's first substitution and one deletion.
+        edited = read[:300] + text[451:150 + len(read)]
+        # The naive k-errors scan is O(n·k·m²); on a read this long the
+        # bit-parallel scan (tested against it) stands in, end by end.
+        myers_ends = myers_match_ends(text, edited, 2)
+
+        def kerrors_ends(fm):
+            ends = {}
+            for occ in KErrorsSearcher(fm).search(edited, 2):
+                end = occ.start + occ.length - 1
+                ends[end] = min(ends.get(end, 3), occ.distance)
+            return ends
+
+        return [
+            (lambda fm: STreeSearcher(fm).search(read, 3)[0],
+             naive_search(text, read, 3)),
+            (lambda fm: AlgorithmASearcher(fm, min_memo_width=1).search(read, 3)[0],
+             naive_search(text, read, 3)),
+            (lambda fm: WildcardSearcher(fm).search(wild, 3),
+             naive_wildcard_search(text, wild, 3)),
+            (kerrors_ends, myers_ends),
+        ]
+
+    def test_each_search_answers_a_read_longer_than_the_limit(self):
+        limit, text, read = self.long_case(8)
+        for run, expected in self.searches(text, read):
+            fm = FMIndex(text[::-1], DNA)
+            calls = self.watched(fm, limit)
+            assert run(fm) == expected
+            assert calls
+            assert sys.getrecursionlimit() == limit
+
+    def test_overlapping_long_searches_on_two_threads(self):
+        limit, text, read = self.long_case(9)
+        cases = self.searches(text, read)
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def serve(run, expected):
             try:
-                occs, _ = STreeSearcher(fm).search(pattern, 0)
-                assert [o.start for o in occs] == [0]
+                fm = FMIndex(text[::-1], DNA)
+                self.watched(fm, limit, barrier)
+                assert run(fm) == expected
             except Exception as exc:  # surfaced in the main thread
                 errors.append(exc)
 
-        thread = threading.Thread(target=search)
-        thread.start()
-        return thread
-
-    def test_limit_restored_after_a_long_search(self):
-        before, text, pattern = self.long_search_inputs(8)
-        fm = FMIndex(text[::-1], DNA)
-        for searcher in (STreeSearcher(fm), AlgorithmASearcher(fm)):
-            occs, _ = searcher.search(pattern, 1)
-            assert [o.start for o in occs] == [0]
-            assert sys.getrecursionlimit() == before
-        # The other recursive searches raise the limit on any pattern.
-        assert WildcardSearcher(fm).search(pattern[:30], 1)
-        assert sys.getrecursionlimit() == before
-        assert KErrorsSearcher(fm).search(pattern[:30], 1)
-        assert sys.getrecursionlimit() == before
-
-    def test_limit_held_until_the_last_search_leaves(self):
-        # Two long searches on two threads.  The first is held inside its
-        # search (in the φ build) while the second runs to the end; the
-        # second must not lower the limit under the first.
-        before, text, pattern = self.long_search_inputs(9)
-        held_fm = FMIndex(text[::-1], DNA)
-        entered, release = threading.Event(), threading.Event()
-        extend = held_fm.extend
-
-        def held_extend(rng, code):
-            if not entered.is_set():
-                entered.set()
-                release.wait(timeout=60)
-            return extend(rng, code)
-
-        held_fm.extend = held_extend
-        errors = []
-        held = self.search_in_thread(held_fm, pattern, errors)
-        try:
-            assert entered.wait(timeout=60)
-            raised = sys.getrecursionlimit()
-            assert raised > before
-            other = self.search_in_thread(FMIndex(text[::-1], DNA), pattern, errors)
-            other.join(timeout=60)
-            assert not other.is_alive()
-            assert sys.getrecursionlimit() == raised
-        finally:
-            release.set()
-            held.join(timeout=60)
-        assert not held.is_alive()
-        assert errors == []
-        assert sys.getrecursionlimit() == before
-
-    def test_many_overlapping_searches(self):
-        # More threads than cores and a short switch interval, so entries
-        # and exits interleave: a lost update to the search count would
-        # either lower the limit under a deep search (RecursionError) or
-        # leave it raised.
-        before, text, pattern = self.long_search_inputs(10)
-        fm = FMIndex(text[::-1], DNA)
-        errors = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [self.search_in_thread(fm, pattern, errors) for _ in range(8)]
+        for pair in (cases[:2], cases[2:]):
+            threads = [threading.Thread(target=serve, args=case) for case in pair]
+            for thread in threads:
+                thread.start()
             for thread in threads:
                 thread.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+            assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert sys.getrecursionlimit() == before
+        assert sys.getrecursionlimit() == limit
 
 
 class TestSTreeSearch:

@@ -186,16 +186,20 @@ class TestCrossQueryMemo:
             want = [(o.start, o.mismatches) for o in naive_search(repeat_text, read, 2)]
             assert got == want, read
 
-    def test_memo_eviction_bounds_size(self, repeat_text):
+    def test_memo_eviction_bounds_size(self, repeat_text, monkeypatch):
+        from repro.core import algorithm_a
         from repro.core.algorithm_a import AlgorithmASearcher
 
+        monkeypatch.setattr(algorithm_a, "MEMO_LIMIT", 64)
         index = KMismatchIndex(repeat_text)
-        searcher = AlgorithmASearcher(index.fm_index, memo_limit=64)
+        searcher = AlgorithmASearcher(index.fm_index)
         for i in range(0, 300, 10):
             occs, _ = searcher.search(repeat_text[i : i + 20], 2)
         # Soft bound: the limit plus whatever the current query recorded.
+        before = searcher.memo_entries
         _, last = searcher.search(repeat_text[0:20], 2)
-        assert searcher.memo_entries <= 64 + last.memo_size
+        assert last.memo_size > 64
+        assert searcher.memo_entries <= 64 + (last.memo_size - before)
 
     def test_clear_memo(self, repeat_text):
         from repro.core.algorithm_a import AlgorithmASearcher
@@ -206,20 +210,19 @@ class TestCrossQueryMemo:
         searcher.clear_memo()
         assert searcher.memo_entries == 0
 
-    def test_persistent_memo_off_restores_per_query_behaviour(self, repeat_text):
+    def test_clear_memo_restores_per_query_behaviour(self, repeat_text):
         from repro.core.algorithm_a import AlgorithmASearcher
 
         fm = KMismatchIndex(repeat_text).fm_index
-        searcher = AlgorithmASearcher(fm, persistent_memo=False)
+        searcher = AlgorithmASearcher(fm)
+        cold = AlgorithmASearcher(fm)
         for i in range(0, 60, 20):
-            _, stats = searcher.search(repeat_text[i : i + 20], 2)
+            searcher.clear_memo()
+            occs, stats = searcher.search(repeat_text[i : i + 20], 2)
             assert stats.shared_reuse_hits == 0
-
-    def test_bad_memo_limit_rejected(self, repeat_text):
-        from repro.core.algorithm_a import AlgorithmASearcher
-
-        with pytest.raises(PatternError):
-            AlgorithmASearcher(KMismatchIndex("acgtacgt").fm_index, memo_limit=0)
+            # A cleared memo searches exactly like a fresh searcher.
+            assert (occs, stats) == cold.search(repeat_text[i : i + 20], 2)
+            cold = AlgorithmASearcher(fm)
 
 
 class TestBatchExecutor:
