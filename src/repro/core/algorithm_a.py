@@ -60,16 +60,15 @@ class _Chain:
     """A unary run of the index, recorded by the memo hook.
 
     ``codes[j]`` leads from ``ranges[j]`` to ``ranges[j + 1]``, and every
-    range but the last has that single child.  Query ``gen`` first scored
+    range but the last has that single child.  The recording query scored
     ``codes[j]`` against ``pattern[offset + j]``; ``mm_rel`` lists the
     ``j`` where that comparison failed (what the kangaroo merge needs).
     """
 
-    __slots__ = ("offset", "gen", "codes", "ranges", "mm_rel")
+    __slots__ = ("offset", "codes", "ranges", "mm_rel")
 
-    def __init__(self, offset: int, gen: int, head: Range):
+    def __init__(self, offset: int, head: Range):
         self.offset = offset
-        self.gen = gen
         self.codes: List[int] = []
         self.ranges: List[Range] = [head]
         self.mm_rel: List[int] = []
@@ -283,7 +282,7 @@ class AlgorithmASearcher:
                     memo[rng] = (children, -1, gen)
                     return i, mm, children
                 if chain is None or chain.ranges[-1] is not rng:
-                    chain = _Chain(i, gen, rng)
+                    chain = _Chain(i, rng)
                 t = len(chain.codes)
                 code, child = children[0]
                 chain.codes.append(code)
