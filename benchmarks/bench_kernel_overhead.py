@@ -5,7 +5,10 @@ Both engines run the same explicit-stack search (``core/stree.py``
 hook off (``enable_reuse=False``) A() must do exactly the S-tree's work,
 count for count, and cost within 5% of it.  The table also shows A()
 with the hook on, from a cold memo (a fresh searcher per run) and warm
-(a second pass over the same reads on the same searcher).
+(a second pass over the same reads on the same searcher).  The cold
+pass is run once more with the cyclic garbage collector off: the memo
+keeps every recorded ``Range`` alive, and the collector's passes over
+that growing heap are the cold pass's extra cost over the S-tree.
 
 Workload: Fig. 11(a) set-up at k=4 (Rat stand-in, 100 bp reads).  Ten
 runs, the two no-memo engines alternating in order from run to run;
@@ -53,7 +56,8 @@ def test_kernel_overhead(benchmark, results_dir):
     workload = fig11_workload(read_length=100)
     fm = KMismatchIndex(workload.genome).fm_index
     reads = workload.reads
-    times = {"S-tree": [], "A(), hook off": [], "A(), cold memo": [], "A(), warm memo": []}
+    times = {"S-tree": [], "A(), hook off": [], "A(), cold memo": [], "A(), warm memo": [],
+             "A(), cold memo, gc off": []}
     counts = {}
     _, _, answer = timed(STreeSearcher(fm), reads)  # also warms the index
 
@@ -70,6 +74,14 @@ def test_kernel_overhead(benchmark, results_dir):
                 ms, counts[label], found = timed(searcher, reads)
                 times[label].append(ms)
                 assert found == answer
+            label = "A(), cold memo, gc off"
+            gc.disable()
+            try:
+                ms, counts[label], found = timed(AlgorithmASearcher(fm), reads)
+            finally:
+                gc.enable()
+            times[label].append(ms)
+            assert found == answer
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     stree_ms = statistics.median(times["S-tree"])
