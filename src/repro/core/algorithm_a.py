@@ -280,7 +280,7 @@ class AlgorithmASearcher:
                 children = children_of(rng)
                 if len(children) != 1:
                     memo[rng] = (children, -1, gen)
-                    return i, mm, children
+                    return i, mm, children, False
                 if chain is None or chain.ranges[-1] is not rng:
                     chain = _Chain(i, rng)
                 t = len(chain.codes)
@@ -291,13 +291,13 @@ class AlgorithmASearcher:
                     chain.mm_rel.append(t)
                 memo[rng] = (chain, t, gen)
                 open_chain = chain
-                return i, mm, children
+                return i, mm, children, False
             record, t, recorded = hit
             stats.reuse_hits += 1
             if recorded != gen:
                 stats.shared_reuse_hits += 1
             if t < 0:
-                return i, mm, record
+                return i, mm, record, True
             # Score the chain here up to its last character (or the
             # pattern's end); the loop scores that one, or the first
             # mismatch the budget cannot pay for.
@@ -322,7 +322,7 @@ class AlgorithmASearcher:
                 stats.chars_replayed += n
                 i += n
                 t += n
-            return i, mm, [(codes[t], record.ranges[t + 1])]
+            return i, mm, [(codes[t], record.ranges[t + 1])], True
 
         return hook
 

@@ -131,8 +131,8 @@ def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
 Mismatches = Tuple[Tuple[int, int], ...]
 #: Children of a node: ``(code, range)`` pairs, as :meth:`FMIndex.children`.
 Children = List[Tuple[int, Range]]
-#: ``hook(rng, i, mm) -> (i, mm, children)``: see :func:`tree_search`.
-Hook = Callable[[Range, int, Mismatches], Tuple[int, Mismatches, Children]]
+#: ``hook(rng, i, mm) -> (i, mm, children, derived)``: see :func:`tree_search`.
+Hook = Callable[[Range, int, Mismatches], Tuple[int, Mismatches, Children, bool]]
 #: ``on_leaf(depth, mm)``: called once per leaf; see :func:`tree_search`.
 LeafCallback = Callable[[int, Mismatches], None]
 
@@ -160,11 +160,14 @@ def tree_search(
     in code order.
 
     ``hook``, when given, replaces ``fm.children`` on ranges at least
-    ``min_width`` rows wide.  It returns ``(offset, mismatches, children)``
-    for a node on the same path — the frame's own node, or a deeper one
-    when it has scored stored characters itself (Algorithm A's memo).
-    ``on_leaf(depth, mismatches)`` is called once per leaf; a budget-cut
-    leaf passes the mismatch that was cut as its last pair.
+    ``min_width`` rows wide.  It returns ``(offset, mismatches, children,
+    derived)`` for a node on the same path — the frame's own node, or a
+    deeper one when it has scored stored characters itself (Algorithm A's
+    memo).  Children kept from the index count in ``nodes_expanded``;
+    ``derived`` children, taken from the memo, count in
+    ``chars_replayed``.  ``on_leaf(depth, mismatches)`` is called once per
+    leaf; a budget-cut leaf passes the mismatch that was cut as its last
+    pair.
 
     Counts are added to ``stats``; the occurrences come back unsorted.
     """
@@ -174,7 +177,8 @@ def tree_search(
     locate = fm.suffix_position
     occurrences: List[Occurrence] = []
     report = occurrences.append
-    nodes = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    derived = False
     stack: List[Tuple[Range, int, Mismatches]] = [(fm.full_range(), 0, ())]
     pop = stack.pop
     push = stack.append
@@ -197,11 +201,12 @@ def tree_search(
                 on_leaf(i, mm)
             continue
         if hook is not None and rng[1] - rng[0] >= min_width:
-            i, mm, children = hook(rng, i, mm)
+            i, mm, children, derived = hook(rng, i, mm)
             used = len(mm)
         else:
             probes += 1
             children = children_of(rng)
+            derived = False
         if not children:
             dead += 1
             if on_leaf is not None:
@@ -209,6 +214,7 @@ def tree_search(
             continue
         want = pattern_codes[i]
         deeper = i + 1
+        kept = 0
         for code, child in reversed(children):
             if code == want:
                 push((child, deeper, mm))
@@ -219,8 +225,13 @@ def tree_search(
                 if on_leaf is not None:
                     on_leaf(i, mm + ((i, code),))
                 continue
-            nodes += 1
+            kept += 1
+        if derived:
+            replayed += kept
+        else:
+            nodes += kept
     stats.nodes_expanded += nodes
+    stats.chars_replayed += replayed
     stats.rank_queries += probes
     stats.rows_located += rows
     stats.completed_paths += completed

@@ -41,8 +41,9 @@ class SearchStats:
     totals come from here; benchmarks report them alongside wall time.
     """
 
-    #: S-tree nodes created: children the search loop pushed, whether they
-    #: came from the index or from Algorithm A's memo.
+    #: Characters consumed by live index search (S-tree nodes created from
+    #: ``children()`` results; Algorithm A's memo-derived ones count in
+    #: ``chars_replayed``).
     nodes_expanded: int = 0
     #: ``children()`` calls — each costs O(|Σ|) rankall probes.
     rank_queries: int = 0
@@ -62,9 +63,9 @@ class SearchStats:
     #: Subset of ``reuse_hits`` on entries recorded by an *earlier* query
     #: (Alg. A with a persistent cross-query memo).
     shared_reuse_hits: int = 0
-    #: Stored chain characters the memo hook re-scored (Alg. A).  The last
-    #: character of a replayed chain is scored by the search loop and
-    #: counts in ``nodes_expanded`` instead.
+    #: Stored characters re-scored instead of searched (Alg. A): chain
+    #: characters the memo hook scored, plus memo-derived children the
+    #: search loop kept.
     chars_replayed: int = 0
     #: Steps of the kangaroo merge (Alg. A): one per self-mismatch or
     #: recorded mismatch it visits.

@@ -327,6 +327,9 @@ class TestEngineIntegration:
         ).value > 0
         assert metrics.counter("query.count").value == 1
         assert metrics.histogram("query.latency_ms").count == 1
+        # The leaf-depth distribution is the S-tree's alone: Algorithm A
+        # runs the same search loop but passes no leaf callback for it.
+        assert "search.leaf_depth" not in metrics.to_dict()
 
     def test_stree_and_wavelet_paths_report(self):
         OBS.enable()
