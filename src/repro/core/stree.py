@@ -178,7 +178,6 @@ def tree_search(
     occurrences: List[Occurrence] = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
-    derived = False
     stack: List[Tuple[Range, int, Mismatches]] = [(fm.full_range(), 0, ())]
     pop = stack.pop
     push = stack.append
