@@ -238,6 +238,84 @@ class TestLongReads:
         assert sys.getrecursionlimit() == limit
 
 
+class TestRecursionHeadroom:
+    """Long searches overlapping on threads need no recursion headroom:
+    each is answered and none moves the limit, whatever the others do."""
+
+    @staticmethod
+    def long_search_inputs(seed):
+        # A pattern twice the current recursion limit: a recursive DFS
+        # would need the limit raised to reach its leaf.
+        before = sys.getrecursionlimit()
+        text = random_dna(random.Random(seed), 3 * before)
+        return before, text, text[:2 * before]
+
+    @staticmethod
+    def search_in_thread(fm, pattern, errors):
+        def search():
+            try:
+                occs, _ = STreeSearcher(fm).search(pattern, 0)
+                assert [o.start for o in occs] == [0]
+            except Exception as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        thread = threading.Thread(target=search)
+        thread.start()
+        return thread
+
+    def test_limit_held_until_the_last_search_leaves(self):
+        # Two long searches on two threads.  The first is held inside its
+        # search (in the φ build) while the second runs to the end; the
+        # limit stays where it was throughout, and the held search still
+        # reaches its leaf once released.
+        before, text, pattern = self.long_search_inputs(9)
+        held_fm = FMIndex(text[::-1], DNA)
+        entered, release = threading.Event(), threading.Event()
+        extend = held_fm.extend
+
+        def held_extend(rng, code):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=60)
+            return extend(rng, code)
+
+        held_fm.extend = held_extend
+        errors = []
+        held = self.search_in_thread(held_fm, pattern, errors)
+        try:
+            assert entered.wait(timeout=60)
+            assert sys.getrecursionlimit() == before
+            other = self.search_in_thread(FMIndex(text[::-1], DNA), pattern, errors)
+            other.join(timeout=60)
+            assert not other.is_alive()
+            assert sys.getrecursionlimit() == before
+        finally:
+            release.set()
+            held.join(timeout=60)
+        assert not held.is_alive()
+        assert errors == []
+        assert sys.getrecursionlimit() == before
+
+    def test_many_overlapping_searches(self):
+        # More threads than cores and a short switch interval, so entries
+        # and exits interleave: every deep search must reach its leaf
+        # (no RecursionError) and the limit must end where it began.
+        before, text, pattern = self.long_search_inputs(10)
+        fm = FMIndex(text[::-1], DNA)
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [self.search_in_thread(fm, pattern, errors) for _ in range(8)]
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sys.getrecursionlimit() == before
+
+
 class TestSTreeSearch:
     def test_paper_fig3(self):
         occs, _ = make_searcher(PAPER_TARGET).search(PAPER_PATTERN, 2)
