@@ -8,7 +8,8 @@ compared
   behaviour: no state survives between queries);
 * **cached** — the facade's serial batch path, where one cached engine
   carries Algorithm A's pair memo across the whole batch;
-* **parallel** — the batch executor on a thread pool.
+* **parallel** — the batch executor on the shared-memory process pool
+  (each worker hydrates the index and starts with a cold memo).
 
 All three must return identical occurrences; the cached run must report
 cross-query memo hits.  Reads/sec for each mode land in
@@ -77,9 +78,9 @@ def test_batch_throughput(benchmark, results_dir):
         measured["cached"] = time.perf_counter() - start
         measured["shared_reuse_hits"] = stats.shared_reuse_hits
 
-        # Parallel thread pool over index clones.
+        # Process pool: each worker hydrates the index from shared memory.
         start = time.perf_counter()
-        parallel = index.search_batch(reads, K, workers=WORKERS, mode="thread")
+        parallel = index.search_batch(reads, K, workers=WORKERS)
         measured["parallel"] = time.perf_counter() - start
 
         # All modes must agree byte-for-byte with the sequential baseline.
@@ -129,10 +130,11 @@ def test_batch_throughput(benchmark, results_dir):
 def test_shard_throughput(benchmark, results_dir):
     """E1b — routed batches: 1 shard vs 4 shards, same genome, same reads.
 
-    The sharded run pays the fan-out (every shard sees every read) and
-    the seam-overlap duplication; what it buys is the lifted 4 Gbp cap
-    and per-shard parallelism.  Both executions must return identical
-    global hit sets — the seam-correctness property at benchmark scale.
+    Both runs go through the process pool.  The sharded run pays the
+    fan-out (every shard sees every read, one pool per shard) and the
+    seam-overlap duplication; what it buys is the lifted 4 Gbp cap.
+    Both executions must return identical global hit sets — the
+    seam-correctness property at benchmark scale.
     """
     from repro.shard import ShardedIndex
 
@@ -144,11 +146,11 @@ def test_shard_throughput(benchmark, results_dir):
 
     def run_all():
         start = time.perf_counter()
-        unsharded = flat.search_batch(reads, K, workers=WORKERS, mode="thread")
+        unsharded = flat.search_batch(reads, K, workers=WORKERS)
         measured["one_shard"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        routed = sharded.search_batch(reads, K, workers=WORKERS, mode="thread")
+        routed = sharded.search_batch(reads, K, workers=WORKERS)
         measured["four_shards"] = time.perf_counter() - start
 
         # Byte-identical global hit sets, seam windows included.

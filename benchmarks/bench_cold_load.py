@@ -111,7 +111,7 @@ def test_cold_load_speedup(benchmark, results_dir, tmp_path):
     ]
     OBS.reset().enable()
     try:
-        batch = index.map_reads(reads, K, workers=WORKERS, mode="process")
+        batch = index.map_reads(reads, K, workers=WORKERS)
         hist = OBS.metrics.histogram("engine.worker.hydrate_ms")
         hydrations = OBS.metrics.counter("engine.worker.hydrations").value
         hydrate = {

@@ -59,7 +59,9 @@ def write_result(results_dir: Path, name: str, content: str) -> None:
 
 
 def write_json_result(results_dir: Path, name: str, payload: dict) -> None:
-    """Persist an experiment's machine-readable companion artifact."""
+    """Persist an experiment's machine-readable companion artifact,
+    stamped with :func:`provenance` under ``"provenance"``."""
     path = results_dir / f"{name}.json"
+    payload = {**payload, "provenance": provenance().removeprefix("# host: ")}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[stats written to {path}]")

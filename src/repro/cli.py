@@ -83,7 +83,7 @@ from .bench.reporting import (
 )
 from .bench.suite import MethodSuite, PAPER_METHODS
 from .core.matcher import KMismatchIndex
-from .engine import CAP_MISMATCH, MODES, REGISTRY
+from .engine import CAP_MISMATCH, REGISTRY
 from .obs import OBS, MetricError, load_trace, render_trace
 from .shard import ShardedIndex
 from .simulate.genome import GenomeConfig, generate_genome
@@ -220,12 +220,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
     out = sys.stdout if args.output == "-" else Path(args.output).open("w")
     try:
         with OBS.timed("cli.map", n_reads=len(records), k=args.k,
-                       workers=args.workers, mode=args.mode):
+                       workers=args.workers):
             hit_lists = index.map_reads(
                 [sequence for _, sequence in records],
                 args.k,
                 workers=args.workers,
-                mode=args.mode,
                 chunk_size=args.chunk_size or None,
             )
             alignments = (
@@ -913,9 +912,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     p_map.add_argument("--reference-name", default="target", help="@SQ record name")
     p_map.add_argument("--workers", type=int, default=0,
-                       help="fan the read batch out over N workers (0/1 = serial)")
-    p_map.add_argument("--mode", choices=MODES, default="thread",
-                       help="worker pool flavour for --workers > 1")
+                       help="fan the read batch out over N worker processes "
+                            "(0/1 = serial)")
     p_map.add_argument("--chunk-size", type=int, default=0,
                        help="reads per worker chunk (0 = automatic)")
     _add_obs_flags(p_map)

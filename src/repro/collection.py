@@ -102,7 +102,6 @@ class SequenceCollection:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
     ) -> Dict[str, List[Tuple[str, Occurrence]]]:
         """Search many patterns across every record; results keyed by pattern.
 
@@ -119,7 +118,7 @@ class SequenceCollection:
             if not fitting:
                 continue
             per_record = index.search_batch(
-                fitting, k, method=method, workers=workers, mode=mode
+                fitting, k, method=method, workers=workers
             )
             for pattern in fitting:
                 out[pattern].extend((name, occ) for occ in per_record[pattern])
@@ -130,7 +129,6 @@ class SequenceCollection:
         reads: Sequence[str],
         k: int,
         workers: int = 0,
-        mode: str = "thread",
     ) -> List[List[Tuple[str, ReadHit]]]:
         """Map a read batch across every record; ``result[i]`` lists read ``i``'s
         ``(record, hit)`` pairs ordered by record then hit."""
@@ -143,7 +141,7 @@ class SequenceCollection:
             if not fitting:
                 continue
             hit_lists = index.map_reads(
-                [read for _, read in fitting], k, workers=workers, mode=mode
+                [read for _, read in fitting], k, workers=workers
             )
             for (i, _), hits in zip(fitting, hit_lists):
                 out[i].extend((name, hit) for hit in hits)

@@ -68,9 +68,11 @@ class KMismatchIndex:
 
     #: The shard id when this index serves as one shard of a
     #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``;
-    #: carried as ``shard`` on this facade's telemetry records.  The
-    #: stamp is permanent, so a query sent straight to
-    #: ``sharded.shards[i]`` also reports as a shard leg.
+    #: carried as ``shard`` on this facade's telemetry records.  A shard
+    #: leg does not bump ``query.count``: the router counts the routed
+    #: query once, as ``query.errors`` does.  The stamp is permanent, so
+    #: a query sent straight to ``sharded.shards[i]`` also reports as a
+    #: shard leg.
     shard: Optional[int] = None
 
     def __init__(
@@ -202,8 +204,9 @@ class KMismatchIndex:
         OBS.metrics.histogram(
             "query.search_ms", engine=engine_name, k=k
         ).observe(duration_ms, trace_id)
-        OBS.metrics.counter("query.count").inc()
-        OBS.metrics.counter("query.count", engine=engine_name, k=k).inc()
+        if self.shard is None:
+            OBS.metrics.counter("query.count").inc()
+            OBS.metrics.counter("query.count", engine=engine_name, k=k).inc()
         OBS.metrics.counter("query.occurrences").inc(len(occurrences))
         OBS.metrics.counter(
             "query.occurrences", engine=engine_name, k=k
@@ -243,8 +246,7 @@ class KMismatchIndex:
         preprocessing.
 
         Engine instances are stateful and not thread-safe; pass
-        ``fresh=True`` (or use :meth:`clone_for_worker`) to obtain a
-        private, uncached instance for a worker.
+        ``fresh=True`` to obtain a private, uncached instance.
         """
         spec = REGISTRY.resolve(method)
         if fresh or not spec.cacheable:
@@ -254,22 +256,6 @@ class KMismatchIndex:
         if engine is None:
             engine = self._engines[key] = spec.factory(self, **knobs)
         return engine
-
-    def clone_for_worker(self) -> "KMismatchIndex":
-        """A shallow clone sharing the FM-index but owning its engine cache.
-
-        Batch workers search through clones so each worker gets private
-        (non-thread-safe) engine instances while the expensive index
-        payload stays shared.
-        """
-        clone = object.__new__(type(self))
-        clone._text = self._text
-        clone._alphabet = self._alphabet
-        clone._fm = self._fm
-        clone._engines = {}
-        clone.last_mtree = None
-        clone.shard = self.shard
-        return clone
 
     def _dispatch(
         self, pattern: str, k: int, method: str, record_mtree: bool
@@ -387,20 +373,19 @@ class KMismatchIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> List[List[ReadHit]]:
         """Map a read batch; ``result[i]`` is read ``i``'s hit list.
 
-        ``workers > 1`` fans chunks out over a thread or process pool
-        (see :class:`repro.engine.BatchExecutor`); the serial path runs
+        ``workers > 1`` fans chunks out over the process pool (see
+        :class:`repro.engine.BatchExecutor`); the serial path runs
         every read through the one cached engine so Algorithm A's
         persistent memo carries derivations across the whole batch.
-        Result order matches input order in every mode.
+        Result order matches input order either way.
         """
         from ..engine.executor import BatchExecutor
 
-        executor = BatchExecutor(workers=workers, mode=mode, chunk_size=chunk_size)
+        executor = BatchExecutor(workers=workers, chunk_size=chunk_size)
         return executor.run_map(self, reads, k, method=method).results
 
     def search_batch(
@@ -409,12 +394,11 @@ class KMismatchIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> Dict[str, List[Occurrence]]:
         """Search many patterns over the one index; results keyed by pattern."""
         results, _ = self.search_batch_with_stats(
-            patterns, k, method=method, workers=workers, mode=mode, chunk_size=chunk_size
+            patterns, k, method=method, workers=workers, chunk_size=chunk_size
         )
         return results
 
@@ -424,19 +408,18 @@ class KMismatchIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> Tuple[Dict[str, List[Occurrence]], SearchStats]:
         """Like :meth:`search_batch`, also returning batch-merged stats.
 
         The batch is executed through :class:`repro.engine.BatchExecutor`:
         serially over the cached engine when ``workers <= 1``, else
-        chunked over a ``"thread"`` or ``"process"`` pool with
-        deterministic, input-ordered results.
+        chunked over the process pool with deterministic, input-ordered
+        results.
         """
         from ..engine.executor import BatchExecutor
 
-        executor = BatchExecutor(workers=workers, mode=mode, chunk_size=chunk_size)
+        executor = BatchExecutor(workers=workers, chunk_size=chunk_size)
         return executor.search_batch(self, patterns, k, method=method)
 
     # -- self-checks ------------------------------------------------------------------------

@@ -8,14 +8,14 @@ that answers queries":
   :data:`REGISTRY` every dispatch site (facade, CLI, bench suite)
   resolves names through.
 * :mod:`repro.engine.executor` — :class:`BatchExecutor`, the chunked
-  serial/thread/process fan-out behind ``search_batch``, ``map_reads``
+  serial / process-pool fan-out behind ``search_batch``, ``map_reads``
   and ``repro-cli map --workers``.
 
 See ``docs/ENGINES.md`` for the capability model, how to register a new
 engine, and the batch-execution knobs.
 """
 
-from .executor import MODES, BatchExecutor, BatchResult
+from .executor import BatchExecutor, BatchResult
 from .registry import (
     CAP_EDIT,
     CAP_MISMATCH,
@@ -44,5 +44,4 @@ __all__ = [
     "CAP_WILDCARD",
     "BatchExecutor",
     "BatchResult",
-    "MODES",
 ]

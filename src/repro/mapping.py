@@ -112,13 +112,12 @@ def map_pairs(
     min_fragment: int = 0,
     max_fragment: int = 2_000,
     workers: int = 0,
-    mode: str = "thread",
 ) -> List[List[PairAlignment]]:
     """Batch :func:`map_pair`: ``result[i]`` are pair ``i``'s placements.
 
     All mates are mapped in one batch through
     :meth:`~repro.core.matcher.KMismatchIndex.map_reads`, so Algorithm A's
-    cross-query memo (serial) or the worker pool (``workers > 1``) serves
+    cross-query memo (serial) or the process pool (``workers > 1``) serves
     the whole pair set; the concordance pass then runs per pair.  Results
     match calling :func:`map_pair` pair-by-pair exactly.
     """
@@ -128,7 +127,7 @@ def map_pairs(
     if min_fragment > max_fragment:
         raise PatternError("min_fragment must not exceed max_fragment")
     mates = [read for pair in pairs for read in pair]
-    hit_lists = index.map_reads(mates, k, workers=workers, mode=mode)
+    hit_lists = index.map_reads(mates, k, workers=workers)
     out: List[List[PairAlignment]] = []
     for i, (read1, _) in enumerate(pairs):
         hits1, hits2 = hit_lists[2 * i], hit_lists[2 * i + 1]

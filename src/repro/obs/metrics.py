@@ -51,7 +51,7 @@ unlabelled-only registries are byte-identical to v1 — both directions of
 the round-trip hold.
 
 Updates are single attribute mutations under the GIL — safe for the
-threaded batch layers this instrumentation is built to measure.
+threads that share a registry (the metrics server, the batch watchdog).
 """
 
 from __future__ import annotations

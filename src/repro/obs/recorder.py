@@ -98,9 +98,9 @@ class FlightRecorder:
         Bound on the pinned list (oldest pinned records evicted first —
         the recorder never grows without bound).
 
-    Appends take a lock: recorders are shared by the threaded batch
-    paths, and a deque append alone is atomic but the sequence counter
-    update next to it is not.
+    Appends take a lock: recorders are shared by the metrics server's
+    threads and the batch watchdog, and a deque append alone is atomic
+    but the sequence counter update next to it is not.
     """
 
     def __init__(

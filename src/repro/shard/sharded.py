@@ -16,17 +16,18 @@ surface (``search``/``search_batch``/``map_read``/``map_reads``/
 ``search_edit``/``search_wildcard``/``count``/``contains``), and
 ``KMismatchIndex.open()`` returns a :class:`ShardedIndex` transparently
 when pointed at a ``REPROSHD`` manifest — every registered engine and
-every CLI query path works unchanged over shards.  Batch queries reuse
-:class:`~repro.engine.BatchExecutor` per shard (thread clones or
-shared-memory process pools), tagging worker telemetry with the
-``{shard}`` label; the router's own fan-out emits
-``query.shard_ms``/``query.shard_occurrences`` series and
+every CLI query path works unchanged over shards.  A single query
+visits the shards one after another; batch queries reuse
+:class:`~repro.engine.BatchExecutor` per shard (serial, or the
+shared-memory process pool when ``workers > 1``), tagging worker
+telemetry with the ``{shard}`` label.  The router counts each routed
+query once in ``query.count`` (its shard legs do not), and its own
+fan-out emits ``query.shard_ms``/``query.shard_occurrences`` series and
 ``router.fanout``/``router.shard`` spans (``docs/SHARDING.md``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -52,6 +53,18 @@ from .manifest import (
 )
 
 
+def _count_queries(engine: str, k: int, n: int) -> None:
+    """Count ``n`` routed queries once in ``query.count``.
+
+    Shard-stamped facades skip the count, so a routed query is one query
+    here and in ``query.errors`` alike; per-shard traffic stays in the
+    router's ``query.shard_ms{shard}`` series.
+    """
+    if OBS.enabled:
+        OBS.metrics.counter("query.count").inc(n)
+        OBS.metrics.counter("query.count", engine=engine, k=k).inc(n)
+
+
 class QueryRouter:
     """Fans queries across a :class:`ShardedIndex` and merges the hits.
 
@@ -59,14 +72,13 @@ class QueryRouter:
     ----------
     sharded:
         The index whose shards are routed over.
-    workers / mode / chunk_size:
-        Parallelism knobs.  Single queries fan out over shards on a
-        thread pool when ``workers > 1`` (serially otherwise); batch
-        queries hand the whole batch to one
-        :class:`~repro.engine.BatchExecutor` per shard, so ``mode``
-        selects thread clones vs the shared-memory process pool exactly
-        as it does for an unsharded batch — each shard's workers
-        hydrate that shard's binary blob zero-copy.
+    workers / chunk_size:
+        Batch knobs.  Batch queries hand the whole batch to one
+        :class:`~repro.engine.BatchExecutor` per shard, serial when
+        ``workers <= 1`` and on the shared-memory process pool
+        otherwise, exactly as for an unsharded batch — each shard's
+        workers hydrate that shard's binary blob zero-copy.  Single
+        queries visit the shards serially.
 
     Merging is a projection onto shard ownership: a hit found by shard
     ``i`` survives iff its global start lies in shard ``i``'s core.
@@ -79,12 +91,10 @@ class QueryRouter:
         self,
         sharded: "ShardedIndex",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ):
         self._sharded = sharded
         self.workers = max(0, int(workers))
-        self.mode = mode
         self.chunk_size = chunk_size
 
     # -- single-query fan-out ---------------------------------------------------
@@ -93,11 +103,14 @@ class QueryRouter:
         self, pattern: str, k: int, method: str = "algorithm_a"
     ) -> Tuple[List[Occurrence], SearchStats]:
         """Route one k-mismatch query across every shard and merge."""
-        return self._route(
+        engine = REGISTRY.canonical_name(method)
+        result = self._route(
             pattern, k,
             lambda index: index.search_with_stats(pattern, k, method),
-            engine=REGISTRY.canonical_name(method),
+            engine=engine,
         )
+        _count_queries(engine, k, 1)
+        return result
 
     def search_edit(self, pattern: str, k: int) -> List[EditOccurrence]:
         """Route one k-errors (Levenshtein) query; windows reach ``m + k``."""
@@ -178,15 +191,9 @@ class QueryRouter:
         start_ns = perf_counter_ns()
         with OBS.span(
             "router.fanout", engine=engine, k=k, m=len(pattern),
-            shards=len(items), workers=self.workers,
+            shards=len(items),
         ) as span:
-            if self.workers > 1 and len(items) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=min(self.workers, len(items))
-                ) as pool:
-                    outcomes = list(pool.map(run_shard, items))
-            else:
-                outcomes = [run_shard(item) for item in items]
+            outcomes = [run_shard(item) for item in items]
             merged = []
             stats = SearchStats()
             for shard_id, spec, occurrences, shard_stats, _ in outcomes:
@@ -238,10 +245,13 @@ class QueryRouter:
 
         engine = REGISTRY.canonical_name(method)
         try:
-            return self._run_batch_inner(BatchExecutor, kind, items, k, method)
+            result = self._run_batch_inner(BatchExecutor, kind, items, k, method)
         except Exception as exc:
             record_query_error(engine, k, exc)
             raise
+        # A mapped read is two strand queries, as on an unsharded index.
+        _count_queries(engine, k, len(items) * (2 if kind == "map" else 1))
+        return result
 
     def _run_batch_inner(self, BatchExecutor, kind, items, k, method):
         sharded = self._sharded
@@ -254,12 +264,11 @@ class QueryRouter:
         specs = sharded.manifest.shards
         with OBS.span(
             "router.batch", kind=kind, shards=len(specs), items=len(items),
-            workers=self.workers, mode=self.mode,
+            workers=self.workers,
         ):
             for shard_id, (spec, index) in enumerate(zip(specs, sharded.shards)):
                 executor = BatchExecutor(
-                    workers=self.workers, mode=self.mode,
-                    chunk_size=self.chunk_size, shard=shard_id,
+                    workers=self.workers, chunk_size=self.chunk_size, shard=shard_id,
                 )
                 if kind == "search":
                     batch = executor.run_search(index, items, k, method=method)
@@ -639,11 +648,10 @@ class ShardedIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> List[List[ReadHit]]:
         """Map a read batch; ``result[i]`` is read ``i``'s global hit list."""
-        router = QueryRouter(self, workers=workers, mode=mode, chunk_size=chunk_size)
+        router = QueryRouter(self, workers=workers, chunk_size=chunk_size)
         results, _ = router.run_batch("map", list(reads), k, method=method)
         return results
 
@@ -653,13 +661,11 @@ class ShardedIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> Dict[str, List[Occurrence]]:
         """Search many patterns; results keyed by pattern."""
         results, _ = self.search_batch_with_stats(
-            patterns, k, method=method, workers=workers, mode=mode,
-            chunk_size=chunk_size,
+            patterns, k, method=method, workers=workers, chunk_size=chunk_size,
         )
         return results
 
@@ -669,18 +675,17 @@ class ShardedIndex:
         k: int,
         method: str = "algorithm_a",
         workers: int = 0,
-        mode: str = "thread",
         chunk_size: Optional[int] = None,
     ) -> Tuple[Dict[str, List[Occurrence]], SearchStats]:
         """Like :meth:`search_batch`, also returning batch-merged stats.
 
         Each shard serves the batch through one
-        :class:`~repro.engine.BatchExecutor` (``workers``/``mode``/
-        ``chunk_size`` behave exactly as on the unsharded facade,
-        shared-memory hydration included).
+        :class:`~repro.engine.BatchExecutor` (``workers``/``chunk_size``
+        behave exactly as on the unsharded facade, shared-memory
+        hydration included).
         """
         patterns = list(patterns)
-        router = QueryRouter(self, workers=workers, mode=mode, chunk_size=chunk_size)
+        router = QueryRouter(self, workers=workers, chunk_size=chunk_size)
         results, stats = router.run_batch("search", patterns, k, method=method)
         return {pattern: occs for pattern, occs in zip(patterns, results)}, stats
 

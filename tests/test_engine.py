@@ -120,15 +120,6 @@ class TestEngineCaching:
         with pytest.raises(PatternError):
             index.search("aca", 0, method="kerrors")
 
-    def test_clone_for_worker_shares_fm_not_engines(self):
-        index = KMismatchIndex("acagaca" * 10)
-        engine = index.engine("algorithm_a")
-        clone = index.clone_for_worker()
-        assert clone.fm_index is index.fm_index
-        assert clone.text == index.text
-        assert clone.engine("algorithm_a") is not engine
-        assert clone.last_mtree is None
-
 
 class TestLastMtree:
     def test_none_before_first_search(self):
@@ -240,8 +231,9 @@ class TestBatchExecutor:
         return text, reads
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(PatternError):
-            BatchExecutor(workers=2, mode="fiber")
+        for mode in ("fiber", "thread"):
+            with pytest.raises(PatternError, match="thread mode was removed"):
+                BatchExecutor(workers=2, mode=mode)
 
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(PatternError):
@@ -255,18 +247,11 @@ class TestBatchExecutor:
         for read in reads:
             assert batch[read] == index.search(read, 2)
 
-    def test_thread_batch_identical_to_serial(self, workload):
-        text, reads = workload
-        index = KMismatchIndex(text)
-        serial = index.search_batch(reads, 2)
-        threaded = index.search_batch(reads, 2, workers=4, mode="thread")
-        assert threaded == serial
-
     def test_process_batch_identical_to_serial(self, workload):
         text, reads = workload
         index = KMismatchIndex(text)
         serial = index.search_batch(reads[:20], 2)
-        processed = index.search_batch(reads[:20], 2, workers=2, mode="process")
+        processed = index.search_batch(reads[:20], 2, workers=2)
         assert processed == serial
 
     def test_map_reads_parallel_identical(self, workload):
@@ -287,13 +272,13 @@ class TestBatchExecutor:
 
     def test_chunk_stats_merge(self, workload):
         text, reads = workload
-        index = KMismatchIndex(text)
-        # Fresh engines per run so reuse effects do not skew the totals.
+        # Fresh indexes (so fresh engines) per run so reuse effects do
+        # not skew the totals.
         serial = BatchExecutor(workers=0).run_search(
-            index.clone_for_worker(), reads, 2, method="stree"
+            KMismatchIndex(text), reads, 2, method="stree"
         )
         parallel = BatchExecutor(workers=4, chunk_size=5).run_search(
-            index.clone_for_worker(), reads, 2, method="stree"
+            KMismatchIndex(text), reads, 2, method="stree"
         )
         assert parallel.stats.nodes_expanded == serial.stats.nodes_expanded
         assert parallel.stats.leaves == serial.stats.leaves
@@ -365,7 +350,7 @@ class TestProcessPoolObsParity:
         index = KMismatchIndex(text)
         serial_results, serial, serial_spans = self._counters_after(index, reads)
         process_results, process, process_spans = self._counters_after(
-            index, reads, workers=2, mode="process", chunk_size=5
+            index, reads, workers=2, chunk_size=5
         )
         assert process_results == serial_results
         assert serial["search.rank_queries"] > 0
@@ -401,8 +386,7 @@ class TestProcessPoolObsParity:
             }, payload
 
         serial, _ = labelled_series()
-        process, payload = labelled_series(workers=2, mode="process",
-                                           chunk_size=5)
+        process, payload = labelled_series(workers=2, chunk_size=5)
         assert serial["query.count"] == {
             (("engine", "stree"), ("k", "2")): len(reads)
         }
@@ -442,7 +426,7 @@ class TestProcessPoolObsParity:
             try:
                 index.search_batch(
                     reads * (2 ** attempt), 2, method="stree",
-                    workers=2, mode="process", chunk_size=5,
+                    workers=2, chunk_size=5,
                 )
             finally:
                 profile = PROFILER.stop()
@@ -467,7 +451,7 @@ class TestProcessPoolObsParity:
         OBS.enable()
         try:
             index.search_batch(reads, 2, method="stree",
-                               workers=2, mode="process", chunk_size=5)
+                               workers=2, chunk_size=5)
         finally:
             OBS.disable()
             OBS.reset()
@@ -482,7 +466,7 @@ class TestProcessPoolObsParity:
         OBS.enable()
         try:
             index.search_batch(reads, 2, method="stree", workers=2,
-                               mode="process", chunk_size=5)
+                               chunk_size=5)
         finally:
             OBS.disable()
         snapshot = OBS.metrics.to_dict()
@@ -526,7 +510,7 @@ class TestProcessPoolObsParity:
         assert serial == expected
 
         process_exc, process = self._error_series(
-            index, bad_reads, workers=2, mode="process", chunk_size=5
+            index, bad_reads, workers=2, chunk_size=5
         )
         assert isinstance(process_exc, RuntimeError)
         assert "AlphabetError" in str(process_exc)
@@ -556,7 +540,6 @@ class TestResultArena:
         text, reads = workload
         index = KMismatchIndex(text)
         serial = BatchExecutor(workers=0).run_search(index, reads, 1)
-        threaded = BatchExecutor(workers=4, mode="thread").run_search(index, reads, 1)
         arena = BatchExecutor(workers=4, mode="process").run_search(index, reads, 1)
         queue = BatchExecutor(
             workers=4, mode="process", arena_bytes=0
@@ -564,7 +547,7 @@ class TestResultArena:
         assert arena.extra["return_path"] == "arena"
         assert queue.extra["return_path"] == "queue"
         assert arena.extra["arena_records"] == sum(len(r) for r in serial.results) > 0
-        assert serial.results == threaded.results == arena.results == queue.results
+        assert serial.results == arena.results == queue.results
 
     def test_map_kind_round_trips_strand_and_mismatches(self, workload):
         text, reads = workload

@@ -163,7 +163,7 @@ class TestRoundTrip:
         flat = KMismatchIndex(text)
         sharded = ShardedIndex.build(text, 3, max_pattern=16, max_k=2)
         patterns = [text[i : i + 12] for i in range(0, 480, 53)]
-        assert sharded.search_batch(patterns, 1, workers=2, mode="process") == \
+        assert sharded.search_batch(patterns, 1, workers=2) == \
             flat.search_batch(patterns, 1)
 
 
@@ -249,7 +249,7 @@ class TestShardTelemetry:
         patterns = [text[i : i + 10] for i in range(0, 380, 23)]
         OBS.reset().enable()
         try:
-            sharded.search_batch(patterns, 1, workers=2, mode="process", chunk_size=4)
+            sharded.search_batch(patterns, 1, workers=2, chunk_size=4)
             for shard in range(2):
                 hydrated = OBS.metrics.counter(
                     "engine.worker.hydrations", worker=0, transfer="shm-bin",
