@@ -18,7 +18,7 @@ Burrows–Wheeler matrix; this maps to the paper's rank pairs ``[α, β]`` as
 from __future__ import annotations
 
 import json
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..alphabet import SENTINEL, Alphabet, infer_alphabet
 from ..errors import IndexCorruptionError, PatternError, SerializationError
@@ -255,6 +255,21 @@ class FMIndex:
         """The LF mapping: row of the rotation one position to the left."""
         code = self._rank.char_code_at(row)
         return self._c_array[code] + self._rank.occ(code, row)
+
+    def lf_parts(self) -> Tuple[Callable[[int], int], Callable[[int, int], int], Tuple[int, ...]]:
+        """``(char_code_at, occ, C)``: the pieces of :meth:`lf_step`, bound
+        once for a loop that steps LF itself.
+
+        ``code = char_code_at(row)`` is ``L[row]`` and ``C[code] +
+        occ(code, row)`` the row one position to its left.
+
+        >>> fm = FMIndex("acagaca")
+        >>> char_code_at, occ, c_array = fm.lf_parts()
+        >>> code = char_code_at(3)
+        >>> c_array[code] + occ(code, 3) == fm.lf_step(3)
+        True
+        """
+        return self._rank.char_code_at, self._rank.occ, tuple(self._c_array)
 
     def suffix_position(self, row: int) -> int:
         """Text position of the suffix at BW row ``row`` (``SA[row]``)."""

@@ -38,6 +38,34 @@ class ReadHit:
     occurrence: Occurrence
     strand: str
 
+
+def observe_queries(
+    engine: str,
+    k: int,
+    occurrences: int,
+    duration_ms: Optional[float] = None,
+    trace_id: Optional[str] = None,
+    n: int = 1,
+) -> None:
+    """Observe ``n`` served queries in the ``query.*`` families.
+
+    ``query.count`` and ``query.occurrences``, each flat and per
+    ``{engine,k}``; with ``duration_ms`` (one timed query), also
+    ``query.latency_ms`` and ``query.search_ms{engine,k}``, whose
+    exemplar is ``trace_id``.  Called by the facade for an unsharded
+    query and by the shard router once per routed query; callers check
+    ``OBS.enabled``.
+    """
+    metrics = OBS.metrics
+    if duration_ms is not None:
+        metrics.histogram("query.latency_ms").observe(duration_ms)
+        metrics.histogram("query.search_ms", engine=engine, k=k).observe(duration_ms, trace_id)
+    metrics.counter("query.count").inc(n)
+    metrics.counter("query.count", engine=engine, k=k).inc(n)
+    metrics.counter("query.occurrences").inc(occurrences)
+    metrics.counter("query.occurrences", engine=engine, k=k).inc(occurrences)
+
+
 #: The index-backed mismatch engines, in registry order — the method
 #: names the paper's evaluation exercises.  :meth:`KMismatchIndex.search`
 #: additionally accepts every other registered mismatch engine (the
@@ -69,10 +97,11 @@ class KMismatchIndex:
     #: The shard id when this index serves as one shard of a
     #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``;
     #: carried as ``shard`` on this facade's telemetry records.  A shard
-    #: leg does not bump ``query.count``: the router counts the routed
-    #: query once, as ``query.errors`` does.  The stamp is permanent, so
-    #: a query sent straight to ``sharded.shards[i]`` also reports as a
-    #: shard leg.
+    #: leg observes none of ``query.count``, ``query.latency_ms``,
+    #: ``query.search_ms`` and ``query.occurrences``: the router observes
+    #: the routed query once, as ``query.errors`` counts it once.  The
+    #: stamp is permanent, so a query sent straight to
+    #: ``sharded.shards[i]`` also reports as a shard leg.
     shard: Optional[int] = None
 
     def __init__(
@@ -177,7 +206,8 @@ class KMismatchIndex:
         (flight recorder and ``--wide-events`` sink) sharing the latency
         observation's exemplar ``trace_id``.  Engine labels use the
         registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
-        land in one series.
+        land in one series.  A shard leg (:attr:`shard` set) writes only
+        its record; the router observes the ``query.*`` families.
         """
         if not OBS.enabled:
             self._alphabet.validate(pattern)
@@ -200,17 +230,8 @@ class KMismatchIndex:
                                trace_id=trace_id, shard=self.shard)
             raise
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
-        OBS.metrics.histogram("query.latency_ms").observe(duration_ms)
-        OBS.metrics.histogram(
-            "query.search_ms", engine=engine_name, k=k
-        ).observe(duration_ms, trace_id)
         if self.shard is None:
-            OBS.metrics.counter("query.count").inc()
-            OBS.metrics.counter("query.count", engine=engine_name, k=k).inc()
-        OBS.metrics.counter("query.occurrences").inc(len(occurrences))
-        OBS.metrics.counter(
-            "query.occurrences", engine=engine_name, k=k
-        ).inc(len(occurrences))
+            observe_queries(engine_name, k, len(occurrences), duration_ms, trace_id)
         # A slow query pins its own sample slice next to the record: the
         # folded stacks the profiler collected while this query ran, so
         # the flight recorder answers "where did that outlier spend its

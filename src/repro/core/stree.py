@@ -169,15 +169,25 @@ def tree_search(
     leaf; a budget-cut leaf passes the mismatch that was cut as its last
     pair.
 
+    A range one row wide that the hook does not take is one text
+    position, so its only continuation is ``L[row]`` and its next row is
+    one LF step.  Such a range is walked in place, row by row, rather than
+    expanded through ``fm.children``.  Its single child would be popped
+    next anyway, so the nodes, leaves and ``on_leaf`` calls are the ones
+    the stack would make.  Each row walked counts in ``lf_steps`` where a
+    ``children()`` call would have counted in ``rank_queries``.
+
     Counts are added to ``stats``; the occurrences come back unsorted.
     """
     m = len(pattern_codes)
     n = fm.text_length
     children_of = fm.children
+    char_code_at, occ, c_array = fm.lf_parts()
     locate = fm.suffix_position
     occurrences: List[Occurrence] = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    lf_steps = 0
     stack: List[Tuple[Range, int, Mismatches]] = [(fm.full_range(), 0, ())]
     pop = stack.pop
     push = stack.append
@@ -202,6 +212,34 @@ def tree_search(
         if hook is not None and rng[1] - rng[0] >= min_width:
             i, mm, children, derived = hook(rng, i, mm)
             used = len(mm)
+        elif rng[1] - rng[0] == 1:
+            row = rng[0]
+            while True:
+                lf_steps += 1
+                code = char_code_at(row)
+                if not code:  # the sentinel: the text ends here
+                    dead += 1
+                    break
+                if code != pattern_codes[i]:
+                    mm += ((i, code),)
+                    if used >= k:
+                        budget_cuts += 1
+                        break
+                    used += 1
+                row = c_array[code] + occ(code, row)
+                i += 1
+                nodes += 1
+                if i == m:
+                    completed += 1
+                    rows += 1
+                    report(Occurrence(n - locate(row) - m, tuple([pos for pos, _ in mm])))
+                    break
+                if phi is not None and k - used < phi[i]:
+                    phi_cuts += 1
+                    break
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
         else:
             probes += 1
             children = children_of(rng)
@@ -232,6 +270,7 @@ def tree_search(
     stats.nodes_expanded += nodes
     stats.chars_replayed += replayed
     stats.rank_queries += probes
+    stats.lf_steps += lf_steps
     stats.rows_located += rows
     stats.completed_paths += completed
     stats.phi_pruned += phi_cuts

@@ -42,11 +42,18 @@ class SearchStats:
     """
 
     #: Characters consumed by live index search (S-tree nodes created from
-    #: ``children()`` results; Algorithm A's memo-derived ones count in
-    #: ``chars_replayed``).
+    #: ``children()`` results or by the LF walk; Algorithm A's
+    #: memo-derived ones count in ``chars_replayed``).
     nodes_expanded: int = 0
-    #: ``children()`` calls — each costs O(|Σ|) rankall probes.
+    #: ``children()`` calls on ranges wider than one row (one-row ones
+    #: only where Algorithm A's memo hook takes them) — each costs
+    #: O(|Σ|) rankall probes.
     rank_queries: int = 0
+    #: One-row ranges walked by LF instead of expanded by ``children()``:
+    #: one ``L[row]`` read each, plus one ``occ`` probe when the path goes
+    #: on.  ``rank_queries + lf_steps`` is the node expansions that asked
+    #: the index.
+    lf_steps: int = 0
     #: Path terminations of any kind — the paper's n' (leaves of D).
     leaves: int = 0
     #: Paths that reached the full pattern length (reported occurrences).

@@ -12,22 +12,27 @@ directions:
 * **up**: the worker builds its :class:`~repro.core.matcher.KMismatchIndex`,
   serialises it with the deterministic ``REPROIDX`` writer
   (:func:`repro.io.binfmt.dump_fmindex` via ``to_binary``), writes the
-  blob into a fresh per-shard segment and sends only the segment *name*
-  through the result queue.  The parent copies the blob out, unlinks the
-  segment, and hydrates the shard zero-copy with ``from_binary`` —
-  because the writer is deterministic, parallel-built shard files are
-  byte-identical to serial-built ones.
+  blob into the shard's output segment and reports through the result
+  queue.  The parent copies the blob out, unlinks the segment, and
+  hydrates the shard zero-copy with ``from_binary`` — because the
+  writer is deterministic, parallel-built shard files are byte-identical
+  to serial-built ones.
 
-Ownership handoff: the child unregisters its result segment from its
-own :mod:`multiprocessing.resource_tracker` before closing, so the
-parent (which attaches without registering) is the sole unlinker — no
-double-unlink warnings, no leaked segments.
+Ownership handoff: the parent names every shard's output segment
+before any worker starts (:func:`_shard_segment_name`), and the child
+unregisters the segment it creates from its own
+:mod:`multiprocessing.resource_tracker` before closing, so the parent is
+the sole unlinker — no double-unlink warnings.  Because the parent
+knows the names, it needs no message to find a segment: a worker that
+dies after writing a shard, before its report leaves the queue, leaks
+nothing.
 
 Failure semantics: a worker that dies mid-build (OOM kill, segfault)
 or ships an exception surfaces as :class:`~repro.errors.IndexBuildError`
 in the parent, with the death counted under
 ``query.errors{engine="shard_build", kind="worker"}``.  Remaining
-workers are terminated and every segment is unlinked on the way out.
+workers are terminated and every planned segment still present is
+unlinked on the way out.
 """
 
 from __future__ import annotations
@@ -62,6 +67,22 @@ def record_build_ms(shard_id: int, build_ms: float) -> None:
         OBS.metrics.histogram(BUILD_MS_METRIC, shard=shard_id).observe(build_ms)
 
 
+def _shard_segment_name(text_segment: str, shard_id: int) -> str:
+    """The output segment of ``shard_id``, derived from the name of the
+    build's text segment (unique while that segment exists)."""
+    return f"{text_segment}_s{shard_id}"
+
+
+def _unlink_segment(name: str) -> None:
+    """Unlink the segment ``name`` if it exists."""
+    try:
+        segment = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return
+    segment.close()
+    segment.unlink()
+
+
 def _unregister_shm(segment: shared_memory.SharedMemory) -> None:
     """Drop ``segment`` from this process's resource tracker so another
     process can own the unlink without tracker double-free warnings."""
@@ -80,7 +101,8 @@ def _build_worker(
     result_q,
 ) -> None:
     """Pool worker: pull ``(shard_id, start, length)`` tasks until the
-    ``None`` sentinel; ship each built shard back as a named segment."""
+    ``None`` sentinel; write each built shard into the segment the parent
+    named for it (:func:`_shard_segment_name`)."""
     from ..alphabet import Alphabet
     from ..core.matcher import KMismatchIndex
 
@@ -107,7 +129,9 @@ def _build_worker(
                 build_ms = (perf_counter() - begin) * 1e3
                 try:
                     out = shared_memory.SharedMemory(
-                        create=True, size=max(1, len(blob))
+                        name=_shard_segment_name(text_shm_name, shard_id),
+                        create=True,
+                        size=max(1, len(blob)),
                     )
                 except OSError:
                     # No shm left (tiny /dev/shm): fall back to pickling
@@ -115,11 +139,10 @@ def _build_worker(
                     result_q.put(("built-bytes", shard_id, blob, build_ms))
                     continue
                 out.buf[: len(blob)] = blob
-                name = out.name
                 # Hand unlink ownership to the parent before detaching.
                 _unregister_shm(out)
                 out.close()
-                result_q.put(("built", shard_id, name, len(blob), build_ms))
+                result_q.put(("built", shard_id, len(blob), build_ms))
             except BaseException as exc:  # ship the failure; never hang the parent
                 result_q.put(
                     ("error", shard_id, repr(exc), _traceback.format_exc())
@@ -199,8 +222,10 @@ def build_shards_parallel(
                 continue
             tag = message[0]
             if tag == "built":
-                _, shard_id, segment_name, nbytes, build_ms = message
-                segment = shared_memory.SharedMemory(name=segment_name)
+                _, shard_id, nbytes, build_ms = message
+                segment = shared_memory.SharedMemory(
+                    name=_shard_segment_name(text_shm.name, shard_id)
+                )
                 try:
                     blobs[shard_id] = bytes(segment.buf[:nbytes])
                 finally:
@@ -225,6 +250,11 @@ def build_shards_parallel(
             if proc.is_alive():
                 proc.terminate()
             proc.join()
+        # A worker that died after writing a shard it never reported
+        # leaves that shard's segment behind; only the parent knows it.
+        for shard_id in range(len(plan)):
+            if shard_id not in blobs:
+                _unlink_segment(_shard_segment_name(text_shm.name, shard_id))
         text_shm.close()
         text_shm.unlink()
     for shard_id in sorted(timings):

@@ -20,8 +20,9 @@ every CLI query path works unchanged over shards.  A single query
 visits the shards one after another; batch queries reuse
 :class:`~repro.engine.BatchExecutor` per shard (serial, or the
 shared-memory process pool when ``workers > 1``), tagging worker
-telemetry with the ``{shard}`` label.  The router counts each routed
-query once in ``query.count`` (its shard legs do not), and its own
+telemetry with the ``{shard}`` label.  The router observes each routed
+query once in ``query.count``, ``query.latency_ms``, ``query.search_ms``
+and ``query.occurrences`` (its shard legs do not), and its own
 fan-out emits ``query.shard_ms``/``query.shard_occurrences`` series and
 ``router.fanout``/``router.shard`` spans (``docs/SHARDING.md``).
 """
@@ -36,7 +37,7 @@ from ..alphabet import DNA, Alphabet, infer_alphabet
 from ..bwt.fmindex import DEFAULT_SA_SAMPLE
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
 from ..core.kerrors import EditOccurrence
-from ..core.matcher import KMismatchIndex, ReadHit
+from ..core.matcher import KMismatchIndex, ReadHit, observe_queries
 from ..core.types import Occurrence, SearchStats
 from ..core.wildcard import DEFAULT_WILDCARD
 from ..dna import reverse_complement
@@ -51,18 +52,6 @@ from .manifest import (
     ShardSpec,
     plan_shards,
 )
-
-
-def _count_queries(engine: str, k: int, n: int) -> None:
-    """Count ``n`` routed queries once in ``query.count``.
-
-    Shard-stamped facades skip the count, so a routed query is one query
-    here and in ``query.errors`` alike; per-shard traffic stays in the
-    router's ``query.shard_ms{shard}`` series.
-    """
-    if OBS.enabled:
-        OBS.metrics.counter("query.count").inc(n)
-        OBS.metrics.counter("query.count", engine=engine, k=k).inc(n)
 
 
 class QueryRouter:
@@ -103,14 +92,12 @@ class QueryRouter:
         self, pattern: str, k: int, method: str = "algorithm_a"
     ) -> Tuple[List[Occurrence], SearchStats]:
         """Route one k-mismatch query across every shard and merge."""
-        engine = REGISTRY.canonical_name(method)
-        result = self._route(
+        return self._route(
             pattern, k,
             lambda index: index.search_with_stats(pattern, k, method),
-            engine=engine,
+            engine=REGISTRY.canonical_name(method),
+            observe=True,
         )
-        _count_queries(engine, k, 1)
-        return result
 
     def search_edit(self, pattern: str, k: int) -> List[EditOccurrence]:
         """Route one k-errors (Levenshtein) query; windows reach ``m + k``."""
@@ -137,7 +124,8 @@ class QueryRouter:
         )
         return occurrences
 
-    def _route(self, pattern, k, shard_fn, engine, window=None, rebase=None):
+    def _route(self, pattern, k, shard_fn, engine, window=None, rebase=None,
+               observe=False):
         """Fan ``shard_fn`` out over the shards; merge owned hits globally.
 
         ``window`` is the longest target window a hit may cover
@@ -145,7 +133,9 @@ class QueryRouter:
         short to hold one window contribute nothing without being
         searched.  ``rebase`` maps ``(occurrence, global_offset)`` to a
         globally-positioned occurrence (defaults to the
-        :class:`Occurrence` shape).
+        :class:`Occurrence` shape).  ``observe`` marks a k-mismatch query,
+        whose shard legs leave the ``query.*`` families to the router:
+        it observes them once, with the merged, owned hits.
 
         A raised routed query — seam-budget rejection, a shard failing
         mid-fanout — is counted in ``query.errors{engine,k,kind}``
@@ -155,13 +145,13 @@ class QueryRouter:
         trace_id = new_trace_id() if OBS.enabled else None
         try:
             return self._route_inner(pattern, k, shard_fn, engine, window,
-                                     rebase, trace_id)
+                                     rebase, observe, trace_id)
         except Exception as exc:
             record_query_error(engine, k, exc, m=len(pattern), trace_id=trace_id)
             raise
 
     def _route_inner(self, pattern, k, shard_fn, engine, window, rebase,
-                     trace_id):
+                     observe, trace_id):
         sharded = self._sharded
         window = window if window is not None else len(pattern)
         sharded.check_seam_budget(window)
@@ -213,6 +203,9 @@ class QueryRouter:
                 OBS.metrics.counter(
                     "query.shard_occurrences", engine=engine, k=k, shard=shard_id
                 ).inc(len(occurrences))
+            duration_ms = (perf_counter_ns() - start_ns) / 1e6
+            if observe:
+                observe_queries(engine, k, len(merged), duration_ms, trace_id)
             # ``shards`` > 0 marks the user-facing fan-out; each shard
             # facade wrote its own record, stamped with its ``shard``.
             OBS.record_event(
@@ -220,7 +213,7 @@ class QueryRouter:
                 engine=engine,
                 k=k,
                 m=len(pattern),
-                duration_ms=(perf_counter_ns() - start_ns) / 1e6,
+                duration_ms=duration_ms,
                 occurrences=len(merged),
                 shards=len(items),
                 trace_id=trace_id,
@@ -245,13 +238,19 @@ class QueryRouter:
 
         engine = REGISTRY.canonical_name(method)
         try:
-            result = self._run_batch_inner(BatchExecutor, kind, items, k, method)
+            merged, stats = self._run_batch_inner(BatchExecutor, kind, items, k, method)
         except Exception as exc:
             record_query_error(engine, k, exc)
             raise
-        # A mapped read is two strand queries, as on an unsharded index.
-        _count_queries(engine, k, len(items) * (2 if kind == "map" else 1))
-        return result
+        if OBS.enabled:
+            # A mapped read is two strand queries, as on an unsharded
+            # index.  Batch items are not timed one by one across shards,
+            # so they add no latency observation.
+            observe_queries(
+                engine, k, sum(len(bucket) for bucket in merged),
+                n=len(items) * (2 if kind == "map" else 1),
+            )
+        return merged, stats
 
     def _run_batch_inner(self, BatchExecutor, kind, items, k, method):
         sharded = self._sharded

@@ -12,7 +12,10 @@ from repro.core import AlgorithmASearcher
 from repro.baselines.bitparallel import myers_match_ends
 from repro.baselines.naive import naive_search
 from repro.core.kerrors import KErrorsSearcher
-from repro.core.stree import STreeSearcher, compute_phi
+from repro.core import algorithm_a
+from repro.core.matcher import KMismatchIndex
+from repro.core.stree import STreeSearcher, compute_phi, tree_search
+from repro.core.types import Occurrence, SearchStats
 from repro.core.wildcard import WildcardSearcher, naive_wildcard_search
 from repro.errors import PatternError
 
@@ -44,6 +47,90 @@ def phi_by_definition(fm_reverse, pattern_codes):
         e = first_vanish[i]
         phi[i] = 0 if e >= m else 1 + phi[e + 1]
     return phi
+
+
+def tree_search_by_children(
+    fm, pattern_codes, k, phi, stats, hook=None, min_width=1, on_leaf=None, tally=None
+):
+    """The tree search that expands every node through ``children()``.
+
+    The explicit-stack loop as it was before one-row ranges were walked
+    by LF, kept as the reference :func:`tree_search` is held to.  With a
+    ``tally`` dict it also counts, under ``"calls"``, the ``children()``
+    calls on one-row ranges: the ones the LF walk replaces.
+    """
+    m = len(pattern_codes)
+    n = fm.text_length
+    children_of = fm.children
+    locate = fm.suffix_position
+    occurrences = []
+    report = occurrences.append
+    nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    one_row_calls = 0
+    stack = [(fm.full_range(), 0, ())]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        rng, i, mm = pop()
+        if i == m:
+            completed += 1
+            lo, hi = rng
+            rows += hi - lo
+            positions = tuple([pos for pos, _ in mm])
+            for row in range(lo, hi):
+                report(Occurrence(n - locate(row) - m, positions))
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        used = len(mm)
+        if phi is not None and k - used < phi[i]:
+            phi_cuts += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        if hook is not None and rng[1] - rng[0] >= min_width:
+            i, mm, children, derived = hook(rng, i, mm)
+            used = len(mm)
+        else:
+            probes += 1
+            children = children_of(rng)
+            derived = False
+            one_row_calls += rng[1] - rng[0] == 1
+        if not children:
+            dead += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        want = pattern_codes[i]
+        deeper = i + 1
+        kept = 0
+        for code, child in reversed(children):
+            if code == want:
+                push((child, deeper, mm))
+            elif used < k:
+                push((child, deeper, mm + ((i, code),)))
+            else:
+                budget_cuts += 1
+                if on_leaf is not None:
+                    on_leaf(i, mm + ((i, code),))
+                continue
+            kept += 1
+        if derived:
+            replayed += kept
+        else:
+            nodes += kept
+    stats.nodes_expanded += nodes
+    stats.chars_replayed += replayed
+    stats.rank_queries += probes
+    stats.rows_located += rows
+    stats.completed_paths += completed
+    stats.phi_pruned += phi_cuts
+    stats.dead_ends += dead
+    stats.budget_pruned += budget_cuts
+    stats.leaves += completed + phi_cuts + dead + budget_cuts
+    if tally is not None:
+        tally["calls"] = tally.get("calls", 0) + one_row_calls
+    return occurrences
 
 
 def assert_phi_matches_definition(text, pattern):
@@ -143,6 +230,139 @@ class TestPhi:
         phi = compute_phi(fm, DNA.encode(text[1200:1200 + m]))
         assert phi == [0] * (m + 1)
         assert calls <= 4 * m
+
+
+def walk_and_reference(fm, pattern, k, use_phi=True):
+    """``(walked, reference)`` runs of one S-tree search: each is
+    ``(occurrences, stats, on_leaf calls, tally)``."""
+    codes = fm.alphabet.encode(pattern)
+    phi = compute_phi(fm, codes) if use_phi else None
+    runs = []
+    for search in (tree_search, tree_search_by_children):
+        stats, leaves, tally = SearchStats(), [], {}
+        extra = {"tally": tally} if search is tree_search_by_children else {}
+        occurrences = search(
+            fm, codes, k, phi, stats,
+            on_leaf=lambda depth, mm: leaves.append((depth, mm)), **extra
+        )
+        runs.append((sorted(occurrences), stats, leaves, tally))
+    return runs
+
+
+def assert_walk_matches(walked, reference):
+    """Same answer, same leaves in the same order, same counts, except that
+    each one-row ``children()`` call became one row of the LF walk."""
+    occurrences, stats, leaves, _ = walked
+    ref_occurrences, ref_stats, ref_leaves, tally = reference
+    assert occurrences == ref_occurrences
+    assert leaves == ref_leaves
+    expected = ref_stats.to_dict()
+    expected["rank_queries"] -= tally["calls"]
+    expected["lf_steps"] = tally["calls"]
+    assert stats.to_dict() == expected
+
+
+class TestLFWalk:
+    """One-row ranges are walked by LF inside :func:`tree_search`; the walk
+    must be invisible except in ``rank_queries`` and ``lf_steps``."""
+
+    @staticmethod
+    def random_cases(rng, trials):
+        for _ in range(trials):
+            text = random_dna(rng, rng.randint(20, 300))
+            m = rng.randint(1, 25)
+            if m <= len(text) and rng.random() < 0.7:
+                start = rng.randrange(len(text) - m + 1)
+                pattern = list(text[start:start + m])
+                for _ in range(rng.randint(0, 3)):
+                    pattern[rng.randrange(m)] = rng.choice("acgt")
+                pattern = "".join(pattern)
+            else:
+                pattern = random_dna(rng, m)
+            yield text, pattern, rng.randint(0, 4), rng.random() < 0.5
+
+    @pytest.mark.parametrize("backend", ["rankall", "wavelet"])
+    def test_matches_children_only_loop(self, rng, backend):
+        steps = 0
+        for text, pattern, k, use_phi in self.random_cases(rng, 40):
+            fm = FMIndex(text[::-1], DNA, rank_backend=backend)
+            walked, reference = walk_and_reference(fm, pattern, k, use_phi)
+            assert_walk_matches(walked, reference)
+            steps += walked[1].lf_steps
+        assert steps > 0
+
+    def test_matches_children_only_loop_on_mmap_index(self, rng, tmp_path):
+        steps = 0
+        for trial, (text, pattern, k, use_phi) in enumerate(self.random_cases(rng, 15)):
+            path = tmp_path / f"index{trial}.bin"
+            KMismatchIndex(text).save(path)
+            fm = KMismatchIndex.open(path, mmap=True).fm_index
+            walked, reference = walk_and_reference(fm, pattern, k, use_phi)
+            assert_walk_matches(walked, reference)
+            steps += walked[1].lf_steps
+        assert steps > 0
+
+    def test_walk_stops_at_the_sentinel(self, rng):
+        # The pattern runs off the end of the text: after its first 20
+        # characters the one-row range reads L[row] = '$'.
+        text = random_dna(rng, 200)
+        fm = FMIndex(text[::-1], DNA)
+        walked, reference = walk_and_reference(fm, text[-20:] + "acgtac", 0, use_phi=False)
+        assert_walk_matches(walked, reference)
+        assert (20, ()) in walked[2]
+        assert walked[1].dead_ends >= 1
+        assert walked[1].lf_steps > 0
+
+    def test_k_at_least_m(self, rng):
+        text = random_dna(rng, 60)
+        fm = FMIndex(text[::-1], DNA)
+        for k in (5, 7):
+            walked, reference = walk_and_reference(fm, "ttgca", k, use_phi=False)
+            assert_walk_matches(walked, reference)
+            assert len(walked[0]) == len(text) - 5 + 1
+
+    def test_read_longer_than_the_recursion_limit(self):
+        _, text, read = TestLongReads.long_case(8)
+        fm = FMIndex(text[::-1], DNA)
+        walked, reference = walk_and_reference(fm, read, 3)
+        assert_walk_matches(walked, reference)
+        assert [o.start for o in walked[0]] == [150]
+        assert walked[1].lf_steps > len(read) // 2
+
+    @pytest.mark.parametrize("min_memo_width", [1, 4])
+    def test_algorithm_a(self, monkeypatch, repeat_text, min_memo_width):
+        """A() on both loops, memo carried across three queries; at
+        ``min_memo_width=1`` the memo hook owns every one-row range, so
+        nothing is walked."""
+        patterns = [repeat_text[100:140], repeat_text[10:52], repeat_text[100:140]]
+        runs = []
+        for search in (tree_search, tree_search_by_children):
+            traces = []
+
+            def traced(fm, codes, k, phi, stats, hook, min_width, on_leaf, search=search):
+                leaves, tally = [], {}
+                extra = {"tally": tally} if search is tree_search_by_children else {}
+                traces.append((leaves, tally))
+                return search(
+                    fm, codes, k, phi, stats, hook, min_width,
+                    lambda depth, mm: leaves.append((depth, mm)), **extra
+                )
+
+            monkeypatch.setattr(algorithm_a, "tree_search", traced)
+            searcher = AlgorithmASearcher(
+                FMIndex(repeat_text[::-1], DNA), min_memo_width=min_memo_width
+            )
+            results = [searcher.search(pattern, 3) for pattern in patterns]
+            runs.append([
+                (occurrences, stats, leaves, tally)
+                for (occurrences, stats), (leaves, tally) in zip(results, traces)
+            ])
+        walked_runs, reference_runs = runs
+        for walked, reference in zip(walked_runs, reference_runs):
+            assert_walk_matches(walked, reference)
+        assert sum(stats.reuse_hits for _, stats, _, _ in walked_runs) > 0
+        steps = sum(stats.lf_steps for _, stats, _, _ in walked_runs)
+        assert (steps == 0) == (min_memo_width == 1)
 
 
 class TestLongReads:

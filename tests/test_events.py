@@ -316,13 +316,16 @@ class TestObservabilityIntegration:
         assert len(legs) == 4 * len(reads)
         assert sorted({r["shard"] for r in legs}) == [0, 1, 2, 3]
         assert OBS.metrics.counter("query.count").value == len(reads)
+        routed_hits = OBS.metrics.counter("query.occurrences").value
+        assert routed_hits == sum(len(KMismatchIndex(text).search(read, 1)) for read in reads)
         # A mapped read is two strand queries, sharded or not.
         OBS.reset()
         index.map_reads(reads, 1)
         assert OBS.metrics.counter("query.count").value == 2 * len(reads)
 
-        # 99 good queries and one bad: the same count and the same
-        # availability burn whether the target is sharded or not.
+        # 99 good queries and one bad: the same count, latency
+        # observations, hits and availability burn whether the target is
+        # sharded or not.
         objective = Objective("avail", "availability", target=99.0)
 
         def serve(served):
@@ -332,14 +335,19 @@ class TestObservabilityIntegration:
             with pytest.raises(AlphabetError):
                 served.search("acgx" * 5, 1)
             payload = OBS.metrics.to_dict()
+            metrics = OBS.metrics
             return (
-                OBS.metrics.counter("query.count").value,
-                OBS.metrics.counter("query.count", engine="algorithm_a", k=1).value,
+                metrics.counter("query.count").value,
+                metrics.counter("query.count", engine="algorithm_a", k=1).value,
                 evaluate_objective(objective, payload)["burn_rate"],
+                metrics.histogram("query.latency_ms").count,
+                metrics.histogram("query.search_ms", engine="algorithm_a", k=1).count,
+                metrics.counter("query.occurrences").value,
+                metrics.counter("query.occurrences", engine="algorithm_a", k=1).value,
             )
 
         flat = serve(KMismatchIndex(text))
-        assert flat == (99, 99, 1.0)
+        assert flat == (99, 99, 1.0, 99, 99, 39_303, 39_303)
         assert serve(index) == flat
         # The per-shard traffic stays derivable from the router's series.
         assert [

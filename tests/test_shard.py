@@ -11,6 +11,7 @@ modes), the seam-budget guards, and the ``{shard}``-labelled telemetry.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,12 @@ from repro.core.matcher import KMismatchIndex
 from repro.errors import IndexCorruptionError, PatternError
 from repro.obs import OBS
 from repro.shard import ShardManifest, ShardSpec, ShardedIndex, plan_shards
+
+
+def _shm_entries():
+    """Names in ``/dev/shm`` (empty where it does not exist)."""
+    shm = Path("/dev/shm")
+    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
 
 
 def _random_text(rnd, length, symbols="acgt"):
@@ -356,10 +363,14 @@ class TestParallelBuild:
 
         monkeypatch.setenv(_DIE_ENV, "1")
         text = self._genome()
+        before = _shm_entries()
+        # One worker builds shard 0, then dies on shard 1: shard 0's
+        # segment is written but may never be reported.
         with pytest.raises(IndexBuildError, match="exit code 17"):
             ShardedIndex.build(
                 text, self.N_SHARDS, max_pattern=32, max_k=2, build_workers=1
             )
+        assert _shm_entries() == before
         # The IndexError-family contract: catchable as ReproError and
         # as RuntimeError, like the other build/corruption failures.
         assert issubclass(IndexBuildError, ReproError)
@@ -372,12 +383,14 @@ class TestParallelBuild:
 
         monkeypatch.setenv(_DIE_ENV, "0")
         text = self._genome()
+        before = _shm_entries()
         OBS.reset().enable()
         try:
             with pytest.raises(IndexBuildError):
                 ShardedIndex.build(
                     text, self.N_SHARDS, max_pattern=32, max_k=2, build_workers=2
                 )
+            assert _shm_entries() == before
             counted = OBS.metrics.counter(
                 QUERY_ERRORS_METRIC, engine="shard_build", k=0, kind="worker"
             ).value
