@@ -36,12 +36,20 @@ from bisect import bisect_left
 from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..bwt.fmindex import FMIndex, Range
+from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..mismatch.tables import MismatchTables
 from ..obs import COUNT_BUCKETS, OBS
 from .mtree import MTree
-from .stree import Hook, LeafCallback, Mismatches, compute_phi, record_search_metrics, tree_search
+from .stree import (
+    Hook,
+    LeafCallback,
+    Mismatches,
+    RowPair,
+    compute_phi,
+    record_search_metrics,
+    tree_search,
+)
 from .types import Occurrence, SearchStats
 
 #: Chains with at most this many characters to score are compared
@@ -67,10 +75,10 @@ class _Chain:
 
     __slots__ = ("offset", "codes", "ranges", "mm_rel")
 
-    def __init__(self, offset: int, head: Range):
+    def __init__(self, offset: int, head: RowPair):
         self.offset = offset
         self.codes: List[int] = []
-        self.ranges: List[Range] = [head]
+        self.ranges: List[RowPair] = [head]
         self.mm_rel: List[int] = []
 
 
@@ -138,8 +146,8 @@ class AlgorithmASearcher:
         self._enable_reuse = enable_reuse
         self._use_phi = use_phi
         self._min_memo_width = min_memo_width
-        #: Range -> ``(record, t, gen)``: ``record`` is the range's children
-        #: (``t == -1``) or the :class:`_Chain` holding it at ``ranges[t]``;
+        #: ``(lo, hi)`` -> ``(record, t, gen)``: ``record`` is the range's
+        #: children (``t == -1``) or the :class:`_Chain` holding it at ``ranges[t]``;
         #: ``gen`` is the query that recorded it.  Insertion order is age.
         self._memo: dict = {}
         self._generation = 0
@@ -271,7 +279,7 @@ class AlgorithmASearcher:
         # it, so only that child can extend the chain.
         open_chain: Optional[_Chain] = None
 
-        def hook(rng: Range, i: int, mm: Mismatches):
+        def hook(rng: RowPair, i: int, mm: Mismatches):
             nonlocal open_chain
             chain, open_chain = open_chain, None
             hit = memo.get(rng)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..bwt.fmindex import FMIndex, Range
+from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
 
@@ -125,11 +125,11 @@ class KErrorsSearcher:
         seen: set = set()
         # Depth 0: row[j] = j (delete j pattern characters), banded at k.
         root = [j if j <= k else _INF for j in range(m + 1)]
-        stack: List[Tuple[Range, int, List[float]]] = [(fm.full_range(), 0, root)]
+        stack: List[Tuple[Tuple[int, int], int, List[float]]] = [((0, fm.n_rows), 0, root)]
         while stack:
             rng, depth, row = stack.pop()
             if row[m] <= k and depth > 0:
-                for bwt_row in range(rng.lo, rng.hi):
+                for bwt_row in range(*rng):
                     start = n - fm.suffix_position(bwt_row) - depth
                     if (start, depth) not in seen:
                         seen.add((start, depth))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..bwt.fmindex import FMIndex, Range
+from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
 from .types import Occurrence, SearchStats
@@ -75,7 +75,9 @@ def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
     monotone in the start, so each ``s_c`` is found by galloping down from
     the end and then binary search, each test an early-exit forward
     extension on the reversed-text index: O(m log m) backward-search steps
-    instead of the O(m²) of restarting a search at every offset.
+    instead of the O(m²) of restarting a search at every offset.  Each
+    step is ``C[code] + occ(code, ·)`` at both ends of the range, through
+    :meth:`FMIndex.lf_parts`.
 
     The returned list has length ``m + 1`` with ``phi[m] = 0``.
 
@@ -85,14 +87,17 @@ def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
     [2, 1, 0, 0, 0, 0]
     """
     m = len(pattern_codes)
-    full = fm_reverse.full_range()
-    extend = fm_reverse.extend
+    n_rows = fm_reverse.n_rows
+    _, occ, c_array = fm_reverse.lf_parts()
 
     def absent(start: int, end: int) -> bool:
-        rng = full
+        lo, hi = 0, n_rows
         for pos in range(start, end):
-            rng = extend(rng, pattern_codes[pos])
-            if rng.is_empty:
+            code = pattern_codes[pos]
+            base = c_array[code]
+            lo = base + occ(code, lo)
+            hi = base + occ(code, hi)
+            if hi <= lo:
                 return True
         return False
 
@@ -129,10 +134,12 @@ def compute_phi(fm_reverse: FMIndex, pattern_codes: Sequence[int]) -> List[int]:
 #: A path's mismatches: ``(pattern offset, code)`` pairs in offset order;
 #: its length is the mismatch budget the path has spent.
 Mismatches = Tuple[Tuple[int, int], ...]
-#: Children of a node: ``(code, range)`` pairs, as :meth:`FMIndex.children`.
-Children = List[Tuple[int, Range]]
+#: A BW-matrix row range ``[lo, hi)`` as a plain int pair.
+RowPair = Tuple[int, int]
+#: Children of a node: ``(code, row pair)`` tuples, as :meth:`FMIndex.children`.
+Children = List[Tuple[int, RowPair]]
 #: ``hook(rng, i, mm) -> (i, mm, children, derived)``: see :func:`tree_search`.
-Hook = Callable[[Range, int, Mismatches], Tuple[int, Mismatches, Children, bool]]
+Hook = Callable[[RowPair, int, Mismatches], Tuple[int, Mismatches, Children, bool]]
 #: ``on_leaf(depth, mm)``: called once per leaf; see :func:`tree_search`.
 LeafCallback = Callable[[int, Mismatches], None]
 
@@ -151,13 +158,13 @@ def tree_search(
 
     The one tree search behind both :class:`STreeSearcher` and Algorithm A.
     It walks an explicit stack of frames ``(range, offset, mismatches)``,
-    so its depth is bounded by memory, not by the recursion limit.  A
-    frame at offset ``m`` is a completed path: its rows are located and
-    reported.  Otherwise the φ cut applies, then the node's children are
-    scored against ``pattern[offset]``: a match keeps the budget, a
-    mismatch spends one unit, and a mismatch with no budget left is a
-    budget-cut leaf.  Children are pushed in reverse so they are explored
-    in code order.
+    each range a plain ``(lo, hi)`` pair, so its depth is bounded by
+    memory, not by the recursion limit.  A frame at offset ``m`` is a
+    completed path: its rows are located and reported.  Otherwise the φ
+    cut applies, then the node's children are scored against
+    ``pattern[offset]``: a match keeps the budget, a mismatch spends one
+    unit, and a mismatch with no budget left is a budget-cut leaf.
+    Children are pushed in reverse so they are explored in code order.
 
     ``hook``, when given, replaces ``fm.children`` on ranges at least
     ``min_width`` rows wide.  It returns ``(offset, mismatches, children,
@@ -188,14 +195,14 @@ def tree_search(
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
     lf_steps = 0
-    stack: List[Tuple[Range, int, Mismatches]] = [(fm.full_range(), 0, ())]
+    stack: List[Tuple[RowPair, int, Mismatches]] = [((0, fm.n_rows), 0, ())]
     pop = stack.pop
     push = stack.append
     while stack:
         rng, i, mm = pop()
+        lo, hi = rng
         if i == m:
             completed += 1
-            lo, hi = rng
             rows += hi - lo
             positions = tuple([pos for pos, _ in mm])
             for row in range(lo, hi):
@@ -209,11 +216,11 @@ def tree_search(
             if on_leaf is not None:
                 on_leaf(i, mm)
             continue
-        if hook is not None and rng[1] - rng[0] >= min_width:
+        if hook is not None and hi - lo >= min_width:
             i, mm, children, derived = hook(rng, i, mm)
             used = len(mm)
-        elif rng[1] - rng[0] == 1:
-            row = rng[0]
+        elif hi - lo == 1:
+            row = lo
             while True:
                 lf_steps += 1
                 code = char_code_at(row)

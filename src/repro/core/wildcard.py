@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..bwt.fmindex import FMIndex, Range
+from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
 from .types import Occurrence
@@ -77,11 +77,11 @@ class WildcardSearcher:
         m = len(wanted)
         n = fm.text_length
         out: List[Occurrence] = []
-        stack: List[Tuple[Range, int, Tuple[int, ...]]] = [(fm.full_range(), 0, ())]
+        stack: List[Tuple[Tuple[int, int], int, Tuple[int, ...]]] = [((0, fm.n_rows), 0, ())]
         while stack:
             rng, offset, mm = stack.pop()
             if offset == m:
-                for row in range(rng.lo, rng.hi):
+                for row in range(*rng):
                     out.append(Occurrence(n - fm.suffix_position(row) - m, mm))
                 continue
             want = wanted[offset]

@@ -29,7 +29,7 @@ from repro.bench.regression import (
 from repro.cli import main
 
 
-def make_document(avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120):
+def make_document(avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps=800):
     return {
         "format": BENCH_FORMAT,
         "version": BENCH_VERSION,
@@ -46,6 +46,7 @@ def make_document(avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120):
                 "avg_ms": avg_ms,
                 "stats": {
                     "rank_queries": rank_queries,
+                    "lf_steps": lf_steps,
                     "nodes_expanded": nodes,
                     "leaves": leaves,
                 },
@@ -91,6 +92,15 @@ class TestCompareRuns:
         findings = compare_runs(current, baseline)
         assert [f.metric for f in findings] == ["stats.rank_queries"]
         assert findings[0].threshold == 0.25
+
+    def test_lf_steps_regression_fails(self):
+        # Rows walked by LF are index lookups too: inflating them alone,
+        # with rank_queries unchanged, must trip the gate.
+        baseline = make_document(lf_steps=800)
+        current = make_document(lf_steps=1040)  # +30%
+        findings = compare_runs(current, baseline)
+        assert [f.metric for f in findings] == ["stats.lf_steps"]
+        assert compare_runs(make_document(lf_steps=960), baseline) == []  # +20%
 
     def test_multiple_counters_reported_separately(self):
         baseline = make_document(rank_queries=2000, nodes=500, leaves=120)

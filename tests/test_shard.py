@@ -21,10 +21,43 @@ from repro.obs import OBS
 from repro.shard import ShardManifest, ShardSpec, ShardedIndex, plan_shards
 
 
-def _shm_entries():
-    """Names in ``/dev/shm`` (empty where it does not exist)."""
-    shm = Path("/dev/shm")
-    return {p.name for p in shm.iterdir()} if shm.is_dir() else set()
+def _record_build_segments(monkeypatch):
+    """Record the shared-memory segments a parallel shard build creates.
+
+    Returns a function giving the names of the build's text segment and
+    every shard output segment derived from it (``<text>_s<id>``).  Only
+    these are checked for leaks, so segments that other processes create
+    or remove meanwhile do not matter.
+    """
+    from repro.shard import builder
+
+    created = []
+    real = builder.shared_memory
+
+    class Recording:
+        @staticmethod
+        def SharedMemory(*args, **kwargs):
+            segment = real.SharedMemory(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(segment.name)
+            return segment
+
+    monkeypatch.setattr(builder, "shared_memory", Recording)
+
+    def names(n_shards):
+        assert created, "the build created no text segment"
+        return set(created) | {
+            builder._shard_segment_name(text, shard_id)
+            for text in created
+            for shard_id in range(n_shards)
+        }
+
+    return names
+
+
+def _leaked(names):
+    """The segments in ``names`` still present in ``/dev/shm``."""
+    return {name for name in names if Path("/dev/shm", name).exists()}
 
 
 def _random_text(rnd, length, symbols="acgt"):
@@ -363,14 +396,14 @@ class TestParallelBuild:
 
         monkeypatch.setenv(_DIE_ENV, "1")
         text = self._genome()
-        before = _shm_entries()
+        segments = _record_build_segments(monkeypatch)
         # One worker builds shard 0, then dies on shard 1: shard 0's
         # segment is written but may never be reported.
         with pytest.raises(IndexBuildError, match="exit code 17"):
             ShardedIndex.build(
                 text, self.N_SHARDS, max_pattern=32, max_k=2, build_workers=1
             )
-        assert _shm_entries() == before
+        assert _leaked(segments(self.N_SHARDS)) == set()
         # The IndexError-family contract: catchable as ReproError and
         # as RuntimeError, like the other build/corruption failures.
         assert issubclass(IndexBuildError, ReproError)
@@ -383,14 +416,14 @@ class TestParallelBuild:
 
         monkeypatch.setenv(_DIE_ENV, "0")
         text = self._genome()
-        before = _shm_entries()
+        segments = _record_build_segments(monkeypatch)
         OBS.reset().enable()
         try:
             with pytest.raises(IndexBuildError):
                 ShardedIndex.build(
                     text, self.N_SHARDS, max_pattern=32, max_k=2, build_workers=2
                 )
-            assert _shm_entries() == before
+            assert _leaked(segments(self.N_SHARDS)) == set()
             counted = OBS.metrics.counter(
                 QUERY_ERRORS_METRIC, engine="shard_build", k=0, kind="worker"
             ).value
