@@ -123,13 +123,14 @@ def test_kernel_overhead(benchmark, results_dir):
             f"{median / stree_ms:.3f}",
             f"{c['rank_queries']:,}",
             f"{c['lf_steps']:,}",
+            f"{c['phi_steps']:,}",
             f"{c['nodes_expanded']:,}",
             f"{c['leaves']:,}",
             f"{c['reuse_hits']:,}",
             f"{c['chars_replayed']:,}",
         ])
     table = format_table(
-        ["engine", "ms/read", "vs S-tree", "rank queries", "LF steps", "nodes", "leaves",
+        ["engine", "ms/read", "vs S-tree", "rank queries", "LF steps", "φ steps", "nodes", "leaves",
          "reuse hits", "chars replayed"],
         rows,
         title=f"Engine layer: memo hook over the S-tree loop ({workload.name}, "

@@ -39,20 +39,16 @@ from ..sequence import PackedSequence, bits_needed
 DEFAULT_SAMPLE_RATE = 4
 
 
-def _scan_counter(buf):
-    """A ``bytes.count``-compatible tail scanner for buffers without it.
+def _slice_counter(buf):
+    """A ``bytes.count``-compatible tail counter for buffers without it.
 
-    ``memoryview`` (the zero-copy load path wraps mmap sections in one)
-    has no ``count``; the tail between two checkpoints is at most
-    ``sample_rate - 1`` elements, so a Python loop is fine there.
+    ``memoryview`` (the zero-copy load path wraps mmap and shared-memory
+    sections in one) has no ``count``; the tail between two checkpoints
+    is copied out of the view and counted at C speed.
     """
 
     def count(code: int, lo: int, hi: int) -> int:
-        n = 0
-        for j in range(lo, hi):
-            if buf[j] == code:
-                n += 1
-        return n
+        return buf[lo:hi].tolist().count(code)
 
     return count
 
@@ -154,7 +150,7 @@ class RankAll:
         instance._flat = checkpoints
         instance._totals = list(totals)
         instance._tail_count = (
-            codes.count if isinstance(codes, (bytes, bytearray)) else _scan_counter(codes)
+            codes.count if isinstance(codes, (bytes, bytearray)) else _slice_counter(codes)
         )
         return instance
 

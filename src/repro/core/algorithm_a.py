@@ -187,7 +187,7 @@ class AlgorithmASearcher:
             self.engine_name + ".search", m=m, k=k, reuse=self._enable_reuse, phi=self._use_phi
         ) as span:
             pattern_codes = fm.alphabet.encode(pattern)
-            phi = compute_phi(fm, pattern_codes) if self._use_phi else None
+            phi = compute_phi(fm, pattern_codes, k + 1, stats) if self._use_phi else None
             # Preprocessing (paper's O(m log m) term): the R tables and the
             # kangaroo oracle behind them, built lazily by ``tables`` — only
             # the kangaroo merge consults them, and most searches never do.

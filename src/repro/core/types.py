@@ -54,6 +54,10 @@ class SearchStats:
     #: on.  ``rank_queries + lf_steps`` is the node expansions that asked
     #: the index.
     lf_steps: int = 0
+    #: LF steps taken to build the φ table (:func:`~repro.core.stree.compute_phi`),
+    #: its block tests included; each is one ``occ`` probe at both ends
+    #: of a range.
+    phi_steps: int = 0
     #: Path terminations of any kind — the paper's n' (leaves of D).
     leaves: int = 0
     #: Paths that reached the full pattern length (reported occurrences).

@@ -29,7 +29,9 @@ from repro.bench.regression import (
 from repro.cli import main
 
 
-def make_document(avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps=800):
+def make_document(
+    avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps=800, phi_steps=900
+):
     return {
         "format": BENCH_FORMAT,
         "version": BENCH_VERSION,
@@ -47,6 +49,7 @@ def make_document(avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps
                 "stats": {
                     "rank_queries": rank_queries,
                     "lf_steps": lf_steps,
+                    "phi_steps": phi_steps,
                     "nodes_expanded": nodes,
                     "leaves": leaves,
                 },
@@ -101,6 +104,15 @@ class TestCompareRuns:
         findings = compare_runs(current, baseline)
         assert [f.metric for f in findings] == ["stats.lf_steps"]
         assert compare_runs(make_document(lf_steps=960), baseline) == []  # +20%
+
+    def test_phi_steps_regression_fails(self):
+        # The φ build's LF steps are index lookups the search makes
+        # before its first node.
+        baseline = make_document(phi_steps=900)
+        current = make_document(phi_steps=1170)  # +30%
+        findings = compare_runs(current, baseline)
+        assert [f.metric for f in findings] == ["stats.phi_steps"]
+        assert compare_runs(make_document(phi_steps=1080), baseline) == []  # +20%
 
     def test_multiple_counters_reported_separately(self):
         baseline = make_document(rank_queries=2000, nodes=500, leaves=120)

@@ -61,6 +61,24 @@ class TestRankAll:
             for i in range(len(bwt) + 1):
                 assert ra.occ(code, i) == bwt[:i].count(ch)
 
+    @pytest.mark.parametrize("sample_rate", [1, 3, 4])
+    def test_occ_equal_in_memory_and_mapped(self, tmp_path, sample_rate):
+        # A mapped rank table counts its tails over a memoryview, an
+        # in-memory one over bytes.
+        rng = random.Random(sample_rate)
+        for trial in range(3):
+            text = "".join(rng.choice("acgt") for _ in range(rng.randint(1, 70)))
+            built = FMIndex(text, occ_sample_rate=sample_rate)
+            path = tmp_path / f"index{trial}.bin"
+            built.save(path)
+            mapped = FMIndex.load(path, mmap=True)
+            assert isinstance(mapped._rank.codes_buffer, memoryview)
+            assert not isinstance(built._rank.codes_buffer, memoryview)
+            for code in range(built.alphabet.size):
+                assert [mapped._rank.occ(code, i) for i in range(built.n_rows + 1)] == [
+                    built._rank.occ(code, i) for i in range(built.n_rows + 1)
+                ], (text, code)
+
     def test_counts_at_matches_occ(self):
         bwt = bwt_transform("acagacagtt")
         ra = RankAll(bwt, DNA)

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.baselines.bitparallel import myers_match_ends
 from repro.baselines.naive import naive_search
 from repro.core.kerrors import KErrorsSearcher
 from repro.core import algorithm_a
+from repro.core import stree as stree_module
 from repro.core.matcher import KMismatchIndex
 from repro.core.stree import STreeSearcher, compute_phi, tree_search
 from repro.core.types import Occurrence, SearchStats
@@ -55,9 +57,10 @@ def tree_search_by_children(
     """The tree search that expands every node through ``children()``.
 
     The explicit-stack loop as it was before one-row ranges were walked
-    by LF, kept as the reference :func:`tree_search` is held to.  With a
-    ``tally`` dict it also counts, under ``"calls"``, the ``children()``
-    calls on one-row ranges: the ones the LF walk replaces.
+    by LF, kept as the reference :func:`tree_search` is held to.  Like
+    the kernel it applies the φ cut when a node's children are scored.
+    With a ``tally`` dict it also counts, under ``"calls"``, the
+    ``children()`` calls on one-row ranges: the ones the LF walk replaces.
     """
     m = len(pattern_codes)
     n = fm.text_length
@@ -68,6 +71,11 @@ def tree_search_by_children(
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
     one_row_calls = 0
     stack = [(fm.full_range(), 0, ())]
+    if phi is not None and k < phi[0]:
+        stack.clear()
+        phi_cuts += 1
+        if on_leaf is not None:
+            on_leaf(0, ())
     pop = stack.pop
     push = stack.append
     while stack:
@@ -83,11 +91,6 @@ def tree_search_by_children(
                 on_leaf(i, mm)
             continue
         used = len(mm)
-        if phi is not None and k - used < phi[i]:
-            phi_cuts += 1
-            if on_leaf is not None:
-                on_leaf(i, mm)
-            continue
         if hook is not None and rng[1] - rng[0] >= min_width:
             i, mm, children, derived = hook(rng, i, mm)
             used = len(mm)
@@ -96,6 +99,124 @@ def tree_search_by_children(
             children = children_of(rng)
             derived = False
             one_row_calls += rng[1] - rng[0] == 1
+        if not children:
+            dead += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        want = pattern_codes[i]
+        deeper = i + 1
+        kept = 0
+        for code, child in reversed(children):
+            if code == want:
+                child_mm = mm
+            elif used < k:
+                child_mm = mm + ((i, code),)
+            else:
+                budget_cuts += 1
+                if on_leaf is not None:
+                    on_leaf(i, mm + ((i, code),))
+                continue
+            kept += 1
+            if phi is not None and k - len(child_mm) < phi[deeper]:
+                phi_cuts += 1
+                if on_leaf is not None:
+                    on_leaf(deeper, child_mm)
+            else:
+                push((child, deeper, child_mm))
+        if derived:
+            replayed += kept
+        else:
+            nodes += kept
+    stats.nodes_expanded += nodes
+    stats.chars_replayed += replayed
+    stats.rank_queries += probes
+    stats.rows_located += rows
+    stats.completed_paths += completed
+    stats.phi_pruned += phi_cuts
+    stats.dead_ends += dead
+    stats.budget_pruned += budget_cuts
+    stats.leaves += completed + phi_cuts + dead + budget_cuts
+    if tally is not None:
+        tally["calls"] = tally.get("calls", 0) + one_row_calls
+    return occurrences
+
+
+def tree_search_at_pop(
+    fm, pattern_codes, k, phi, stats, hook=None, min_width=1, on_leaf=None
+):
+    """:func:`tree_search` as it was while the φ cut was made at pop time.
+
+    Every child within budget is pushed; a child below φ is cut when it
+    is popped.  Kept as the reference for moving that cut to the point
+    where the child is scored: the same answers, the same counts and the
+    same leaves, reported in another order.
+    """
+    m = len(pattern_codes)
+    n = fm.text_length
+    children_of = fm.children
+    char_code_at, occ, c_array = fm.lf_parts()
+    locate = fm.suffix_position
+    occurrences = []
+    report = occurrences.append
+    nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
+    lf_steps = 0
+    stack = [((0, fm.n_rows), 0, ())]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        rng, i, mm = pop()
+        lo, hi = rng
+        if i == m:
+            completed += 1
+            rows += hi - lo
+            positions = tuple([pos for pos, _ in mm])
+            for row in range(lo, hi):
+                report(Occurrence(n - locate(row) - m, positions))
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        used = len(mm)
+        if phi is not None and k - used < phi[i]:
+            phi_cuts += 1
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        if hook is not None and hi - lo >= min_width:
+            i, mm, children, derived = hook(rng, i, mm)
+            used = len(mm)
+        elif hi - lo == 1:
+            row = lo
+            while True:
+                lf_steps += 1
+                code = char_code_at(row)
+                if not code:  # the sentinel: the text ends here
+                    dead += 1
+                    break
+                if code != pattern_codes[i]:
+                    mm += ((i, code),)
+                    if used >= k:
+                        budget_cuts += 1
+                        break
+                    used += 1
+                row = c_array[code] + occ(code, row)
+                i += 1
+                nodes += 1
+                if i == m:
+                    completed += 1
+                    rows += 1
+                    report(Occurrence(n - locate(row) - m, tuple([pos for pos, _ in mm])))
+                    break
+                if phi is not None and k - used < phi[i]:
+                    phi_cuts += 1
+                    break
+            if on_leaf is not None:
+                on_leaf(i, mm)
+            continue
+        else:
+            probes += 1
+            children = children_of(rng)
+            derived = False
         if not children:
             dead += 1
             if on_leaf is not None:
@@ -122,14 +243,13 @@ def tree_search_by_children(
     stats.nodes_expanded += nodes
     stats.chars_replayed += replayed
     stats.rank_queries += probes
+    stats.lf_steps += lf_steps
     stats.rows_located += rows
     stats.completed_paths += completed
     stats.phi_pruned += phi_cuts
     stats.dead_ends += dead
     stats.budget_pruned += budget_cuts
     stats.leaves += completed + phi_cuts + dead + budget_cuts
-    if tally is not None:
-        tally["calls"] = tally.get("calls", 0) + one_row_calls
     return occurrences
 
 
@@ -137,6 +257,25 @@ def assert_phi_matches_definition(text, pattern):
     fm = FMIndex(text[::-1], DNA)
     codes = DNA.encode(pattern)
     assert compute_phi(fm, codes) == phi_by_definition(fm, codes), (text, pattern)
+
+
+def assert_capped_phi(fm, codes, k):
+    """The capped table's contract, against φ by its definition."""
+    cap = k + 1
+    full = phi_by_definition(fm, codes)
+    stats = SearchStats()
+    capped = compute_phi(fm, codes, cap, stats)
+    assert len(capped) == len(codes) + 1 and capped[-1] == 0
+    assert all(0 <= c <= f for c, f in zip(capped, full))
+    assert capped[0] >= min(full[0], cap)
+    if capped[0] < cap:
+        assert capped == [min(f, cap) for f in full]
+    # Every φ cut the search asks about is decided the same.
+    for i, (c, f) in enumerate(zip(capped, full)):
+        for used in range(k + 1):
+            if i == 0 and used == 0 or capped[0] < cap:
+                assert (k - used < c) == (k - used < f)
+    return capped, stats
 
 
 class TestPhi:
@@ -172,7 +311,9 @@ class TestPhi:
             )
             assert phi[i] <= best
 
-    def test_matches_definition_on_random_inputs(self):
+    @staticmethod
+    def random_cases():
+        """300 seeded (text, pattern) pairs."""
         rng = random.Random(15)
         for _ in range(300):
             alphabet = rng.choice(["acgt", "acg", "ac"])
@@ -187,7 +328,24 @@ class TestPhi:
                 pattern = "".join(window)
             else:
                 pattern = random_dna(rng, rng.randint(1, 40))
+            yield text, pattern
+
+    def test_matches_definition_on_random_inputs(self):
+        for text, pattern in self.random_cases():
             assert_phi_matches_definition(text, pattern)
+
+    def test_capped_on_random_inputs(self):
+        root_cut = below_cap = 0
+        for text, pattern in self.random_cases():
+            fm = FMIndex(text[::-1], DNA)
+            codes = DNA.encode(pattern)
+            for k in sorted({0, 1, 3, len(pattern)}):
+                capped, _ = assert_capped_phi(fm, codes, k)
+                if capped[0] > k:
+                    root_cut += 1
+                else:
+                    below_cap += 1
+        assert root_cut > 100 and below_cap > 100
 
     @pytest.mark.parametrize(
         "text, pattern",
@@ -227,11 +385,135 @@ class TestPhi:
 
         fm.lf_parts = lambda: (char_code_at, counting_occ, c_array)
         m = 100
-        phi = compute_phi(fm, DNA.encode(text[1200:1200 + m]))
+        stats = SearchStats()
+        phi = compute_phi(fm, DNA.encode(text[1200:1200 + m]), stats=stats)
         assert phi == [0] * (m + 1)
         # Each extension is two occ probes, one per end of the range.
         extensions = calls // 2
         assert 0 < extensions <= 4 * m
+        assert stats.phi_steps == extensions
+
+    @pytest.mark.parametrize(
+        "text, pattern, k",
+        [
+            ("acgtacgtta", "ttac", 0),  # k = 0: one block, the whole pattern
+            ("acgtacgtta", "tttt", 0),
+            ("acgaca", "tt", 2),  # k >= m
+            ("acgaca", "tt", 5),
+            ("acgaca", "tttg", 3),  # m = k + 1: one-character blocks
+            ("acgaca", "ttg", 3),  # m < k + 1
+            ("acacacac", "gggtttggg", 2),  # every block absent
+            ("acgacgacg", "acgtttggg", 2),  # only the first block present
+            ("a" * 50, "a" * 30, 2),  # homopolymer, occurs in full
+            ("a" * 50, "aaaacaaaaaaaaaacaaaa", 0),  # homopolymer with breaks
+            ("a" * 50, "aaaacaaaaaaaaaacaaaa", 1),
+            ("a" * 50, "aaaacaaaaaaaaaacaaaa", 2),
+            ("a" * 50, "aaaacaaaaaaaaaacaaaa", 3),
+        ],
+    )
+    def test_capped_on_edge_cases(self, text, pattern, k):
+        fm = FMIndex(text[::-1], DNA)
+        codes = DNA.encode(pattern)
+        capped, stats = assert_capped_phi(fm, codes, k)
+        assert stats.phi_steps > 0
+        assert compute_phi(fm, codes) == phi_by_definition(fm, codes)
+
+    def test_block_certificate(self):
+        # Blocks ggg | ttt | ggg are all absent: the table counts them,
+        # one step each, and no chain is built.
+        fm = FMIndex("acacacac"[::-1], DNA)
+        stats = SearchStats()
+        phi = compute_phi(fm, DNA.encode("gggtttggg"), 3, stats)
+        assert phi == [3, 2, 2, 2, 1, 1, 1, 0, 0, 0]
+        assert stats.phi_steps == 3
+        assert compute_phi(fm, DNA.encode("gggtttggg"))[0] == 9
+
+    def test_only_the_first_block_present(self):
+        # ggg and ttt are absent, acg occurs: the chain is built and stops
+        # after three links.
+        fm = FMIndex("acgacgacg"[::-1], DNA)
+        codes = DNA.encode("acgtttggg")
+        phi = compute_phi(fm, codes, 3)
+        assert phi == [min(v, 3) for v in phi_by_definition(fm, codes)]
+        assert phi[0] == 3
+
+    def test_certificate_ends_the_search_at_the_root(self):
+        # No block of the pattern occurs: both searchers cut the root and
+        # ask the index nothing beyond one step per block.
+        for searcher in (make_searcher("acacacacac"), AlgorithmASearcher(
+                FMIndex("acacacacac"[::-1], DNA))):
+            occs, stats = searcher.search("gtgtgtgt", 1)
+            assert occs == []
+            assert stats.leaves == stats.phi_pruned == 1
+            assert stats.nodes_expanded == stats.rank_queries == stats.lf_steps == 0
+            assert stats.phi_steps == 2
+
+
+def make_fm(text, backend, tmp_path):
+    """An index of ``text`` on one rank backend, or opened by mmap."""
+    if backend == "mmap":
+        path = tmp_path / f"index{len(list(tmp_path.iterdir()))}.bin"
+        KMismatchIndex(text).save(path)
+        return KMismatchIndex.open(path, mmap=True).fm_index
+    return FMIndex(text[::-1], DNA, rank_backend=backend)
+
+
+class TestPhiAtScoring:
+    """:func:`tree_search` cuts a child below φ when it is scored, and the
+    searchers cap φ at k + 1; both are held to the pop-time loop over the
+    full φ table: the same answers, counts and leaves."""
+
+    @pytest.mark.parametrize("backend", ["rankall", "wavelet", "mmap"])
+    def test_matches_pop_time_loop(self, rng, tmp_path, backend):
+        cuts = 0
+        for text, pattern, k, use_phi in TestLFWalk.random_cases(rng, 40):
+            fm = make_fm(text, backend, tmp_path)
+            codes = fm.alphabet.encode(pattern)
+            runs = []
+            for search, cap in ((tree_search, k + 1), (tree_search_at_pop, None)):
+                phi = compute_phi(fm, codes, cap) if use_phi else None
+                stats, leaves = SearchStats(), []
+                occurrences = search(
+                    fm, codes, k, phi, stats,
+                    on_leaf=lambda depth, mm: leaves.append((depth, mm))
+                )
+                runs.append((sorted(occurrences), stats.to_dict(), Counter(leaves)))
+            assert runs[0] == runs[1], (text, pattern, k, use_phi)
+            cuts += runs[0][1]["phi_pruned"]
+        assert cuts > 0
+
+    @pytest.mark.parametrize("backend", ["rankall", "wavelet", "mmap"])
+    def test_searchers_match_pop_time_loop(self, monkeypatch, repeat_text, tmp_path, backend):
+        """Both searchers, A() with its M-tree and a memo carried across
+        queries, against the same searchers running the pop-time loop."""
+        patterns = [repeat_text[100:140], repeat_text[10:52], "ttttt" + repeat_text[60:95]]
+        fm = make_fm(repeat_text, backend, tmp_path)
+        runs = []
+        for search in (tree_search, tree_search_at_pop):
+            leaves = []
+
+            def traced(fm, codes, k, phi, stats, hook=None, min_width=1, on_leaf=None,
+                       search=search, leaves=leaves):
+                def record(depth, mm):
+                    leaves.append((depth, mm))
+                    if on_leaf is not None:
+                        on_leaf(depth, mm)
+
+                return search(fm, codes, k, phi, stats, hook, min_width, record)
+
+            monkeypatch.setattr(stree_module, "tree_search", traced)
+            monkeypatch.setattr(algorithm_a, "tree_search", traced)
+            stree = STreeSearcher(fm)
+            a = AlgorithmASearcher(fm, record_mtree=True)
+            results = []
+            for pattern in patterns:
+                for searcher in (stree, a):
+                    occurrences, stats = searcher.search(pattern, 3)
+                    results.append((occurrences, stats.to_dict()))
+                results.append(a.last_mtree.render())
+            runs.append((results, Counter(leaves)))
+        assert runs[0] == runs[1]
+        assert sum(r[1]["phi_pruned"] for r in runs[0][0] if isinstance(r, tuple)) > 0
 
 
 def walk_and_reference(fm, pattern, k, use_phi=True):
