@@ -14,19 +14,26 @@ compared
 All three must return identical occurrences; the cached run must report
 cross-query memo hits.  Reads/sec for each mode land in
 ``benchmarks/results/batch_throughput.json``.
+
+``workers`` is an upper bound (:func:`repro.engine.executor.pool_size`):
+a batch runs on the pool only when every worker gets at least
+``MIN_ITEMS_PER_WORKER`` items.  ``test_pool_break_even`` is the sweep
+that constant is taken from (``batch_break_even.{txt,json}``).
 """
 
 from __future__ import annotations
 
 import json
 import random
+import statistics
 import time
 
 import pytest
 
 from repro.bench.reporting import format_table
+from repro.bench.workloads import fig11_workload
 from repro.core.matcher import KMismatchIndex
-from repro.engine import BatchExecutor
+from repro.engine import BatchExecutor, executor
 
 from conftest import write_json_result, write_result
 
@@ -78,7 +85,10 @@ def test_batch_throughput(benchmark, results_dir):
         measured["cached"] = time.perf_counter() - start
         measured["shared_reuse_hits"] = stats.shared_reuse_hits
 
-        # Process pool: each worker hydrates the index from shared memory.
+        # Process pool (workers is an upper bound, so this is the path
+        # the executor picks): each worker hydrates the index from shared
+        # memory.
+        measured["pool_workers"] = executor.pool_size(WORKERS, N_READS)
         start = time.perf_counter()
         parallel = index.search_batch(reads, K, workers=WORKERS)
         measured["parallel"] = time.perf_counter() - start
@@ -104,7 +114,8 @@ def test_batch_throughput(benchmark, results_dir):
         rows,
         title=(
             f"E1: {N_READS} reads x {READ_LENGTH} bp, k={K} on {len(text):,} bp "
-            f"(workers={WORKERS}, shared memo hits={measured['shared_reuse_hits']:,})"
+            f"(workers={WORKERS}, pool of {measured['pool_workers']}, "
+            f"shared memo hits={measured['shared_reuse_hits']:,})"
         ),
     )
     write_result(results_dir, "batch_throughput", table)
@@ -117,6 +128,7 @@ def test_batch_throughput(benchmark, results_dir):
         "k": K,
         "genome_bp": len(text),
         "workers": WORKERS,
+        "pool_workers": measured["pool_workers"],
         "seconds": {m: measured[m] for m in ("sequential", "cached", "parallel")},
         "reads_per_sec": throughput,
         "shared_reuse_hits": measured["shared_reuse_hits"],
@@ -199,7 +211,7 @@ HIGH_HIT_K = 1
 
 
 @pytest.mark.benchmark(group="batch-throughput")
-def test_high_hit_return_path(benchmark, results_dir):
+def test_high_hit_return_path(benchmark, results_dir, monkeypatch):
     """E1c — high-hit process batches: shared-memory arena vs pickle queue.
 
     Each process-mode run returns the same ~10^5 occurrences; the only
@@ -207,7 +219,9 @@ def test_high_hit_return_path(benchmark, results_dir):
     the shared-memory result arena versus pickling every occurrence
     list through the result queue.  Results must be byte-identical to
     the serial run either way; the ``return_path`` each run actually
-    took is recorded per row.
+    took is recorded per row.  The batch is below the pool's break-even
+    size, so both process rows lower ``MIN_ITEMS_PER_WORKER`` to 1 to
+    reach the pool; the CPU count still caps it.
     """
     rng = random.Random(23)
     unit = "".join(rng.choice("acgt") for _ in range(HIGH_HIT_UNIT))
@@ -216,6 +230,7 @@ def test_high_hit_return_path(benchmark, results_dir):
     reads = [unit[i : i + HIGH_HIT_UNIT - 6] for i in range(6)] * (HIGH_HIT_READS // 6)
     measured = {}
     paths = {}
+    monkeypatch.setattr(executor, "MIN_ITEMS_PER_WORKER", 1)
 
     def run_all():
         start = time.perf_counter()
@@ -228,6 +243,7 @@ def test_high_hit_return_path(benchmark, results_dir):
             index, reads, HIGH_HIT_K
         )
         measured["process_arena"] = time.perf_counter() - start
+        measured["pool_workers"] = arena.workers
         paths["process_arena"] = arena.extra["return_path"]
         measured["arena_records"] = arena.extra["arena_records"]
 
@@ -238,6 +254,7 @@ def test_high_hit_return_path(benchmark, results_dir):
         measured["process_queue"] = time.perf_counter() - start
         paths["process_queue"] = queue.extra["return_path"]
 
+        assert arena.mode == queue.mode == "process"
         assert paths["process_arena"] == "arena"
         assert paths["process_queue"] == "queue"
         # Byte-identical results regardless of return path.
@@ -259,6 +276,7 @@ def test_high_hit_return_path(benchmark, results_dir):
         title=(
             f"E1c: {len(reads)} reads, k={HIGH_HIT_K} on a {len(text):,} bp tandem "
             f"repeat — {measured['total_hits']:,} hits (workers={WORKERS}, "
+            f"pool of {measured['pool_workers']}, "
             f"arena records={measured['arena_records']:,})"
         ),
     )
@@ -274,6 +292,7 @@ def test_high_hit_return_path(benchmark, results_dir):
         "k": HIGH_HIT_K,
         "genome_bp": len(text),
         "workers": WORKERS,
+        "pool_workers": measured["pool_workers"],
         "total_hits": measured["total_hits"],
         "arena_records": measured["arena_records"],
         "return_path": {m: paths[m] for m in modes},
@@ -282,3 +301,134 @@ def test_high_hit_return_path(benchmark, results_dir):
         "arena_speedup_vs_queue": measured["process_queue"] / measured["process_arena"],
     }
     write_json_result(results_dir, "batch_throughput", payload)
+
+
+# Break-even sweep: batch sizes, and alternating serial / pool pairs
+# timed per size (the host's speed swings, so each pair is a ratio).
+BREAK_EVEN_SIZES = (4, 8, 16, 32, 64, 128, 256)
+BREAK_EVEN_PAIRS = 5
+
+
+def break_even_read_sets():
+    """(name, target, reads, k): the Fig. 11(a) Rat stand-in with 100 bp
+    reads at k=4, and the high-hit tandem repeat (500 copies of a 240 bp
+    unit) with 60 bp reads at k=2."""
+    n = max(BREAK_EVEN_SIZES)
+    rat = fig11_workload(read_length=100, n_reads=n)
+    tandem = repeat_genome(units=500, unit_length=240, divergence=0.002)
+    return [
+        ("rat-100bp-k4", rat.genome, rat.reads, 4),
+        ("tandem-60bp-k2", tandem, simulated_reads(tandem, n, 60), 2),
+    ]
+
+
+def timed_map(index, reads, k, workers):
+    """(seconds, BatchResult) of one map batch from a cold memo, as each
+    pool worker starts."""
+    index.engine("algorithm_a").clear_memo()
+    start = time.perf_counter()
+    batch = BatchExecutor(workers=workers).run_map(index, reads, k)
+    return time.perf_counter() - start, batch
+
+
+def break_even_size(rows):
+    """Smallest swept batch size from which the pool is faster at every
+    larger size (``None`` if it never is)."""
+    size = None
+    for row in reversed(rows):
+        if row["pool_over_serial"] >= 1:
+            break
+        size = row["items"]
+    return size
+
+
+@pytest.mark.benchmark(group="batch-throughput")
+def test_pool_break_even(benchmark, results_dir, monkeypatch):
+    """Where the process pool starts to beat the serial path.
+
+    For each read set and batch size, serial and the pool (forced, at
+    ``workers`` = usable CPUs) are timed in alternating pairs; the pool
+    must return exactly the serial results.  The batch is then run once
+    more as the executor chooses, which must follow
+    :func:`~repro.engine.executor.pool_size`.  ``MIN_ITEMS_PER_WORKER``
+    is the Rat set's break-even size divided by the worker count.
+    """
+    workers = max(2, executor.usable_cpus())
+    sweep = {}
+
+    def run_all():
+        for name, text, reads, k in break_even_read_sets():
+            index = KMismatchIndex(text)
+            rows = []
+            for size in BREAK_EVEN_SIZES:
+                batch_reads = reads[:size]
+                serial_s, pool_s = [], []
+                for pair in range(BREAK_EVEN_PAIRS):
+                    for path in ("serial", "pool")[:: -1 if pair % 2 else 1]:
+                        if path == "serial":
+                            seconds, serial = timed_map(index, batch_reads, k, 0)
+                            serial_s.append(seconds)
+                        else:
+                            with monkeypatch.context() as patch:
+                                patch.setattr(executor, "MIN_ITEMS_PER_WORKER", 1)
+                                seconds, pooled = timed_map(index, batch_reads, k, workers)
+                            pool_s.append(seconds)
+                            assert pooled.mode == "process"
+                    assert pooled.results == serial.results
+                chosen = BatchExecutor(workers=workers).run_map(index, batch_reads, k)
+                expected = executor.pool_size(workers, size)
+                assert chosen.workers == expected
+                assert chosen.mode == ("process" if expected > 1 else "serial")
+                assert chosen.results == serial.results
+                rows.append({
+                    "items": size,
+                    "serial_ms": [s * 1e3 for s in serial_s],
+                    "pool_ms": [s * 1e3 for s in pool_s],
+                    "pool_over_serial": statistics.median(
+                        p / s for p, s in zip(pool_s, serial_s)
+                    ),
+                    "hits": sum(len(hits) for hits in serial.results),
+                    "rule": chosen.mode,
+                })
+            sweep[name] = {"k": k, "read_length": len(reads[0]),
+                           "genome_bp": len(text), "rows": rows,
+                           "break_even_items": break_even_size(rows)}
+
+    benchmark.pedantic(run_all, rounds=1, iterations=1)
+
+    table_rows = [
+        [name, row["items"], f"{row['hits']:,}",
+         f"{statistics.median(row['serial_ms']):.1f}",
+         f"{statistics.median(row['pool_ms']):.1f}",
+         f"{row['pool_over_serial']:.2f}", row["rule"]]
+        for name, result in sweep.items()
+        for row in result["rows"]
+    ]
+    rat_break_even = sweep["rat-100bp-k4"]["break_even_items"]
+    derived = None if rat_break_even is None else rat_break_even // workers
+    table = format_table(
+        ["read set", "items", "hits", "serial ms", "pool ms", "pool/serial", "rule runs"],
+        table_rows,
+        title=(
+            f"Pool break-even: serial vs {workers}-worker pool, map batches from a "
+            f"cold memo (median of {BREAK_EVEN_PAIRS} alternating pairs)"
+        ),
+    )
+    table += "".join(
+        f"\n{name}: pool faster from "
+        + (f"{result['break_even_items']} items" if result["break_even_items"]
+           else f"no swept size (up to {max(BREAK_EVEN_SIZES)})")
+        for name, result in sweep.items()
+    )
+    table += (
+        f"\nMIN_ITEMS_PER_WORKER: {executor.MIN_ITEMS_PER_WORKER} committed; "
+        f"this sweep gives {derived} (Rat break-even / {workers} workers)."
+    )
+    write_result(results_dir, "batch_break_even", table)
+    write_json_result(results_dir, "batch_break_even", {
+        "workers": workers,
+        "pairs": BREAK_EVEN_PAIRS,
+        "min_items_per_worker": executor.MIN_ITEMS_PER_WORKER,
+        "derived_min_items_per_worker": derived,
+        "read_sets": sweep,
+    })

@@ -16,8 +16,10 @@ counts the collections it sets off and the objects the memo leaves
 tracked.
 
 Workload: Fig. 11(a) set-up at k=4 (Rat stand-in, 100 bp reads).  Ten
-runs, the two no-memo engines alternating in order from run to run;
-times are the median per-read cost over the ten runs.
+runs; times are the median per-read cost over the ten runs.  The two
+no-memo engines are timed read by read, alternating which goes first,
+so a swing in the host's speed lands on both rather than on whichever
+engine's pass it falls in.
 """
 
 from __future__ import annotations
@@ -54,6 +56,26 @@ def timed(searcher, reads):
         totals = stats if totals is None else totals.merge(stats)
     elapsed = time.perf_counter() - start
     return elapsed * 1e3 / len(reads), totals.to_dict(), found
+
+
+def interleaved(engines, reads, run):
+    """``{label: (ms per read, summed counts, occurrences)}`` for two
+    engines timed read by read, the first to go alternating per read."""
+    gc.collect()
+    elapsed = {label: 0.0 for label, _ in engines}
+    totals = dict.fromkeys(elapsed)
+    found = {label: [] for label in elapsed}
+    for i, read in enumerate(reads):
+        for label, searcher in engines[::-1] if (run + i) % 2 else engines:
+            start = time.perf_counter()
+            occs, stats = searcher.search(read, K)
+            elapsed[label] += time.perf_counter() - start
+            found[label].append(occs)
+            totals[label] = stats if totals[label] is None else totals[label].merge(stats)
+    return {
+        label: (elapsed[label] * 1e3 / len(reads), totals[label].to_dict(), found[label])
+        for label in elapsed
+    }
 
 
 def collector_load(fm, reads):
@@ -93,8 +115,7 @@ def test_kernel_overhead(benchmark, results_dir):
         for run in range(RUNS):
             engines = [("S-tree", STreeSearcher(fm)),
                        ("A(), hook off", AlgorithmASearcher(fm, enable_reuse=False))]
-            for label, searcher in engines[::-1] if run % 2 else engines:
-                ms, counts[label], found = timed(searcher, reads)
+            for label, (ms, counts[label], found) in interleaved(engines, reads, run).items():
                 times[label].append(ms)
                 assert found == answer
             searcher = AlgorithmASearcher(fm)

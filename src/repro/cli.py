@@ -912,8 +912,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     p_map.add_argument("--reference-name", default="target", help="@SQ record name")
     p_map.add_argument("--workers", type=int, default=0,
-                       help="fan the read batch out over N worker processes "
-                            "(0/1 = serial)")
+                       help="fan the read batch out over at most N worker "
+                            "processes: no more than the usable CPUs, and only "
+                            "with enough reads per worker to beat the serial "
+                            "path (0/1 = serial)")
     p_map.add_argument("--chunk-size", type=int, default=0,
                        help="reads per worker chunk (0 = automatic)")
     _add_obs_flags(p_map)

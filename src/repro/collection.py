@@ -107,8 +107,8 @@ class SequenceCollection:
 
         Each record's batch runs through its index's
         :meth:`~repro.core.matcher.KMismatchIndex.search_batch` — the
-        cached engine (and, with ``workers > 1``, the parallel batch
-        executor) per record.  Result lists are ordered by record, then
+        cached engine (and, for large enough batches with ``workers > 1``,
+        the process pool) per record.  Result lists are ordered by record, then
         position, like :meth:`search`.
         """
         patterns = list(patterns)

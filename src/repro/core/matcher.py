@@ -398,11 +398,14 @@ class KMismatchIndex:
     ) -> List[List[ReadHit]]:
         """Map a read batch; ``result[i]`` is read ``i``'s hit list.
 
-        ``workers > 1`` fans chunks out over the process pool (see
-        :class:`repro.engine.BatchExecutor`); the serial path runs
-        every read through the one cached engine so Algorithm A's
-        persistent memo carries derivations across the whole batch.
-        Result order matches input order either way.
+        ``workers`` is an upper bound on process-pool workers (see
+        :func:`repro.engine.executor.pool_size`): the batch fans chunks
+        out over ``min(workers, usable CPUs, len(reads) //
+        MIN_ITEMS_PER_WORKER)`` workers when that is at least 2.
+        Otherwise it runs serially, every read through the one cached
+        engine, so Algorithm A's persistent memo carries derivations
+        across the whole batch.  Result order matches input order
+        either way.
         """
         from ..engine.executor import BatchExecutor
 
@@ -433,10 +436,11 @@ class KMismatchIndex:
     ) -> Tuple[Dict[str, List[Occurrence]], SearchStats]:
         """Like :meth:`search_batch`, also returning batch-merged stats.
 
-        The batch is executed through :class:`repro.engine.BatchExecutor`:
-        serially over the cached engine when ``workers <= 1``, else
-        chunked over the process pool with deterministic, input-ordered
-        results.
+        The batch is executed through :class:`repro.engine.BatchExecutor`,
+        with ``workers`` an upper bound as in :meth:`map_reads`:
+        chunked over the process pool when the batch is large enough
+        for at least two workers, else serially over the cached engine.
+        Results are deterministic and input-ordered either way.
         """
         from ..engine.executor import BatchExecutor
 

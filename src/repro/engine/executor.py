@@ -4,16 +4,21 @@ The many-pattern setting is the one the paper (and the related
 k-mismatch literature) argues matters in practice: a fixed target, a
 stream of reads.  :class:`BatchExecutor` runs a read batch
 
-* **serially** (``workers <= 1``) through the index's *cached* engine,
-  so Algorithm A's persistent pair memo carries range derivations from
-  one read to the next;
-* on a **process pool** (``workers > 1``), placing the zero-copy binary
-  index blob (:mod:`repro.io.binfmt`) in
-  :mod:`multiprocessing.shared_memory` once and letting every worker
-  re-hydrate from it in O(header) — true CPU parallelism without
-  per-worker deserialization cost.  Indexes the binary format cannot
-  hold (non-rankall rank backends) fall back to the JSON payload, still
-  shipped through the one shared segment.
+* **serially** through the index's *cached* engine, so Algorithm A's
+  persistent pair memo carries range derivations from one read to the
+  next;
+* on a **process pool**, placing the zero-copy binary index blob
+  (:mod:`repro.io.binfmt`) in :mod:`multiprocessing.shared_memory` once
+  and letting every worker re-hydrate from it in O(header) — true CPU
+  parallelism without per-worker deserialization cost.  Indexes the
+  binary format cannot hold (non-rankall rank backends) fall back to the
+  JSON payload, still shipped through the one shared segment.
+
+``workers`` is an upper bound.  A batch of ``n`` items runs on
+``min(workers, usable CPUs, n // MIN_ITEMS_PER_WORKER)`` pool workers
+when that is at least 2, and serially otherwise (:func:`pool_size`).
+The choice depends only on those three numbers, never on timing, so
+the same batch always takes the same path.
 
 Workers resolve engines through their own copy of the registry.
 Under a ``spawn`` start method they see only engines registered at
@@ -117,6 +122,37 @@ class _WorkerWatchdog(threading.Thread):
 #: per-chunk engine construction.
 _CHUNKS_PER_WORKER = 4
 
+#: Fewest batch items each pool worker must get for the process pool to
+#: run at all.  Below it the pool's fixed cost (worker start-up, index
+#: hydration, a cold memo per worker, result transfer) outweighs the
+#: search time it spreads out, and the batch runs serially.  Taken from
+#: the break-even sweep ``benchmarks/bench_batch_throughput.py``
+#: ``test_pool_break_even`` (``benchmarks/results/batch_break_even.txt``):
+#: on 2 CPUs a 2-worker pool first beat serial on 16-read Rat batches
+#: (100 bp, k=4).  High-hit batches lose on the pool at every swept size.
+MIN_ITEMS_PER_WORKER = 8
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(_os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return _os.cpu_count() or 1
+
+
+def pool_size(workers: int, n_items: int) -> int:
+    """Pool workers a batch of ``n_items`` runs on under the ``workers``
+    bound; 1 means the serial path.
+
+    >>> pool_size(0, 1000)
+    1
+    >>> pool_size(2, MIN_ITEMS_PER_WORKER)  # one worker's worth of items
+    1
+    """
+    size = min(workers, usable_cpus(), n_items // MIN_ITEMS_PER_WORKER)
+    return size if size >= 2 else 1
+
 
 @dataclass
 class BatchResult:
@@ -140,12 +176,14 @@ class BatchExecutor:
     Parameters
     ----------
     workers:
-        ``<= 1`` runs serially (through the index's cached, memo-bearing
-        engine); larger values fan chunks out over the process pool,
-        which hydrates the index per worker from one shared-memory
-        binary blob in O(header) and pulls chunks from a dynamic task
-        queue — it pays a process startup cost and in exchange escapes
-        the GIL.
+        Upper bound on pool workers.  A batch runs on
+        :func:`pool_size` workers: ``min(workers, usable CPUs,
+        len(items) // MIN_ITEMS_PER_WORKER)``.  Below 2 it runs serially
+        (through the index's cached, memo-bearing engine); otherwise it
+        fans chunks out over the process pool, which hydrates the index
+        per worker from one shared-memory binary blob in O(header) and
+        pulls chunks from a dynamic task queue — it pays a process
+        startup cost and in exchange escapes the GIL.
     mode:
         ``"process"``, the only pool there is.  Kept so existing
         ``mode="process"`` callers keep working; any other value raises
@@ -233,8 +271,8 @@ class BatchExecutor:
     # -- internals ------------------------------------------------------------
 
     def _run(self, index, kind: str, items: List[str], k: int, method: str) -> BatchResult:
-        parallel = self.workers > 1 and len(items) > 1
-        workers = min(self.workers, len(items)) if parallel else 1
+        workers = pool_size(self.workers, len(items))
+        parallel = workers > 1
         # One correlation id per batch run, threaded into the result's
         # ``extra`` and the batch's telemetry record — a
         # BatchResult in hand resolves to its telemetry via
@@ -289,7 +327,7 @@ class BatchExecutor:
         chunks = [items[i : i + size] for i in range(0, len(items), size)]
         extra: Dict[str, object] = {}
         chunk_results = self._map_process(
-            index, kind, chunks, k, method, extra, batch_trace_id
+            index, kind, chunks, k, method, workers, extra, batch_trace_id
         )
         results: List[object] = []
         stats = SearchStats()
@@ -301,7 +339,7 @@ class BatchExecutor:
             extra=extra,
         )
 
-    def _map_process(self, index, kind, chunks, k, method, extra,
+    def _map_process(self, index, kind, chunks, k, method, workers, extra,
                      batch_trace_id=None):
         from .registry import REGISTRY
 
@@ -311,7 +349,7 @@ class BatchExecutor:
         except SerializationError:
             blob = index.dumps().encode("utf-8")
             transfer = "shm-json"
-        workers = min(self.workers, len(chunks))
+        workers = min(workers, len(chunks))
         observe = OBS.enabled
         engine_name = REGISTRY.canonical_name(method)
         watchdog = _WorkerWatchdog(
@@ -635,6 +673,10 @@ def _pool_worker(
     the chunk's ObsDelta payload home (idle queue-wait samples between
     chunks are deliberately not shipped — only attributed work is).
     """
+    # Move the heap inherited over fork out of the collector's sight, so
+    # this worker's collections (and its exit collect) walk only what it
+    # allocates itself.
+    _gc.freeze()
     from multiprocessing import shared_memory
 
     from ..core.matcher import KMismatchIndex

@@ -117,9 +117,10 @@ def map_pairs(
 
     All mates are mapped in one batch through
     :meth:`~repro.core.matcher.KMismatchIndex.map_reads`, so Algorithm A's
-    cross-query memo (serial) or the process pool (``workers > 1``) serves
-    the whole pair set; the concordance pass then runs per pair.  Results
-    match calling :func:`map_pair` pair-by-pair exactly.
+    cross-query memo (serial) or the process pool (``workers > 1`` and a
+    large enough batch) serves the whole pair set; the concordance pass
+    then runs per pair.  Results match calling :func:`map_pair`
+    pair-by-pair exactly.
     """
     for read1, read2 in pairs:
         if len(read1) != len(read2):

@@ -19,7 +19,8 @@ when pointed at a ``REPROSHD`` manifest — every registered engine and
 every CLI query path works unchanged over shards.  A single query
 visits the shards one after another; batch queries reuse
 :class:`~repro.engine.BatchExecutor` per shard (serial, or the
-shared-memory process pool when ``workers > 1``), tagging worker
+shared-memory process pool when ``workers`` and the batch size allow
+it), tagging worker
 telemetry with the ``{shard}`` label.  The router observes each routed
 query once in ``query.count``, ``query.latency_ms``, ``query.search_ms``
 and ``query.occurrences`` (its shard legs do not), and its own
@@ -63,9 +64,10 @@ class QueryRouter:
         The index whose shards are routed over.
     workers / chunk_size:
         Batch knobs.  Batch queries hand the whole batch to one
-        :class:`~repro.engine.BatchExecutor` per shard, serial when
-        ``workers <= 1`` and on the shared-memory process pool
-        otherwise, exactly as for an unsharded batch — each shard's
+        :class:`~repro.engine.BatchExecutor` per shard, with
+        ``workers`` an upper bound exactly as for an unsharded batch:
+        the shared-memory process pool when the batch is large enough
+        for at least two workers, serial otherwise — each shard's
         workers hydrate that shard's binary blob zero-copy.  Single
         queries visit the shards serially.
 

@@ -48,3 +48,18 @@ def repeat_text() -> str:
                 copy[i] = rnd.choice("acgt")
         parts.append("".join(copy))
     return "".join(parts)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Send every ``workers > 1`` batch of two or more items to the
+    process pool, as the executor did before its break-even rule.
+
+    Pool tests use tiny batches that the rule would run serially; one
+    item per worker suffices here, and the host's CPU count does not cap
+    the pool, so ``workers`` alone sets its size on any host.
+    """
+    from repro.engine import executor
+
+    monkeypatch.setattr(executor, "MIN_ITEMS_PER_WORKER", 1)
+    monkeypatch.setattr(executor, "usable_cpus", lambda: 1 << 10)

@@ -248,6 +248,7 @@ class TestCorruption:
         assert binfmt.sniff(tmp_path / "missing") is False
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestSharedMemoryTransfer:
     """Process batches hydrate workers from one shared-memory segment."""
 

@@ -16,6 +16,7 @@ from repro.engine import (
     EngineRegistry,
     EngineSpec,
 )
+from repro.engine import executor
 from repro.errors import AlphabetError, PatternError
 
 from conftest import random_dna
@@ -247,6 +248,7 @@ class TestBatchExecutor:
         for read in reads:
             assert batch[read] == index.search(read, 2)
 
+    @pytest.mark.usefixtures("force_pool")
     def test_process_batch_identical_to_serial(self, workload):
         text, reads = workload
         index = KMismatchIndex(text)
@@ -254,6 +256,7 @@ class TestBatchExecutor:
         processed = index.search_batch(reads[:20], 2, workers=2)
         assert processed == serial
 
+    @pytest.mark.usefixtures("force_pool")
     def test_map_reads_parallel_identical(self, workload):
         text, reads = workload
         index = KMismatchIndex(text)
@@ -261,6 +264,7 @@ class TestBatchExecutor:
         assert index.map_reads(reads[:20], 2) == serial
         assert index.map_reads(reads[:20], 2, workers=3) == serial
 
+    @pytest.mark.usefixtures("force_pool")
     def test_results_in_input_order(self, workload):
         text, reads = workload
         index = KMismatchIndex(text)
@@ -270,6 +274,7 @@ class TestBatchExecutor:
         for read, occs in zip(reads, batch.results):
             assert occs == index.search(read, 2)
 
+    @pytest.mark.usefixtures("force_pool")
     def test_chunk_stats_merge(self, workload):
         text, reads = workload
         # Fresh indexes (so fresh engines) per run so reuse effects do
@@ -291,6 +296,103 @@ class TestBatchExecutor:
         assert batch.workers == 1
 
 
+class TestPoolBreakEven:
+    """``workers`` is an upper bound: a batch runs on
+    ``min(workers, usable CPUs, items // MIN_ITEMS_PER_WORKER)`` pool
+    workers when that is at least 2, and serially otherwise."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        rnd = random.Random(4242)
+        text = random_dna(rnd, 3000)
+        reads = []
+        for _ in range(2 * executor.MIN_ITEMS_PER_WORKER):
+            pos = rnd.randrange(0, len(text) - 24)
+            read = list(text[pos : pos + 24])
+            read[rnd.randrange(24)] = rnd.choice("acgt")
+            reads.append("".join(read))
+        return text, reads
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Logs every shared-memory segment, thread and process the code
+        under test creates."""
+        import multiprocessing.process
+        import threading
+        from multiprocessing import shared_memory
+
+        log = []
+        real_shm = shared_memory.SharedMemory
+        real_thread_start = threading.Thread.start
+        real_process_start = multiprocessing.process.BaseProcess.start
+
+        def shm(*args, **kwargs):
+            log.append("shm")
+            return real_shm(*args, **kwargs)
+
+        def thread_start(self):
+            log.append("thread")
+            return real_thread_start(self)
+
+        def process_start(self):
+            log.append("process")
+            return real_process_start(self)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", shm)
+        monkeypatch.setattr(threading.Thread, "start", thread_start)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", process_start)
+        return log
+
+    def test_below_break_even_runs_serial(self, workload, started):
+        import threading
+
+        text, reads = workload
+        below = reads[: 2 * executor.MIN_ITEMS_PER_WORKER - 1]
+        serial = BatchExecutor(workers=0).run_map(KMismatchIndex(text), below, 2)
+        threads_before = threading.active_count()
+        batch = BatchExecutor(workers=2).run_map(KMismatchIndex(text), below, 2)
+        assert (batch.mode, batch.workers, batch.n_chunks) == ("serial", 1, 1)
+        assert batch.results == serial.results
+        assert batch.stats == serial.stats
+        assert started == []
+        assert threading.active_count() == threads_before
+
+    def test_above_break_even_runs_the_pool(self, workload, started, monkeypatch):
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 2)
+        text, reads = workload
+        serial = BatchExecutor(workers=0).run_map(KMismatchIndex(text), reads, 2)
+        batch = BatchExecutor(workers=2).run_map(KMismatchIndex(text), reads, 2)
+        assert (batch.mode, batch.workers) == ("process", 2)
+        assert batch.results == serial.results
+        assert started.count("process") == 2 and "shm" in started
+
+    def test_pool_capped_by_cpus_and_items_per_worker(self, monkeypatch):
+        per = executor.MIN_ITEMS_PER_WORKER
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 3)
+        assert executor.pool_size(8, 100 * per) == 3
+        assert executor.pool_size(2, 100 * per) == 2
+        assert executor.pool_size(8, 3 * per - 1) == 2
+        assert executor.pool_size(8, 2 * per - 1) == 1
+        assert executor.pool_size(1, 100 * per) == 1
+        assert executor.pool_size(0, 100 * per) == 1
+        monkeypatch.setattr(executor, "usable_cpus", lambda: 1)
+        assert executor.pool_size(8, 100 * per) == 1
+
+    def test_same_inputs_take_the_same_path(self, workload):
+        text, reads = workload
+        index = KMismatchIndex(text)
+        below = reads[: executor.MIN_ITEMS_PER_WORKER]
+        paths = {
+            (batch.mode, batch.workers, batch.n_chunks)
+            for batch in (BatchExecutor(workers=2).run_search(index, below, 1)
+                          for _ in range(3))
+        }
+        assert paths == {("serial", 1, 1)}
+        sizes = {executor.pool_size(4, len(reads)) for _ in range(3)}
+        assert len(sizes) == 1
+
+
+@pytest.mark.usefixtures("force_pool")
 class TestProcessPoolObsParity:
     """Process-pool batches must report the same OBS counters as a
     sequential run (satellite 1) — worker-side metrics and spans used to
@@ -517,6 +619,7 @@ class TestProcessPoolObsParity:
         assert process == serial == expected
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestResultArena:
     """The shared-memory result arena must be invisible to callers: same
     results as the pickle queue and the serial path, with capacity

@@ -253,6 +253,7 @@ class TestObservabilityIntegration:
         assert queries[0]["occurrences"] == len(occurrences)
         assert queries[0]["trace_id"]
 
+    @pytest.mark.usefixtures("force_pool")
     def test_batch_trace_id_joins_batch_and_queries(self, tmp_path):
         path = str(tmp_path / "wide.jsonl")
         OBS.enable()
@@ -282,6 +283,7 @@ class TestObservabilityIntegration:
         queries = [r for r in joined if r["event"] == "query"]
         assert sorted(r["m"] for r in queries) == [7] * len(reads)
 
+    @pytest.mark.usefixtures("force_pool")
     def test_routed_queries_count_once(self, tmp_path):
         from repro import ShardedIndex
         from repro.errors import AlphabetError

@@ -770,6 +770,7 @@ class TestCrossProcessClockAlignment:
         merge_obs_delta(OBS, payload)
         assert OBS.tracer.finished[-1].start_ns == 42
 
+    @pytest.mark.usefixtures("force_pool")
     def test_process_batch_spans_are_ordered_with_parent_spans(self):
         """End to end: adopted worker spans carry comparable start_ns."""
         index = KMismatchIndex("acagacagattacagacagatta" * 20)

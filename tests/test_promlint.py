@@ -121,6 +121,7 @@ class TestProfilerFamilies:
         assert "suite.latency_ms" in names
 
 
+@pytest.mark.usefixtures("force_pool")
 class TestArenaAndBuildFamilies:
     """The zero-copy tentpole's new families — `engine.arena.*`,
     `shard.build_ms`, `engine.worker.poll_timeouts` — must reach a

@@ -179,6 +179,7 @@ class TestRoundTrip:
             assert opened.search(pattern, k) == flat.search(pattern, k)
         opened.verify()
 
+    @pytest.mark.usefixtures("force_pool")
     def test_batch_and_map_over_opened_manifest(self, tmp_path):
         rnd = random.Random(12)
         text = _random_text(rnd, 600)
@@ -197,6 +198,7 @@ class TestRoundTrip:
         assert hits == flat_hits
         assert stats.completed_paths >= 0
 
+    @pytest.mark.usefixtures("force_pool")
     def test_process_mode_routed_batch(self):
         rnd = random.Random(30)
         text = _random_text(rnd, 500)
@@ -282,6 +284,7 @@ class TestShardTelemetry:
             OBS.disable()
             OBS.reset()
 
+    @pytest.mark.usefixtures("force_pool")
     def test_worker_series_carry_shard_label(self):
         rnd = random.Random(44)
         text = _random_text(rnd, 400)
