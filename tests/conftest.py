@@ -53,11 +53,11 @@ def repeat_text() -> str:
 @pytest.fixture
 def force_pool(monkeypatch):
     """Send every ``workers > 1`` batch of two or more items to the
-    process pool, as the executor did before its break-even rule.
+    process pool, on ``min(workers, items)`` workers.
 
-    Pool tests use tiny batches that the rule would run serially; one
-    item per worker suffices here, and the host's CPU count does not cap
-    the pool, so ``workers`` alone sets its size on any host.
+    Pool tests use batches too small for the break-even rule; here one
+    item per worker suffices, and the host's CPU count does not cap the
+    pool, so the tests drive the same pool on any host.
     """
     from repro.engine import executor
 
