@@ -46,8 +46,11 @@ LATENCY_FLOOR_MS = 0.05
 
 #: The deterministic work counters compared per method, in report order.
 #: ``lf_steps`` counts the one-row ranges walked by LF, index lookups that
-#: ``rank_queries`` does not see; ``phi_steps`` the LF steps of the φ build.
-PROBE_COUNTERS = ("rank_queries", "lf_steps", "phi_steps", "nodes_expanded", "leaves")
+#: ``rank_queries`` does not see; ``phi_steps`` the LF steps of the φ build;
+#: ``locate_steps`` the LF steps that located the reported rows.
+PROBE_COUNTERS = (
+    "rank_queries", "lf_steps", "phi_steps", "locate_steps", "nodes_expanded", "leaves",
+)
 
 #: The (numerator, denominator) of the relative latency gate — the
 #: paper's headline comparison, Algorithm A vs the S-tree baseline.

@@ -259,23 +259,114 @@ class FMIndex:
         """
         return self._rank.char_code_at, self._rank.occ, tuple(self._c_array)
 
+    def _suffix_walk(self, row: int) -> Tuple[int, int]:
+        """``(SA[row], steps)``: the LF walk from ``row`` to a sampled row."""
+        char_code_at, occ, c_array = self._rank.char_code_at, self._rank.occ, self._c_array
+        get = self._sampled_sa.get
+        limit = self.n_rows
+        steps = 0
+        pos = get(row)
+        while pos is None:
+            code = char_code_at(row)
+            row = c_array[code] + occ(code, row)
+            steps += 1
+            if steps > limit:
+                raise IndexCorruptionError("LF walk failed to reach a sampled row")
+            pos = get(row)
+        return pos + steps, steps
+
     def suffix_position(self, row: int) -> int:
         """Text position of the suffix at BW row ``row`` (``SA[row]``)."""
-        steps = 0
-        sampled = self._sampled_sa
-        while row not in sampled:
-            row = self.lf_step(row)
-            steps += 1
-            if steps > self.n_rows:
-                raise IndexCorruptionError("LF walk failed to reach a sampled row")
-        if OBS.enabled:
-            OBS.metrics.counter("fmindex.locates").inc()
-            OBS.metrics.counter("fmindex.lf_walk_steps").inc(steps)
-        return sampled[row] + steps
+        return self._suffix_walk(row)[0]
 
-    def locate_range(self, rng: Range) -> List[int]:
-        """Text positions (suffix starts) for every row in ``rng``."""
-        return [self.suffix_position(row) for row in range(rng.lo, rng.hi)]
+    def locate_rows(self, lo: int, hi: int) -> Tuple[List[int], int]:
+        """Text positions of the rows ``[lo, hi)`` in row order, and the LF
+        steps that locating them took (each row's walk length, summed).
+
+        The range is walked one LF level at a time.  Rows on a sampled
+        row are resolved; the rest step together: the rows with
+        ``L[row] = c``, in row order, map onto the child range
+        ``C[c] + occ(c, lo) .. C[c] + occ(c, hi)``, so one ``children()``
+        call moves a whole group one level, whatever its width.  A child
+        keeps the rows already resolved between its live ones (their
+        images hold the alignment) but is trimmed of them at both ends;
+        a child left one row wide finishes with the single-row walk.
+
+        >>> fm = FMIndex("acagaca")
+        >>> fm.locate_rows(1, 5)
+        ([6, 4, 0, 2], 12)
+        """
+        if hi - lo <= 1:
+            if hi <= lo:
+                return [], 0
+            pos, steps = self._suffix_walk(lo)
+            return [pos], steps
+        get = self._sampled_sa.get
+        codes_slice = self._rank.codes_slice
+        children = self._rank.children
+        c_array = self._c_array
+        walk = self._suffix_walk
+        size = self._alphabet.size
+        limit = self.n_rows
+        out = [0] * (hi - lo)
+        steps = 0
+        # Groups of rows reached after ``depth`` LF steps: rows [glo, ghi),
+        # per row its slot in ``out`` (-1 once resolved), and the number
+        # of rows not yet resolved.
+        groups = [(lo, hi, range(hi - lo), hi - lo)]
+        depth = 0
+        while groups:
+            if depth > limit:
+                raise IndexCorruptionError("LF walk failed to reach a sampled row")
+            deeper = []
+            for glo, ghi, slots, live in groups:
+                buckets = [[] for _ in range(size)]
+                appends = [bucket.append for bucket in buckets]
+                codes = codes_slice(glo, ghi)
+                row = glo
+                for code, slot in zip(codes, slots):
+                    if slot >= 0:
+                        pos = get(row)
+                        if pos is not None:
+                            out[slot] = pos + depth
+                            slot = -1
+                            live -= 1
+                    appends[code](slot)
+                    row += 1
+                if not live:
+                    continue
+                if buckets[0] and buckets[0][0] >= 0:
+                    # Only a corrupt index leaves the sentinel's row (text
+                    # position 0) unsampled; walk it alone, through the wrap.
+                    pos, walked = walk(glo + list(codes).index(0))
+                    out[buckets[0][0]] = pos + depth
+                    steps += walked
+                for code, (clo, chi) in children(glo, ghi, c_array):
+                    bucket = buckets[code]
+                    moved = len(bucket) - bucket.count(-1)
+                    if not moved:
+                        continue
+                    steps += moved
+                    a = 0
+                    while bucket[a] < 0:
+                        a += 1
+                    if moved == 1:
+                        pos, walked = walk(clo + a)
+                        out[bucket[a]] = pos + depth + 1
+                        steps += walked
+                        continue
+                    b = len(bucket)
+                    while bucket[b - 1] < 0:
+                        b -= 1
+                    deeper.append((clo + a, clo + b, bucket[a:b], moved))
+            groups = deeper
+            depth += 1
+        return out, steps
+
+    def locate_range(self, rng: Tuple[int, int]) -> List[int]:
+        """Text positions (suffix starts) for every row in ``rng = (lo, hi)``,
+        in row order."""
+        return self.locate_rows(*rng)[0]
 
     def locate(self, query: str) -> List[int]:
         """All 0-based occurrence start positions of ``query``."""

@@ -168,6 +168,11 @@ class RankAll:
         """Integer code of ``L[i]``."""
         return self._codes_bytes[i]
 
+    def codes_slice(self, lo: int, hi: int):
+        """The integer codes of ``L[lo:hi]``, front to back (a slice of
+        the byte shadow: ``bytes`` or a memoryview)."""
+        return self._codes_bytes[lo:hi]
+
     def occ(self, code: int, i: int) -> int:
         """Occurrences of character ``code`` in the prefix ``L[:i]``."""
         if not 0 <= i <= self._length:

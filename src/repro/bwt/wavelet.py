@@ -216,6 +216,11 @@ class WaveletRank:
         """Integer code of ``L[i]``."""
         return self._tree.access(i)
 
+    def codes_slice(self, lo: int, hi: int) -> List[int]:
+        """The integer codes of ``L[lo:hi]``, front to back."""
+        access = self._tree.access
+        return [access(i) for i in range(lo, hi)]
+
     def occ(self, code: int, i: int) -> int:
         """Occurrences of ``code`` in ``L[:i]`` (O(log σ) bit ranks)."""
         return self._tree.rank(code, i)

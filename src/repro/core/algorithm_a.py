@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
+from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
@@ -240,7 +241,7 @@ class AlgorithmASearcher:
             metrics.counter(self.engine_name + ".memo.evicted").inc(evicted)
             metrics.gauge(self.engine_name + ".memo.entries").set(len(self._memo))
         self.last_mtree = mtree
-        return sorted(occurrences), stats
+        return sorted(occurrences, key=attrgetter("start")), stats
 
     def _evict_memo(self, recorded_before: int) -> int:
         """Drop the oldest entries down to :data:`MEMO_LIMIT`.

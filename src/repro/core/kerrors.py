@@ -23,11 +23,13 @@ O(kn) expected behaviour on the text side).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
+from .types import SearchStats
 
 _INF = float("inf")
 
@@ -48,6 +50,11 @@ class EditOccurrence:
     def end(self) -> int:
         """Exclusive end position of the window."""
         return self.start + self.length
+
+
+#: Sort key for k-errors windows: ``(start, length, distance)``, exactly
+#: :class:`EditOccurrence`'s dataclass order, read in C.
+EDIT_ORDER = attrgetter("start", "length", "distance")
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -91,32 +98,44 @@ class KErrorsSearcher:
 
     def search(self, pattern: str, k: int) -> List[EditOccurrence]:
         """All windows of the target within edit distance ``k`` of ``pattern``."""
+        return self.search_with_stats(pattern, k)[0]
+
+    def search_with_stats(
+        self, pattern: str, k: int
+    ) -> Tuple[List[EditOccurrence], SearchStats]:
+        """Like :meth:`search`, also returning the locate counts
+        (``rows_located``, ``locate_steps``)."""
         if not pattern:
             raise PatternError("pattern must be non-empty")
         if k < 0:
             raise PatternError(f"k must be non-negative, got {k}")
         fm = self._fm
         m = len(pattern)
+        stats = SearchStats()
         with OBS.span("kerrors.search", m=m, k=k) as span:
-            out = self._walk(fm.alphabet.encode(pattern), k)
+            out = self._walk(fm.alphabet.encode(pattern), k, stats)
             span.set(occurrences=len(out))
         if OBS.enabled:
             OBS.metrics.counter("search.queries", engine="kerrors", k=k).inc()
             OBS.metrics.histogram(
                 "search.occurrences", COUNT_BUCKETS, engine="kerrors", k=k
             ).observe(len(out))
-        return sorted(out)
+        return sorted(out, key=EDIT_ORDER), stats
 
     # -- internals ------------------------------------------------------------
 
-    def _walk(self, pattern_codes: Sequence[int], k: int) -> List[EditOccurrence]:
+    def _walk(
+        self, pattern_codes: Sequence[int], k: int, stats: SearchStats
+    ) -> List[EditOccurrence]:
         """The S-tree walk over an explicit stack of ``(range, depth, row)``
         frames.
 
         ``row[j]`` is the edit distance between the consumed target
         substring and ``pattern[:j]``, or infinity above ``k``.  At depth
         ``d`` only cells with ``|j - d| <= k`` can be finite, so each row is
-        computed on that band of 2k+1 cells.
+        computed on that band of 2k+1 cells.  A frame whose last cell is
+        within ``k`` ends a window at every row of its range, all of the
+        frame's depth, so the range is located at once.
         """
         fm = self._fm
         m = len(pattern_codes)
@@ -129,8 +148,11 @@ class KErrorsSearcher:
         while stack:
             rng, depth, row = stack.pop()
             if row[m] <= k and depth > 0:
-                for bwt_row in range(*rng):
-                    start = n - fm.suffix_position(bwt_row) - depth
+                located, walked = fm.locate_rows(*rng)
+                stats.rows_located += len(located)
+                stats.locate_steps += walked
+                for pos in located:
+                    start = n - pos - depth
                     if (start, depth) not in seen:
                         seen.add((start, depth))
                         out.append(EditOccurrence(start, depth, int(row[m])))
@@ -170,7 +192,7 @@ def best_per_start(occurrences: List[EditOccurrence]) -> List[EditOccurrence]:
         kept = best.get(occ.start)
         if kept is None or (occ.distance, occ.length) < (kept.distance, kept.length):
             best[occ.start] = occ
-    return sorted(best.values())
+    return sorted(best.values(), key=EDIT_ORDER)
 
 
 def naive_kerrors_search(text: str, pattern: str, k: int) -> List[EditOccurrence]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,12 @@ class ReadHit:
 
     occurrence: Occurrence
     strand: str
+
+
+#: Sort key for read hits: ``(start, mismatches, strand)``, exactly
+#: :class:`ReadHit`'s dataclass order, read in C instead of through
+#: Python-level ``__lt__`` calls.
+HIT_ORDER = attrgetter("occurrence.start", "occurrence.mismatches", "strand")
 
 
 def observe_queries(
@@ -386,7 +393,7 @@ class KMismatchIndex:
         if OBS.enabled:
             OBS.metrics.counter("map_read.count").inc()
             OBS.metrics.counter("map_read.hits").inc(len(hits))
-        return sorted(hits), stats
+        return sorted(hits, key=HIT_ORDER), stats
 
     def map_reads(
         self,

@@ -24,6 +24,7 @@ explicit stack.  :class:`STreeSearcher` runs it as is; Algorithm A
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
@@ -235,14 +236,14 @@ def tree_search(
     Counts are added to ``stats``; the occurrences come back unsorted.
     """
     m = len(pattern_codes)
-    n = fm.text_length
+    end = fm.text_length - m  # a row at text position p starts at end - p
     children_of = fm.children
     char_code_at, occ, c_array = fm.lf_parts()
-    locate = fm.suffix_position
+    locate_rows = fm.locate_rows
     occurrences: List[Occurrence] = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
-    lf_steps = 0
+    lf_steps = locate_steps = 0
     stack: List[Tuple[RowPair, int, Mismatches]] = [((0, fm.n_rows), 0, ())]
     if phi is not None and k < phi[0]:
         stack.clear()
@@ -258,8 +259,9 @@ def tree_search(
             completed += 1
             rows += hi - lo
             positions = tuple([pos for pos, _ in mm])
-            for row in range(lo, hi):
-                report(Occurrence(n - locate(row) - m, positions))
+            located, walked = locate_rows(lo, hi)
+            locate_steps += walked
+            occurrences += [Occurrence(end - pos, positions) for pos in located]
             if on_leaf is not None:
                 on_leaf(i, mm)
             continue
@@ -287,7 +289,9 @@ def tree_search(
                 if i == m:
                     completed += 1
                     rows += 1
-                    report(Occurrence(n - locate(row) - m, tuple([pos for pos, _ in mm])))
+                    located, walked = locate_rows(row, row + 1)
+                    locate_steps += walked
+                    report(Occurrence(end - located[0], tuple([pos for pos, _ in mm])))
                     break
                 if phi is not None and k - used < phi[i]:
                     phi_cuts += 1
@@ -337,6 +341,7 @@ def tree_search(
     stats.chars_replayed += replayed
     stats.rank_queries += probes
     stats.lf_steps += lf_steps
+    stats.locate_steps += locate_steps
     stats.rows_located += rows
     stats.completed_paths += completed
     stats.phi_pruned += phi_cuts
@@ -409,4 +414,4 @@ class STreeSearcher:
             span.set(leaves=stats.leaves, occurrences=len(occurrences))
         if OBS.enabled:
             record_search_metrics(self.engine_name, stats, len(occurrences), k)
-        return sorted(occurrences), stats
+        return sorted(occurrences, key=attrgetter("start")), stats

@@ -58,6 +58,9 @@ class SearchStats:
     #: its block tests included; each is one ``occ`` probe at both ends
     #: of a range.
     phi_steps: int = 0
+    #: LF steps taken to locate reported rows: each row's walk to a
+    #: sampled suffix-array row, summed.
+    locate_steps: int = 0
     #: Path terminations of any kind — the paper's n' (leaves of D).
     leaves: int = 0
     #: Paths that reached the full pattern length (reported occurrences).

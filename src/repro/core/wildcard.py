@@ -14,12 +14,13 @@ nucleotide), the default here.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..obs import COUNT_BUCKETS, OBS
-from .types import Occurrence
+from .types import Occurrence, SearchStats
 
 #: Default wild-card character (IUPAC "any nucleotide").
 DEFAULT_WILDCARD = "n"
@@ -46,43 +47,56 @@ class WildcardSearcher:
 
         The reported mismatch offsets never include wild-card positions.
         """
+        return self.search_with_stats(pattern, k)[0]
+
+    def search_with_stats(
+        self, pattern: str, k: int = 0
+    ) -> Tuple[List[Occurrence], SearchStats]:
+        """Like :meth:`search`, also returning the locate counts
+        (``rows_located``, ``locate_steps``)."""
         if not pattern:
             raise PatternError("pattern must be non-empty")
         if k < 0:
             raise PatternError(f"k must be non-negative, got {k}")
         fm = self._fm
         m = len(pattern)
+        stats = SearchStats()
         if m > fm.text_length:
-            return []
+            return [], stats
         with OBS.span("wildcard.search", m=m, k=k, wildcard=self._wildcard) as span:
             # None marks a wild-card slot.
             wanted: List[Optional[int]] = [
                 None if ch == self._wildcard else fm.alphabet.code(ch) for ch in pattern
             ]
-            out = self._walk(wanted, k)
+            out = self._walk(wanted, k, stats)
             span.set(occurrences=len(out))
         if OBS.enabled:
             OBS.metrics.counter("search.queries", engine="wildcard", k=k).inc()
             OBS.metrics.histogram(
                 "search.occurrences", COUNT_BUCKETS, engine="wildcard", k=k
             ).observe(len(out))
-        return sorted(out)
+        return sorted(out, key=attrgetter("start")), stats
 
     # -- internals -----------------------------------------------------------
 
-    def _walk(self, wanted: List[Optional[int]], k: int) -> List[Occurrence]:
+    def _walk(
+        self, wanted: List[Optional[int]], k: int, stats: SearchStats
+    ) -> List[Occurrence]:
         """The S-tree walk over an explicit stack of ``(range, offset,
-        mismatch offsets)`` frames; a wild card takes every child free."""
+        mismatch offsets)`` frames; a wild card takes every child free.
+        A completed path's rows are located as one range."""
         fm = self._fm
         m = len(wanted)
-        n = fm.text_length
+        end = fm.text_length - m
         out: List[Occurrence] = []
         stack: List[Tuple[Tuple[int, int], int, Tuple[int, ...]]] = [((0, fm.n_rows), 0, ())]
         while stack:
             rng, offset, mm = stack.pop()
             if offset == m:
-                for row in range(*rng):
-                    out.append(Occurrence(n - fm.suffix_position(row) - m, mm))
+                located, walked = fm.locate_rows(*rng)
+                stats.rows_located += len(located)
+                stats.locate_steps += walked
+                out += [Occurrence(end - pos, mm) for pos in located]
                 continue
             want = wanted[offset]
             for code, child in fm.children(rng):

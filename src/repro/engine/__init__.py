@@ -27,7 +27,7 @@ from .registry import (
     PerPatternEngine,
     PerTargetEngine,
     SearchEngine,
-    StatlessEngine,
+    VariantEngine,
 )
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "FunctionEngine",
     "PerPatternEngine",
     "PerTargetEngine",
-    "StatlessEngine",
+    "VariantEngine",
     "CAP_MISMATCH",
     "CAP_EDIT",
     "CAP_WILDCARD",

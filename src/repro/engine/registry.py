@@ -221,16 +221,17 @@ class PerTargetEngine:
         return self._matcher.search(pattern, k), SearchStats()
 
 
-class StatlessEngine:
-    """Adapter for index searchers returning occurrences without stats
-    (:class:`~repro.core.wildcard.WildcardSearcher`,
+class VariantEngine:
+    """Adapter for the problem-variant index searchers, whose ``search``
+    returns occurrences alone and ``search_with_stats`` the protocol's
+    pair (:class:`~repro.core.wildcard.WildcardSearcher`,
     :class:`~repro.core.kerrors.KErrorsSearcher`)."""
 
     def __init__(self, searcher):
         self._searcher = searcher
 
     def search(self, pattern: str, k: int):
-        return self._searcher.search(pattern, k), SearchStats()
+        return self._searcher.search_with_stats(pattern, k)
 
 
 # -- builtin registration ------------------------------------------------------
@@ -363,7 +364,7 @@ def _register_builtin_engines(registry: EngineRegistry) -> None:
     registry.register(
         EngineSpec(
             name="kerrors",
-            factory=lambda index: StatlessEngine(KErrorsSearcher(index.fm_index)),
+            factory=lambda index: VariantEngine(KErrorsSearcher(index.fm_index)),
             capabilities=frozenset({CAP_EDIT}),
             description="k errors (Levenshtein) over the same BWT index",
         )
@@ -371,7 +372,7 @@ def _register_builtin_engines(registry: EngineRegistry) -> None:
     registry.register(
         EngineSpec(
             name="wildcard",
-            factory=lambda index, wildcard=DEFAULT_WILDCARD: StatlessEngine(
+            factory=lambda index, wildcard=DEFAULT_WILDCARD: VariantEngine(
                 WildcardSearcher(index.fm_index, wildcard=wildcard)
             ),
             capabilities=frozenset({CAP_WILDCARD}),

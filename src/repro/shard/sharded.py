@@ -30,6 +30,7 @@ fan-out emits ``query.shard_ms``/``query.shard_occurrences`` series and
 
 from __future__ import annotations
 
+from operator import attrgetter
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,8 +38,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..alphabet import DNA, Alphabet, infer_alphabet
 from ..bwt.fmindex import DEFAULT_SA_SAMPLE
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
-from ..core.kerrors import EditOccurrence
-from ..core.matcher import KMismatchIndex, ReadHit, observe_queries
+from ..core.kerrors import EDIT_ORDER, EditOccurrence
+from ..core.matcher import HIT_ORDER, KMismatchIndex, ReadHit, observe_queries
 from ..core.types import Occurrence, SearchStats
 from ..core.wildcard import DEFAULT_WILDCARD
 from ..dna import reverse_complement
@@ -111,6 +112,7 @@ class QueryRouter:
             rebase=lambda occ, offset: EditOccurrence(
                 occ.start + offset, occ.length, occ.distance
             ),
+            order=EDIT_ORDER,  # windows of several lengths share a start
         )
         return occurrences
 
@@ -127,7 +129,7 @@ class QueryRouter:
         return occurrences
 
     def _route(self, pattern, k, shard_fn, engine, window=None, rebase=None,
-               observe=False):
+               observe=False, order=attrgetter("start")):
         """Fan ``shard_fn`` out over the shards; merge owned hits globally.
 
         ``window`` is the longest target window a hit may cover
@@ -137,7 +139,9 @@ class QueryRouter:
         globally-positioned occurrence (defaults to the
         :class:`Occurrence` shape).  ``observe`` marks a k-mismatch query,
         whose shard legs leave the ``query.*`` families to the router:
-        it observes them once, with the merged, owned hits.
+        it observes them once, with the merged, owned hits.  ``order`` is
+        the merge's sort key (by default the start, which an owned
+        k-mismatch hit has alone).
 
         A raised routed query — seam-budget rejection, a shard failing
         mid-fanout — is counted in ``query.errors{engine,k,kind}``
@@ -147,13 +151,13 @@ class QueryRouter:
         trace_id = new_trace_id() if OBS.enabled else None
         try:
             return self._route_inner(pattern, k, shard_fn, engine, window,
-                                     rebase, observe, trace_id)
+                                     rebase, observe, order, trace_id)
         except Exception as exc:
             record_query_error(engine, k, exc, m=len(pattern), trace_id=trace_id)
             raise
 
     def _route_inner(self, pattern, k, shard_fn, engine, window, rebase,
-                     observe, trace_id):
+                     observe, order, trace_id):
         sharded = self._sharded
         window = window if window is not None else len(pattern)
         sharded.check_seam_budget(window)
@@ -195,7 +199,7 @@ class QueryRouter:
                     for occ in occurrences
                     if spec.owns(occ.start + spec.start)
                 )
-            merged.sort()
+            merged.sort(key=order)
             span.set(occurrences=len(merged))
         if OBS.enabled:
             for shard_id, _, occurrences, _, shard_ms in outcomes:
@@ -282,8 +286,9 @@ class QueryRouter:
                         for entry in shard_out
                         if spec.owns(self._result_start(entry) + spec.start)
                     )
+        order = HIT_ORDER if kind == "map" else attrgetter("start")
         for bucket in merged:
-            bucket.sort()
+            bucket.sort(key=order)
         return merged, stats
 
     @staticmethod
@@ -641,7 +646,7 @@ class ShardedIndex:
             hits = [ReadHit(occ, "+") for occ in forward]
             hits += [ReadHit(occ, "-") for occ in reverse]
             span.set(hits=len(hits))
-        return sorted(hits), stats
+        return sorted(hits, key=HIT_ORDER), stats
 
     def map_reads(
         self,

@@ -30,7 +30,8 @@ from repro.cli import main
 
 
 def make_document(
-    avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps=800, phi_steps=900
+    avg_ms=4.0, rank_queries=2000, nodes=500, leaves=120, lf_steps=800, phi_steps=900,
+    locate_steps=300,
 ):
     return {
         "format": BENCH_FORMAT,
@@ -50,6 +51,7 @@ def make_document(
                     "rank_queries": rank_queries,
                     "lf_steps": lf_steps,
                     "phi_steps": phi_steps,
+                    "locate_steps": locate_steps,
                     "nodes_expanded": nodes,
                     "leaves": leaves,
                 },
@@ -113,6 +115,15 @@ class TestCompareRuns:
         findings = compare_runs(current, baseline)
         assert [f.metric for f in findings] == ["stats.phi_steps"]
         assert compare_runs(make_document(phi_steps=1080), baseline) == []  # +20%
+
+    def test_locate_steps_regression_fails(self):
+        # Locating reported rows walks LF too: a change that went back to
+        # walking more steps per row must trip the gate.
+        baseline = make_document(locate_steps=300)
+        current = make_document(locate_steps=390)  # +30%
+        findings = compare_runs(current, baseline)
+        assert [f.metric for f in findings] == ["stats.locate_steps"]
+        assert compare_runs(make_document(locate_steps=360), baseline) == []  # +20%
 
     def test_multiple_counters_reported_separately(self):
         baseline = make_document(rank_queries=2000, nodes=500, leaves=120)

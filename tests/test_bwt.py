@@ -297,6 +297,113 @@ class TestChildrenKernel:
                 assert not gc.is_tracked(pair[1]), label
 
 
+class TestLocateRange:
+    """``locate_rows`` walks a whole row range per LF level; every range
+    must come back as the suffix array's entries, in row order, with the
+    steps each row's own walk takes summed."""
+
+    RATES = (1, 2, 8, 32)
+
+    @staticmethod
+    def texts(rnd):
+        """Random texts and near-tandem repeats, where a range's rows share
+        their left context and stay one group for several levels."""
+        for _ in range(3):
+            yield "".join(rnd.choice("acgt") for _ in range(rnd.randint(1, 90)))
+        for unit in ("acgtt", "gaattcaggt"):
+            repeat = list(unit * 12)
+            repeat[rnd.randrange(len(repeat))] = "c"
+            yield "".join(repeat)
+
+    @classmethod
+    def indexes(cls, rnd, tmp_path):
+        """``(label, text, index)``: rankall in memory, rankall opened
+        from an mmap'd file and the wavelet backend, at every rate."""
+        for trial, text in enumerate(cls.texts(rnd)):
+            for rate in cls.RATES:
+                yield "rankall", text, FMIndex(text, DNA, sa_sample_rate=rate)
+                path = tmp_path / f"index{trial}_{rate}.bin"
+                FMIndex(text, DNA, sa_sample_rate=rate).save(path)
+                mapped = FMIndex.load(path, mmap=True)
+                assert isinstance(mapped._rank.codes_buffer, memoryview)
+                yield "mmap", text, mapped
+                yield "wavelet", text, FMIndex(
+                    text, DNA, sa_sample_rate=rate, rank_backend="wavelet"
+                )
+
+    def test_equals_suffix_array(self, tmp_path):
+        from repro.suffix import suffix_array
+
+        rnd = random.Random(0x10CA7E)
+        seen = set()
+        for label, text, fm in self.indexes(rnd, tmp_path):
+            sa = suffix_array(text)
+            rate = fm.sa_sample_rate
+            n = fm.n_rows
+            sentinel_row = sa.index(0)  # L[row] = $
+            ranges = [(0, n), (sentinel_row, sentinel_row + 1)]
+            ranges += [(max(0, sentinel_row - 2), min(n, sentinel_row + 3))]
+            ranges += [(row, row + 1) for row in rnd.sample(range(n), min(n, 5))]
+            for _ in range(12):
+                lo = rnd.randrange(n + 1)
+                ranges.append((lo, rnd.randint(lo, n)))
+            for lo, hi in ranges:
+                positions, steps = fm.locate_rows(lo, hi)
+                assert positions == sa[lo:hi], (label, text, rate, lo, hi)
+                # A row at position p walks to the sampled p - p % rate.
+                assert steps == sum(p % rate for p in sa[lo:hi]), (label, text, rate, lo, hi)
+                assert fm.locate_range((lo, hi)) == sa[lo:hi]
+                assert fm.locate_range(Range(lo, hi)) == sa[lo:hi]
+            assert [fm.suffix_position(row) for row in range(n)] == sa
+            seen.add((label, rate))
+        assert seen == {(label, rate) for label in ("rankall", "mmap", "wavelet")
+                        for rate in self.RATES}
+
+    def test_empty_range(self):
+        fm = FMIndex("acagaca", DNA)
+        assert fm.locate_rows(3, 3) == ([], 0)
+        assert fm.locate_range(EMPTY_RANGE) == []
+
+    def test_a_shared_context_moves_as_one_group(self):
+        # Every row prefixed by "acgt" in a period-4 text has the same left
+        # context, so each LF level is one children() call for the group,
+        # not one occ probe per row.
+        text = "acgt" * 40
+        fm = FMIndex(text, DNA, sa_sample_rate=8)
+        rng = fm.backward_search("acgt")
+        assert len(rng) == 40
+        calls = {"children": 0, "occ": 0}
+        rank = fm._rank
+        children, occ = rank.children, rank.occ
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(rank, name)
+
+            def children(self, *args):
+                calls["children"] += 1
+                return children(*args)
+
+            def occ(self, *args):
+                calls["occ"] += 1
+                return occ(*args)
+
+        fm._rank = Counting()
+        positions, steps = fm.locate_rows(*rng)
+        assert sorted(positions) == list(range(0, 160, 4))
+        assert steps == sum(p % 8 for p in positions) == 80
+        assert calls == {"children": 4, "occ": 0}
+
+    def test_walk_without_a_sampled_row_raises(self):
+        for width in (1, 3):
+            fm = FMIndex("acagacaacagt", DNA, sa_sample_rate=4)
+            fm._sampled_sa = {}
+            with pytest.raises(IndexCorruptionError):
+                fm.locate_rows(2, 2 + width)
+            with pytest.raises(IndexCorruptionError):
+                fm.suffix_position(2)
+
+
 class TestFMIndexSerialization:
     def test_roundtrip(self):
         fm = FMIndex("acagacagtt", DNA)

@@ -87,3 +87,120 @@ class TestSearch:
             for method in METHODS:
                 got = [(o.start, o.mismatches) for o in index.search(pattern, k, method=method)]
                 assert got == expected, (method, text, pattern, k)
+
+
+class TestHitOrder:
+    """Hit lists are sorted on plain keys (the start; ``(start,
+    mismatches, strand)`` for read hits); the result must still be the
+    dataclasses' own order, flat and sharded."""
+
+    #: ``gaattc`` is its own reverse complement, so on a repeat of this
+    #: unit ``+`` and ``-`` hits share starts with the same mismatches;
+    #: ``gaattg`` is one substitution off it, so at k = 1 its two strands
+    #: hit one start with different mismatches.
+    UNIT = "gaattcaggt"
+    READS = ("gaattc", "gaattg", "ggaattcag", "caggtgaattc")
+    K = 1
+
+    @pytest.fixture(scope="class")
+    def target(self):
+        import random
+
+        rnd = random.Random(0x0DE7)
+        repeat = list(self.UNIT * 30)
+        for _ in range(8):
+            repeat[rnd.randrange(len(repeat))] = rnd.choice("acgt")
+        return "".join(repeat)
+
+    @staticmethod
+    def assert_dataclass_order(hits, label):
+        assert hits, label
+        assert hits == sorted(hits), label
+
+    def test_flat_engines_and_reads(self, target):
+        index = KMismatchIndex(target)
+        for read in self.READS:
+            for method in METHODS:
+                self.assert_dataclass_order(index.search(read, self.K, method), (method, read))
+            self.assert_dataclass_order(index.search_wildcard("gaantc", self.K), read)
+            self.assert_dataclass_order(index.map_read(read, self.K), read)
+        for hits in index.map_reads(list(self.READS), self.K):
+            self.assert_dataclass_order(hits, "map_reads")
+
+    def test_sharded_routes(self, target):
+        from repro.shard import ShardedIndex
+
+        sharded = ShardedIndex.build(target, 3, max_pattern=16, max_k=2)
+        flat = KMismatchIndex(target)
+        for read in self.READS:
+            occurrences = sharded.search(read, self.K)
+            self.assert_dataclass_order(occurrences, read)
+            assert occurrences == flat.search(read, self.K)
+            hits = sharded.map_read(read, self.K)
+            self.assert_dataclass_order(hits, read)
+            assert hits == flat.map_read(read, self.K)
+            self.assert_dataclass_order(sharded.search_wildcard("gaantc", self.K), read)
+            windows = sharded.search_edit(read, self.K)
+            self.assert_dataclass_order(windows, read)
+            assert windows == flat.search_edit(read, self.K)
+        batched = sharded.map_reads(list(self.READS), self.K)
+        assert batched == [flat.map_read(read, self.K) for read in self.READS]
+        for hits in batched:
+            self.assert_dataclass_order(hits, "map_reads")
+        searched = sharded.search_batch(list(self.READS), self.K)
+        for read, occurrences in searched.items():
+            self.assert_dataclass_order(occurrences, read)
+
+    @staticmethod
+    def shared_starts(index, read, k):
+        hits = index.map_read(read, k)
+        by_start = {}
+        for hit in hits:
+            by_start.setdefault(hit.occurrence.start, []).append(hit.occurrence)
+        return [pair for pair in by_start.values() if len(pair) == 2]
+
+    def test_strands_tie_on_start(self, target):
+        # The ties the key's middle and last fields break: a start hit on
+        # both strands with the same mismatches (the strand decides) and
+        # with different ones (the mismatches decide).
+        index = KMismatchIndex(target)
+        same = self.shared_starts(index, "gaattc", self.K)
+        assert same and all(a == b for a, b in same)
+        differ = self.shared_starts(index, "gaattg", self.K)
+        assert any(a.mismatches != b.mismatches for a, b in differ)
+
+
+class TestLocateSteps:
+    """``SearchStats.locate_steps`` is each located row's LF walk summed:
+    a row at text position ``p`` of the reversed target walks
+    ``p % sa_sample_rate`` steps to its sampled entry."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        import random
+
+        return KMismatchIndex(("acgtt" * 12 + random_dna(random.Random(5), 200)) * 2)
+
+    def test_tree_searches(self, index):
+        n, rate = index.text_length, index.fm_index.sa_sample_rate
+        for method in ("algorithm_a", "stree", "stree_nophi"):
+            for read, k in (("acgttacgtt", 1), ("acgt", 0), ("acgtaacgttac", 2)):
+                occurrences, stats = index.search_with_stats(read, k, method)
+                m = len(read)
+                assert stats.rows_located == len(occurrences)
+                assert stats.locate_steps == sum(
+                    (n - m - occ.start) % rate for occ in occurrences
+                ), (method, read, k)
+
+    def test_wildcard_and_kerrors(self, index):
+        n, rate = index.text_length, index.fm_index.sa_sample_rate
+        occurrences, stats = index.engine("wildcard").search("acgntacg", 1)
+        assert occurrences
+        assert stats.rows_located == len(occurrences)
+        assert stats.locate_steps == sum((n - 8 - occ.start) % rate for occ in occurrences)
+        windows, stats = index.engine("kerrors").search("acgttacg", 1)
+        assert windows
+        assert stats.rows_located == len(windows)
+        assert stats.locate_steps == sum(
+            (n - occ.start - occ.length) % rate for occ in windows
+        )

@@ -69,7 +69,9 @@ def tree_search_by_children(
     occurrences = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
-    one_row_calls = 0
+    one_row_calls = locate_steps = 0
+    # A row at text position p walks p % rate LF steps to the sampled p - p % rate.
+    rate = fm.sa_sample_rate
     stack = [(fm.full_range(), 0, ())]
     if phi is not None and k < phi[0]:
         stack.clear()
@@ -86,7 +88,9 @@ def tree_search_by_children(
             rows += hi - lo
             positions = tuple([pos for pos, _ in mm])
             for row in range(lo, hi):
-                report(Occurrence(n - locate(row) - m, positions))
+                position = locate(row)
+                locate_steps += position % rate
+                report(Occurrence(n - position - m, positions))
             if on_leaf is not None:
                 on_leaf(i, mm)
             continue
@@ -131,6 +135,7 @@ def tree_search_by_children(
     stats.nodes_expanded += nodes
     stats.chars_replayed += replayed
     stats.rank_queries += probes
+    stats.locate_steps += locate_steps
     stats.rows_located += rows
     stats.completed_paths += completed
     stats.phi_pruned += phi_cuts
@@ -160,7 +165,8 @@ def tree_search_at_pop(
     occurrences = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
-    lf_steps = 0
+    lf_steps = locate_steps = 0
+    rate = fm.sa_sample_rate
     stack = [((0, fm.n_rows), 0, ())]
     pop = stack.pop
     push = stack.append
@@ -172,7 +178,9 @@ def tree_search_at_pop(
             rows += hi - lo
             positions = tuple([pos for pos, _ in mm])
             for row in range(lo, hi):
-                report(Occurrence(n - locate(row) - m, positions))
+                position = locate(row)
+                locate_steps += position % rate
+                report(Occurrence(n - position - m, positions))
             if on_leaf is not None:
                 on_leaf(i, mm)
             continue
@@ -205,7 +213,9 @@ def tree_search_at_pop(
                 if i == m:
                     completed += 1
                     rows += 1
-                    report(Occurrence(n - locate(row) - m, tuple([pos for pos, _ in mm])))
+                    position = locate(row)
+                    locate_steps += position % rate
+                    report(Occurrence(n - position - m, tuple([pos for pos, _ in mm])))
                     break
                 if phi is not None and k - used < phi[i]:
                     phi_cuts += 1
@@ -244,6 +254,7 @@ def tree_search_at_pop(
     stats.chars_replayed += replayed
     stats.rank_queries += probes
     stats.lf_steps += lf_steps
+    stats.locate_steps += locate_steps
     stats.rows_located += rows
     stats.completed_paths += completed
     stats.phi_pruned += phi_cuts
