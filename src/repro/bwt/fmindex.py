@@ -199,23 +199,24 @@ class FMIndex:
         """Character-typed convenience wrapper over :meth:`extend`."""
         return self.extend(rng, self._alphabet.code(ch))
 
-    def children(self, rng: Tuple[int, int]) -> List[Tuple[int, Tuple[int, int]]]:
+    def children(self, rng: Tuple[int, int]) -> Tuple[Tuple[int, int, int], ...]:
         """All one-character extensions of the range ``rng = (lo, hi)``.
 
-        Returns ``(code, child)`` for every non-sentinel character that
-        occurs in ``L[lo:hi]`` — the S-tree children of a node (paper
-        Sec. IV-A) — in code order.  Each ``child`` is a plain int pair
-        equal to ``extend(rng, code)``.  The rank backend reads every
-        character's counts at both ends at once (rankall: two checkpoint
-        rows, not two probes per character).
+        Returns ``(code, child_lo, child_hi)`` for every non-sentinel
+        character that occurs in ``L[lo:hi]`` — the S-tree children of a
+        node (paper Sec. IV-A) — highest code first, the order a
+        depth-first search pushes them to explore them in code order.
+        Each ``(child_lo, child_hi)`` equals ``extend(rng, code)``.  The
+        rank backend reads every character's counts at both ends at once
+        (rankall: two checkpoint rows, not two probes per character).
 
         >>> fm = FMIndex("acagaca")
         >>> fm.children(fm.full_range())
-        [(1, (1, 5)), (2, (5, 7)), (3, (7, 8))]
+        ((3, 7, 8), (2, 5, 7), (1, 1, 5))
         """
         lo, hi = rng
         if hi <= lo:
-            return []
+            return ()
         return self._rank.children(lo, hi, self._c_array)
 
     def backward_search(self, query: str) -> Range:
@@ -341,7 +342,7 @@ class FMIndex:
                     pos, walked = walk(glo + list(codes).index(0))
                     out[buckets[0][0]] = pos + depth
                     steps += walked
-                for code, (clo, chi) in children(glo, ghi, c_array):
+                for code, clo, chi in children(glo, ghi, c_array):
                     bucket = buckets[code]
                     moved = len(bucket) - bucket.count(-1)
                     if not moved:

@@ -15,7 +15,7 @@ elements of ``L``), with the tail recovered by scanning ``L`` itself.
 * ``counts_at(i)`` — the full per-character prefix-count row at ``i``;
 * ``children(lo, hi, C)`` — the S-tree branching step: every character's
   sub-range of ``[lo, hi)`` from two row reads total instead of two
-  probes per character.
+  probes per character, as ``(code, lo', hi')`` triples.
 
 Checkpoints are stored row-major by block (one row = all characters), so
 a row read is a single C-level slice.  The BWT itself is kept twice: a
@@ -200,19 +200,20 @@ class RankAll:
 
     def children(
         self, lo: int, hi: int, c_array: Sequence[int]
-    ) -> List[Tuple[int, Tuple[int, int]]]:
-        """``(code, (C[code] + occ(code, lo), C[code] + occ(code, hi)))``
-        for every non-sentinel ``code`` occurring in ``L[lo:hi]``, in code
-        order; ``lo < hi``.
+    ) -> Tuple[Tuple[int, int, int], ...]:
+        """``(code, C[code] + occ(code, lo), C[code] + occ(code, hi))`` for
+        every non-sentinel ``code`` occurring in ``L[lo:hi]``, highest code
+        first; ``lo < hi``.
 
         The backward-search step for every character at once, and the
         paper's branching test "whether ``A_x[i-1] = A_x[j]``" for each:
         the two checkpoint rows are sliced and the tails scanned once
-        each, not per character.
+        each, not per character.  The triples hold only ints, so the
+        garbage collector untracks them and a tuple of them.
 
         >>> from repro.alphabet import DNA
         >>> RankAll("acg$caaa", DNA).children(1, 5, [0, 1, 5, 7, 8, 8])
-        [(2, (5, 7)), (3, (7, 8))]
+        ((3, 7, 8), (2, 5, 7))
         """
         rate = self._sample_rate
         size = self._size
@@ -227,13 +228,13 @@ class RankAll:
         for code in codes[block * rate:hi]:
             row_hi[code] += 1
         out = []
-        for code in range(1, size):
+        for code in range(size - 1, 0, -1):
             a = row_lo[code]
             b = row_hi[code]
             if b > a:
                 base = c_array[code]
-                out.append((code, (base + a, base + b)))
-        return out
+                out.append((code, base + a, base + b))
+        return tuple(out)
 
     def occ_range(self, code: int, lo: int, hi: int) -> int:
         """Occurrences of ``code`` in ``L[lo:hi]``."""

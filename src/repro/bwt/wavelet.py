@@ -231,16 +231,16 @@ class WaveletRank:
 
     def children(
         self, lo: int, hi: int, c_array: Sequence[int]
-    ) -> List[Tuple[int, Tuple[int, int]]]:
+    ) -> Tuple[Tuple[int, int, int], ...]:
         """Every non-sentinel code in ``L[lo:hi]`` with its sub-range, as
         :meth:`RankAll.children <repro.bwt.rankall.RankAll.children>`."""
         row_lo = self.counts_at(lo)
         row_hi = self.counts_at(hi)
-        return [
-            (code, (c_array[code] + row_lo[code], c_array[code] + row_hi[code]))
-            for code in range(1, self._size)
+        return tuple([
+            (code, c_array[code] + row_lo[code], c_array[code] + row_hi[code])
+            for code in range(self._size - 1, 0, -1)
             if row_hi[code] > row_lo[code]
-        ]
+        ])
 
     def occ_range(self, code: int, lo: int, hi: int) -> int:
         """Occurrences of ``code`` in ``L[lo:hi]``."""

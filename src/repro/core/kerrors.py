@@ -127,8 +127,8 @@ class KErrorsSearcher:
     def _walk(
         self, pattern_codes: Sequence[int], k: int, stats: SearchStats
     ) -> List[EditOccurrence]:
-        """The S-tree walk over an explicit stack of ``(range, depth, row)``
-        frames.
+        """The S-tree walk over an explicit stack of ``(rlo, rhi, depth,
+        row)`` frames, ``[rlo, rhi)`` the frame's BW row range.
 
         ``row[j]`` is the edit distance between the consumed target
         substring and ``pattern[:j]``, or infinity above ``k``.  At depth
@@ -144,11 +144,11 @@ class KErrorsSearcher:
         seen: set = set()
         # Depth 0: row[j] = j (delete j pattern characters), banded at k.
         root = [j if j <= k else _INF for j in range(m + 1)]
-        stack: List[Tuple[Tuple[int, int], int, List[float]]] = [((0, fm.n_rows), 0, root)]
+        stack: List[Tuple[int, int, int, List[float]]] = [(0, fm.n_rows, 0, root)]
         while stack:
-            rng, depth, row = stack.pop()
+            rlo, rhi, depth, row = stack.pop()
             if row[m] <= k and depth > 0:
-                located, walked = fm.locate_rows(*rng)
+                located, walked = fm.locate_rows(rlo, rhi)
                 stats.rows_located += len(located)
                 stats.locate_steps += walked
                 for pos in located:
@@ -161,7 +161,7 @@ class KErrorsSearcher:
                 continue
             d = depth + 1
             lo, hi = max(1, d - k), min(m, d + k)
-            for code, child in fm.children(rng):
+            for code, clo, chi in fm.children((rlo, rhi)):
                 new_row: List[float] = [_INF] * (m + 1)
                 # First column: d target characters vs the empty pattern
                 # prefix = d deletions from the target window.
@@ -176,7 +176,7 @@ class KErrorsSearcher:
                     if best <= k:
                         new_row[j] = best
                 if min(new_row[lo - 1:hi + 1]) <= k:
-                    stack.append((child, d, new_row))
+                    stack.append((clo, chi, d, new_row))
         return out
 
 

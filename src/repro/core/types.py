@@ -46,7 +46,7 @@ class SearchStats:
     #: memo-derived ones count in ``chars_replayed``).
     nodes_expanded: int = 0
     #: ``children()`` calls on ranges wider than one row (one-row ones
-    #: only where Algorithm A's memo hook takes them) — each costs
+    #: only where Algorithm A's memo takes them) — each costs
     #: O(|Σ|) rankall probes.
     rank_queries: int = 0
     #: One-row ranges walked by LF instead of expanded by ``children()``:
@@ -78,7 +78,7 @@ class SearchStats:
     #: (Alg. A with a persistent cross-query memo).
     shared_reuse_hits: int = 0
     #: Stored characters re-scored instead of searched (Alg. A): chain
-    #: characters the memo hook scored, plus memo-derived children the
+    #: characters a chain replay scored, plus memo-derived children the
     #: search loop kept.
     chars_replayed: int = 0
     #: Steps of the kangaroo merge (Alg. A): one per self-mismatch or

@@ -82,28 +82,28 @@ class WildcardSearcher:
     def _walk(
         self, wanted: List[Optional[int]], k: int, stats: SearchStats
     ) -> List[Occurrence]:
-        """The S-tree walk over an explicit stack of ``(range, offset,
+        """The S-tree walk over an explicit stack of ``(lo, hi, offset,
         mismatch offsets)`` frames; a wild card takes every child free.
         A completed path's rows are located as one range."""
         fm = self._fm
         m = len(wanted)
         end = fm.text_length - m
         out: List[Occurrence] = []
-        stack: List[Tuple[Tuple[int, int], int, Tuple[int, ...]]] = [((0, fm.n_rows), 0, ())]
+        stack: List[Tuple[int, int, int, Tuple[int, ...]]] = [(0, fm.n_rows, 0, ())]
         while stack:
-            rng, offset, mm = stack.pop()
+            lo, hi, offset, mm = stack.pop()
             if offset == m:
-                located, walked = fm.locate_rows(*rng)
+                located, walked = fm.locate_rows(lo, hi)
                 stats.rows_located += len(located)
                 stats.locate_steps += walked
                 out += [Occurrence(end - pos, mm) for pos in located]
                 continue
             want = wanted[offset]
-            for code, child in fm.children(rng):
+            for code, clo, chi in fm.children((lo, hi)):
                 if want is None or code == want:
-                    stack.append((child, offset + 1, mm))
+                    stack.append((clo, chi, offset + 1, mm))
                 elif len(mm) < k:
-                    stack.append((child, offset + 1, mm + (offset,)))
+                    stack.append((clo, chi, offset + 1, mm + (offset,)))
         return out
 
 

@@ -12,7 +12,8 @@ stream of reads.  :class:`BatchExecutor` runs a read batch
   and letting every worker re-hydrate from it in O(header) — true CPU
   parallelism without per-worker deserialization cost.  Indexes the
   binary format cannot hold (non-rankall rank backends) fall back to the
-  JSON payload, still shipped through the one shared segment.
+  JSON payload, still shipped through the one shared segment.  Either
+  is serialized by an index's first pool batch and reused by the rest.
 
 ``workers`` is an upper bound.  A batch of ``n`` items runs on
 ``min(workers, usable CPUs, n // MIN_ITEMS_PER_WORKER)`` pool workers
@@ -41,6 +42,7 @@ import os as _os
 import queue as _queue
 import threading
 import traceback as _traceback
+import weakref
 from dataclasses import dataclass, field
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -168,6 +170,27 @@ class BatchResult:
     #: Mode-specific detail (process mode: transfer kind, shm size,
     #: per-worker hydration timings).
     extra: Dict[str, object] = field(default_factory=dict)
+
+
+#: Each index's pool payload ``(blob, transfer)``, serialized by the
+#: first pool batch that needs it.  An index is immutable, so every later
+#: pool batch on it ships the same bytes; an index only ever served
+#: serially holds nothing here.
+_PAYLOADS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _pool_payload(index) -> Tuple[bytes, str]:
+    """``(blob, transfer)`` for ``index``: the binary blob (``"shm-bin"``)
+    or, for an index the binary format cannot hold, its JSON payload
+    (``"shm-json"``); cached per index in :data:`_PAYLOADS`."""
+    payload = _PAYLOADS.get(index)
+    if payload is None:
+        try:
+            payload = (index.to_binary(), "shm-bin")
+        except SerializationError:
+            payload = (index.dumps().encode("utf-8"), "shm-json")
+        _PAYLOADS[index] = payload
+    return payload
 
 
 class BatchExecutor:
@@ -343,12 +366,7 @@ class BatchExecutor:
                      batch_trace_id=None):
         from .registry import REGISTRY
 
-        try:
-            blob = index.to_binary()
-            transfer = "shm-bin"
-        except SerializationError:
-            blob = index.dumps().encode("utf-8")
-            transfer = "shm-json"
+        blob, transfer = _pool_payload(index)
         workers = min(workers, len(chunks))
         observe = OBS.enabled
         engine_name = REGISTRY.canonical_name(method)

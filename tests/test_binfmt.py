@@ -7,6 +7,7 @@ probe counters), the corruption taxonomy (every malformed file raises
 shared-memory process-pool transfer built on top of the format.
 """
 
+import os
 import random
 import struct
 
@@ -302,6 +303,29 @@ class TestSharedMemoryTransfer:
         )
         assert batch.extra["transfer"] == "shm-json"
         assert batch.results == serial.results
+
+    def test_blob_serialized_once_per_index(self):
+        index, reads = self._make()
+        calls = []
+        to_binary = index.to_binary
+
+        def counted():
+            calls.append(1)
+            return to_binary()
+
+        index.to_binary = counted
+        shm_before = sorted(os.listdir("/dev/shm"))
+        serial = BatchExecutor(workers=0).run_map(index, reads, 2)
+        assert calls == []  # a serial batch serializes nothing
+        for _ in range(2):
+            batch = BatchExecutor(workers=2, mode="process", chunk_size=3).run_map(
+                index, reads, 2
+            )
+            assert batch.mode == "process"
+            assert batch.extra["transfer"] == "shm-bin"
+            assert batch.results == serial.results
+        assert calls == [1]
+        assert sorted(os.listdir("/dev/shm")) == shm_before
 
     def test_worker_error_propagates(self):
         index, reads = self._make(n_reads=4)

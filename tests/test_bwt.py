@@ -96,8 +96,8 @@ class TestRankAll:
         # The non-sentinel codes occurring in L[lo:hi], with their ranges.
         ra = RankAll("acg$caaa", DNA)
         c_array = [0, 1, 5, 7, 8, 8]
-        assert [code for code, _ in ra.children(0, 8, c_array)] == [1, 2, 3]
-        assert ra.children(4, 5, c_array) == [(DNA.code("c"), (6, 7))]
+        assert [code for code, _, _ in ra.children(0, 8, c_array)] == [3, 2, 1]
+        assert ra.children(4, 5, c_array) == ((DNA.code("c"), 6, 7),)
 
     def test_total(self):
         ra = RankAll("acg$caaa", DNA)
@@ -182,20 +182,20 @@ class TestFMIndex:
     def test_children_full_range(self):
         fm = FMIndex("acagaca", DNA)
         kids = fm.children(fm.full_range())
-        codes = [code for code, _ in kids]
-        assert codes == [DNA.code("a"), DNA.code("c"), DNA.code("g")]
-        total = sum(hi - lo for _, (lo, hi) in kids)
+        codes = [code for code, _, _ in kids]
+        assert codes == [DNA.code("g"), DNA.code("c"), DNA.code("a")]
+        total = sum(hi - lo for _, lo, hi in kids)
         assert total == fm.n_rows - 1  # everything but the sentinel row
 
     def test_children_of_empty(self):
         fm = FMIndex("acgt", DNA)
-        assert fm.children(EMPTY_RANGE) == []
+        assert fm.children(EMPTY_RANGE) == ()
 
     def test_children_consistent_with_extend(self):
         fm = FMIndex("acagacagtt", DNA)
         rng = fm.full_range()
-        for code, child in fm.children(rng):
-            assert fm.extend(rng, code) == child
+        for code, lo, hi in fm.children(rng):
+            assert fm.extend(rng, code) == (lo, hi)
 
     def test_extend_char(self):
         fm = FMIndex("acagaca", DNA)
@@ -231,8 +231,8 @@ class TestFMIndex:
 
 class TestChildrenKernel:
     """``FMIndex.children`` delegates to one kernel per rank backend; on
-    every range it must equal one ``extend`` per character, as plain
-    int pairs the garbage collector can untrack."""
+    every range it must equal one ``extend`` per character, highest code
+    first, as a tuple of int triples the garbage collector can untrack."""
 
     @staticmethod
     def indexes(rnd, tmp_path):
@@ -254,11 +254,11 @@ class TestChildrenKernel:
     @staticmethod
     def by_extend(fm, rng):
         out = []
-        for code in range(1, fm.alphabet.size):
+        for code in range(fm.alphabet.size - 1, 0, -1):
             child = fm.extend(rng, code)
             if not child.is_empty:
-                out.append((code, tuple(child)))
-        return out
+                out.append((code, child.lo, child.hi))
+        return tuple(out)
 
     def test_equals_extend_on_every_range(self, tmp_path):
         labels = set()
@@ -274,27 +274,29 @@ class TestChildrenKernel:
                     assert fm.children((lo, hi)) == fm.children(rng)
                     if rate and lo < hi:
                         edges.add((lo % rate == 0, hi % rate == 0))
-            assert fm.children(EMPTY_RANGE) == []
-            assert fm.children((n, n)) == []
+            assert fm.children(EMPTY_RANGE) == ()
+            assert fm.children((n, n)) == ()
             full = fm.children(fm.full_range())
-            assert sum(hi - lo for _, (lo, hi) in full) == n - 1
+            assert sum(hi - lo for _, lo, hi in full) == n - 1
             if rate > 1:
                 # Ranges starting and ending on and off a checkpoint.
                 assert edges == {(True, True), (True, False), (False, True), (False, False)}
         assert labels == {"rankall/1", "rankall/3", "rankall/4", "rankall/mmap", "wavelet"}
 
     def test_pairs_are_untracked_after_collection(self, tmp_path):
+        """Each child triple, and the tuple holding them, is untracked."""
         for label, fm in self.indexes(random.Random(7), tmp_path):
             kids = fm.children(fm.full_range())
-            # A pair is untracked once its inner pair is, and one pass may
-            # visit the outer first: two passes settle both.
+            # The outer tuple is untracked once its triples are, and one
+            # pass may visit it first: two passes settle both.
             gc.collect()
             gc.collect()
             assert kids, label
-            for pair in kids:
-                assert type(pair[1]) is tuple, label
-                assert not gc.is_tracked(pair), label
-                assert not gc.is_tracked(pair[1]), label
+            assert type(kids) is tuple, label
+            assert not gc.is_tracked(kids), label
+            for triple in kids:
+                assert [type(x) for x in triple] == [int, int, int], label
+                assert not gc.is_tracked(triple), label
 
 
 class TestLocateRange:
