@@ -43,10 +43,7 @@ VOLATILE_KEYS = {
 
 #: Metric families the new tree no longer emits: per-probe rank counters,
 #: replaced by ``search.rank_queries{engine,k}``.
-RETIRED = {
-    "rank.rankall.occ_probes", "rank.rankall.counts_at_probes",
-    "rank.wavelet.occ_probes", "rank.wavelet.counts_at_probes",
-}
+RETIRED = {"rank.rankall.occ_probes", "rank.rankall.counts_at_probes"}
 
 #: Record ``event`` renames: the router writes ``query`` with ``shards``.
 RENAMED_EVENTS = {"router": "query"}

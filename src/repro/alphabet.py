@@ -7,7 +7,7 @@ nevertheless generic: any :class:`Alphabet` over single-character symbols
 works with every index and matcher in the package.
 
 An :class:`Alphabet` provides a dense integer code for each symbol (0 is
-always the sentinel) which the packed-sequence and rank structures rely on.
+always the sentinel) which the byte BWT and the rank structure rely on.
 """
 
 from __future__ import annotations

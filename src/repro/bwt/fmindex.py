@@ -50,6 +50,15 @@ EMPTY_RANGE = Range(0, 0)
 DEFAULT_SA_SAMPLE = 8
 
 
+def _c_array(rank: RankAll, alphabet: Alphabet) -> List[int]:
+    """``C[code]`` = number of BWT characters with a smaller code = first
+    row of that character's F interval (the paper's F_x start)."""
+    c_array = [0] * (alphabet.size + 1)
+    for code in range(alphabet.size):
+        c_array[code + 1] = c_array[code] + rank.total(code)
+    return c_array
+
+
 class FMIndex:
     """A searchable BWT array over ``text + '$'``.
 
@@ -64,10 +73,6 @@ class FMIndex:
     sa_sample_rate:
         Every text position divisible by this is kept in the sampled
         suffix array; ``locate`` walks LF until it hits one.
-    rank_backend:
-        ``"rankall"`` (the paper's Fig. 2 structure, default) or
-        ``"wavelet"`` (a wavelet tree — n·log σ bits, O(log σ) probes;
-        see :mod:`repro.bwt.wavelet`).
 
     >>> fm = FMIndex("acagaca")
     >>> fm.count("aca")
@@ -82,7 +87,6 @@ class FMIndex:
         alphabet: Optional[Alphabet] = None,
         occ_sample_rate: int = DEFAULT_SAMPLE_RATE,
         sa_sample_rate: int = DEFAULT_SA_SAMPLE,
-        rank_backend: str = "rankall",
     ):
         if alphabet is None:
             alphabet = infer_alphabet(text) if text else Alphabet("a")
@@ -93,13 +97,13 @@ class FMIndex:
         self._text_len = len(text)
         self._sa_sample_rate = sa_sample_rate
 
-        with OBS.span("fmindex.build", length=len(text), backend=rank_backend) as build_span:
+        with OBS.span("fmindex.build", length=len(text)) as build_span:
             with OBS.span("fmindex.suffix_array"):
                 sa = suffix.suffix_array(text, alphabet)
             with OBS.span("fmindex.bwt"):
                 bwt = bwt_from_suffix_array(text, sa)
             with OBS.span("fmindex.rank_tables"):
-                self._init_from_bwt(bwt, occ_sample_rate, rank_backend)
+                self._init_from_bwt(bwt, occ_sample_rate)
             with OBS.span("fmindex.sample_sa", rate=sa_sample_rate):
                 self._sampled_sa: Dict[int, int] = {
                     row: pos for row, pos in enumerate(sa) if pos % sa_sample_rate == 0
@@ -109,24 +113,10 @@ class FMIndex:
             OBS.metrics.counter("fmindex.builds").inc()
             OBS.metrics.gauge("fmindex.nbytes").set(self.nbytes())
 
-    def _init_from_bwt(self, bwt: str, occ_sample_rate: int, rank_backend: str = "rankall") -> None:
+    def _init_from_bwt(self, bwt: str, occ_sample_rate: int) -> None:
         self._bwt = bwt
-        self._rank_backend = rank_backend
-        if rank_backend == "rankall":
-            self._rank = RankAll(bwt, self._alphabet, occ_sample_rate)
-        elif rank_backend == "wavelet":
-            from .wavelet import WaveletRank
-
-            self._rank = WaveletRank(bwt, self._alphabet)
-        else:
-            raise IndexCorruptionError(f"unknown rank backend {rank_backend!r}")
-        # C[code] = number of BWT characters with a smaller code = first row
-        # of that character's F interval (the paper's F_x start).
-        counts = [self._rank.total(code) for code in range(self._alphabet.size)]
-        c_array = [0] * (self._alphabet.size + 1)
-        for code in range(self._alphabet.size):
-            c_array[code + 1] = c_array[code] + counts[code]
-        self._c_array = c_array
+        self._rank = RankAll(bwt, self._alphabet, occ_sample_rate)
+        self._c_array = _c_array(self._rank, self._alphabet)
 
     # -- introspection --------------------------------------------------------
 
@@ -149,7 +139,7 @@ class FMIndex:
     def bwt(self) -> str:
         """The BWT string ``L`` (sentinel included).
 
-        Indexes loaded from the binary format keep only the packed codes;
+        Indexes loaded from the binary format keep only the byte codes;
         the string form is decoded lazily on first access and cached.
         """
         if self._bwt is None:
@@ -170,10 +160,9 @@ class FMIndex:
         return Range(0, self.n_rows)
 
     def nbytes(self) -> int:
-        """Index payload in bytes, using the paper's C-style accounting.
-
-        Rankall structure (2-bit BWT + 32-bit checkpoints) plus the
-        sampled suffix array stored as 32-bit positions with a one-bit
+        """Bytes of what the index holds: the rankall structure (the byte
+        BWT and the 32-bit checkpoint table every probe reads) plus the
+        sampled suffix array, counted as 32-bit positions with a one-bit
         sampled-row marker per row.
         """
         sampled_sa_bytes = len(self._sampled_sa) * 4 + (self.n_rows + 7) // 8
@@ -207,8 +196,8 @@ class FMIndex:
         node (paper Sec. IV-A) — highest code first, the order a
         depth-first search pushes them to explore them in code order.
         Each ``(child_lo, child_hi)`` equals ``extend(rng, code)``.  The
-        rank backend reads every character's counts at both ends at once
-        (rankall: two checkpoint rows, not two probes per character).
+        rankall kernel reads every character's counts at both ends at
+        once: two checkpoint rows, not two probes per character.
 
         >>> fm = FMIndex("acagaca")
         >>> fm.children(fm.full_range())
@@ -389,7 +378,6 @@ class FMIndex:
             "bwt": self.bwt,
             "occ_sample_rate": self._rank.sample_rate or DEFAULT_SAMPLE_RATE,
             "sa_sample_rate": self._sa_sample_rate,
-            "rank_backend": self._rank_backend,
             "sampled_sa": sorted(self._sampled_sa.items()),
         }
 
@@ -399,7 +387,11 @@ class FMIndex:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FMIndex":
-        """Rebuild an index from :meth:`to_dict` output."""
+        """Rebuild an index from :meth:`to_dict` output.
+
+        The payload's BWT determines the index, so a ``rank_backend`` key
+        (which older payloads carry) is ignored.
+        """
         if payload.get("magic") != cls._MAGIC:
             raise SerializationError("not a serialized FMIndex")
         if payload.get("version") != cls._VERSION:
@@ -411,11 +403,7 @@ class FMIndex:
             raise SerializationError("corrupt BWT payload")
         instance._text_len = len(bwt) - 1
         instance._sa_sample_rate = int(payload["sa_sample_rate"])
-        instance._init_from_bwt(
-            bwt,
-            int(payload["occ_sample_rate"]),
-            payload.get("rank_backend", "rankall"),
-        )
+        instance._init_from_bwt(bwt, int(payload["occ_sample_rate"]))
         instance._sampled_sa = {int(row): int(pos) for row, pos in payload["sampled_sa"]}
         return instance
 
@@ -444,7 +432,6 @@ class FMIndex:
         sa_sample_rate: int,
         rank,
         sampled_sa,
-        rank_backend: str = "rankall",
     ) -> "FMIndex":
         """Assemble an index around pre-built components (no scans, no copies).
 
@@ -457,13 +444,9 @@ class FMIndex:
         instance._alphabet = alphabet
         instance._text_len = text_len
         instance._sa_sample_rate = sa_sample_rate
-        instance._rank_backend = rank_backend
         instance._rank = rank
         instance._bwt = None
-        c_array = [0] * (alphabet.size + 1)
-        for code in range(alphabet.size):
-            c_array[code + 1] = c_array[code] + rank.total(code)
-        instance._c_array = c_array
+        instance._c_array = _c_array(rank, alphabet)
         instance._sampled_sa = sampled_sa
         return instance
 

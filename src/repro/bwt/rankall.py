@@ -12,17 +12,18 @@ elements of ``L``), with the tail recovered by scanning ``L`` itself.
 
 * ``occ(code, i)`` — occurrences of one character in the prefix ``L[:i]``
   (the FM backward-search primitive);
-* ``counts_at(i)`` — the full per-character prefix-count row at ``i``;
 * ``children(lo, hi, C)`` — the S-tree branching step: every character's
   sub-range of ``[lo, hi)`` from two row reads total instead of two
   probes per character, as ``(code, lo', hi')`` triples.
 
-Checkpoints are stored row-major by block (one row = all characters), so
-a row read is a single C-level slice.  The BWT itself is kept twice: a
-2-bit-style :class:`~repro.sequence.PackedSequence` (the representation
-the paper's space accounting uses — see :meth:`nbytes`) and a ``bytes``
-shadow that pure Python can scan at C speed; a C implementation would
-scan the packed words directly.
+The BWT is held once, one byte per code, which pure Python scans at C
+speed.  Checkpoints are stored row-major by block, one int32 per
+non-sentinel code: the sentinel occurs once, so ``occ(0, i)`` is just
+``i > sentinel_row``.  A single int32 pad leads the table, so the slice
+``flat[b*(σ-1) : b*(σ-1)+σ]`` is a σ-slot row whose slot ``c`` is block
+``b``'s count of code ``c`` for every ``c >= 1``; slot 0 (the pad, or
+the previous row's last count) only absorbs the sentinel when a tail
+holds it, and nothing reads it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import List, Sequence, Tuple
 from ..alphabet import Alphabet
 from ..errors import IndexCorruptionError
 from ..obs import OBS
-from ..sequence import PackedSequence, bits_needed
 
 #: The paper's Fig. 2 stores one checkpoint per 4 BWT elements.
 DEFAULT_SAMPLE_RATE = 4
@@ -53,13 +53,30 @@ def _slice_counter(buf):
     return count
 
 
+def _checkpoint_table(codes, size: int, sample_rate: int) -> Tuple[array, List[int]]:
+    """``(flat, totals)`` for the code sequence ``codes``: the padded
+    row-major checkpoint table and every code's count over the whole BWT.
+
+    ``flat[b*(size-1) + c]`` counts code ``c >= 1`` in
+    ``codes[: b*sample_rate]``; ``flat[0]`` is the pad.
+    """
+    length = len(codes)
+    flat = array("i", [0])  # 32-bit checkpoint values, as in the paper's Fig. 2
+    running = [0] * size
+    for lo in range(0, length // sample_rate * sample_rate + 1, sample_rate):
+        flat.extend(running[1:])
+        for code in codes[lo:lo + sample_rate]:
+            running[code] += 1
+    return flat, running
+
+
 class RankAll:
     """Checkpoint-sampled per-character cumulative counts over a BWT array.
 
     Parameters
     ----------
     bwt:
-        The BWT string ``L`` (sentinel included).
+        The BWT string ``L`` (one sentinel included).
     alphabet:
         Alphabet the BWT is over; the sentinel is handled automatically.
         At most 256 distinct codes are supported.
@@ -73,86 +90,70 @@ class RankAll:
     4
     >>> ra.occ(DNA.code("c"), 5)   # 'c' occurrences in L[:5] = 'acg$c'
     2
+    >>> ra.occ(0, 4), ra.sentinel_row   # the sentinel is L[3]
+    (1, 3)
     """
 
     __slots__ = (
-        "_packed",
         "_codes_bytes",
         "_alphabet",
         "_size",
+        "_width",
         "_sample_rate",
         "_flat",
         "_length",
         "_totals",
+        "_sentinel_row",
         "_tail_count",
     )
 
     def __init__(self, bwt: str, alphabet: Alphabet, sample_rate: int = DEFAULT_SAMPLE_RATE):
-        if sample_rate < 1:
-            raise IndexCorruptionError("sample_rate must be >= 1")
-        if alphabet.size > 256:
-            raise IndexCorruptionError("alphabets larger than 256 symbols are not supported")
-        self._alphabet = alphabet
-        self._size = alphabet.size
-        self._sample_rate = sample_rate
-        self._length = len(bwt)
-        with OBS.span("rankall.build", length=self._length, sample_rate=sample_rate):
-            codes = alphabet.encode(bwt)
-            self._packed = PackedSequence(bits_needed(alphabet.size), codes)
-            self._codes_bytes = bytes(codes)
-
-            n_codes = self._size
-            n_blocks = self._length // sample_rate + 1
-            # Row-major: flat[block * n_codes + code] = count of `code` in
-            # L[: block * sample_rate].
-            flat = array("i")  # 32-bit checkpoint values, as in the paper's Fig. 2
-            running = [0] * n_codes
-            for block in range(n_blocks):
-                flat.extend(running)
-                lo = block * sample_rate
-                hi = min(lo + sample_rate, self._length)
-                for i in range(lo, hi):
-                    running[codes[i]] += 1
-            self._flat = flat
-            self._totals = running
-            self._tail_count = self._codes_bytes.count
+        _check_shape(alphabet, sample_rate)
+        with OBS.span("rankall.build", length=len(bwt), sample_rate=sample_rate):
+            codes = bytes(alphabet.encode(bwt))
+            if codes.count(0) != 1:
+                raise IndexCorruptionError(
+                    f"a BWT holds the sentinel exactly once, found {codes.count(0)}"
+                )
+            flat, totals = _checkpoint_table(codes, alphabet.size, sample_rate)
+            self._init(alphabet, sample_rate, codes, flat, totals, codes.index(0))
 
     @classmethod
     def from_parts(
         cls,
         alphabet: Alphabet,
         sample_rate: int,
-        length: int,
-        packed: PackedSequence,
         codes,
         checkpoints,
         totals: List[int],
+        sentinel_row: int,
     ) -> "RankAll":
         """Wrap pre-built buffers without re-deriving anything.
 
-        This is the zero-copy deserialization path: ``packed`` wraps the
-        2-bit BWT words, ``codes`` the byte shadow (``bytes`` or a
-        ``memoryview`` over an mmap section), ``checkpoints`` the flat
-        int32 row-major checkpoint table and ``totals`` the per-code
-        grand totals.  No buffer is copied or scanned.
+        This is the zero-copy deserialization path: ``codes`` is the byte
+        BWT (``bytes`` or a ``memoryview`` over an mmap section),
+        ``checkpoints`` the padded int32 row-major checkpoint table,
+        ``totals`` the per-code grand totals and ``sentinel_row`` the row
+        whose code is 0.  No buffer is copied or scanned.
         """
-        if sample_rate < 1:
-            raise IndexCorruptionError("sample_rate must be >= 1")
-        if alphabet.size > 256:
-            raise IndexCorruptionError("alphabets larger than 256 symbols are not supported")
+        _check_shape(alphabet, sample_rate)
         instance = cls.__new__(cls)
-        instance._alphabet = alphabet
-        instance._size = alphabet.size
-        instance._sample_rate = sample_rate
-        instance._length = length
-        instance._packed = packed
-        instance._codes_bytes = codes
-        instance._flat = checkpoints
-        instance._totals = list(totals)
-        instance._tail_count = (
+        instance._init(alphabet, sample_rate, codes, checkpoints, totals, sentinel_row)
+        return instance
+
+    def _init(self, alphabet, sample_rate, codes, flat, totals, sentinel_row) -> None:
+        self._alphabet = alphabet
+        self._size = alphabet.size
+        self._width = alphabet.size - 1
+        self._sample_rate = sample_rate
+        self._length = len(codes)
+        self._codes_bytes = codes
+        self._flat = flat
+        self._totals = list(totals)
+        self._sentinel_row = sentinel_row
+        self._tail_count = (
             codes.count if isinstance(codes, (bytes, bytearray)) else _slice_counter(codes)
         )
-        return instance
 
     # -- primitives ---------------------------------------------------------
 
@@ -164,39 +165,31 @@ class RankAll:
         """Distance between checkpoints."""
         return self._sample_rate
 
+    @property
+    def sentinel_row(self) -> int:
+        """The row ``i`` with ``L[i]`` the sentinel."""
+        return self._sentinel_row
+
     def char_code_at(self, i: int) -> int:
         """Integer code of ``L[i]``."""
         return self._codes_bytes[i]
 
     def codes_slice(self, lo: int, hi: int):
         """The integer codes of ``L[lo:hi]``, front to back (a slice of
-        the byte shadow: ``bytes`` or a memoryview)."""
+        the byte BWT: ``bytes`` or a memoryview)."""
         return self._codes_bytes[lo:hi]
 
     def occ(self, code: int, i: int) -> int:
         """Occurrences of character ``code`` in the prefix ``L[:i]``."""
         if not 0 <= i <= self._length:
             raise IndexError(f"prefix length {i} out of range 0..{self._length}")
+        if not code:
+            return int(i > self._sentinel_row)
         block_start = i - i % self._sample_rate
-        count = self._flat[(i // self._sample_rate) * self._size + code]
+        count = self._flat[(i // self._sample_rate) * self._width + code]
         if i > block_start:
             count += self._tail_count(code, block_start, i)
         return count
-
-    def counts_at(self, i: int) -> List[int]:
-        """Prefix counts of *every* code at position ``i`` (one row).
-
-        ``counts_at(i)[c] == occ(c, i)`` for every code ``c``; a single
-        checkpoint-row slice plus at most ``sample_rate - 1`` tail reads.
-        """
-        size = self._size
-        base = (i // self._sample_rate) * size
-        row = self._flat[base:base + size].tolist()
-        block_start = i - i % self._sample_rate
-        if i > block_start:
-            for code in self._codes_bytes[block_start:i]:
-                row[code] += 1
-        return row
 
     def children(
         self, lo: int, hi: int, c_array: Sequence[int]
@@ -217,28 +210,25 @@ class RankAll:
         """
         rate = self._sample_rate
         size = self._size
+        width = self._width
         flat = self._flat
         codes = self._codes_bytes
         block = lo // rate
-        row_lo = flat[block * size:(block + 1) * size].tolist()
+        row_lo = flat[block * width:block * width + size].tolist()
         for code in codes[block * rate:lo]:
             row_lo[code] += 1
         block = hi // rate
-        row_hi = flat[block * size:(block + 1) * size].tolist()
+        row_hi = flat[block * width:block * width + size].tolist()
         for code in codes[block * rate:hi]:
             row_hi[code] += 1
         out = []
-        for code in range(size - 1, 0, -1):
+        for code in range(width, 0, -1):
             a = row_lo[code]
             b = row_hi[code]
             if b > a:
                 base = c_array[code]
                 out.append((code, base + a, base + b))
         return tuple(out)
-
-    def occ_range(self, code: int, lo: int, hi: int) -> int:
-        """Occurrences of ``code`` in ``L[lo:hi]``."""
-        return self.occ(code, hi) - self.occ(code, lo)
 
     def total(self, code: int) -> int:
         """Occurrences of ``code`` in the whole BWT."""
@@ -247,19 +237,15 @@ class RankAll:
     # -- raw buffers (binary serialization) -----------------------------------
 
     @property
-    def packed(self) -> PackedSequence:
-        """The bit-packed BWT (the paper's 2-bit representation)."""
-        return self._packed
-
-    @property
     def codes_buffer(self):
-        """The one-byte-per-code BWT shadow (``bytes`` or memoryview)."""
+        """The one-byte-per-code BWT (``bytes`` or memoryview)."""
         return self._codes_bytes
 
     @property
     def checkpoints(self):
-        """The flat row-major int32 checkpoint table (``array('i')`` or
-        memoryview); ``checkpoints[block * alphabet.size + code]``."""
+        """The padded row-major int32 checkpoint table (``array('i')`` or
+        memoryview); ``checkpoints[block * (alphabet.size - 1) + code]``
+        for every ``code >= 1``."""
         return self._flat
 
     @property
@@ -272,30 +258,34 @@ class RankAll:
         return iter(self._codes_bytes)
 
     def nbytes(self) -> int:
-        """Payload size of the paper's representation.
-
-        Counts the bit-packed BWT plus the checkpoint rows — i.e. what a
-        C implementation would store; the Python-only ``bytes`` scan
-        shadow is excluded (see the module docstring).
-        """
-        return self._packed.nbytes() + self._flat.itemsize * len(self._flat)
+        """Bytes of the buffers every probe reads: the byte BWT plus the
+        checkpoint table."""
+        return len(self._codes_bytes) + self._flat.itemsize * len(self._flat)
 
     # -- validation ----------------------------------------------------------
 
     def verify(self) -> None:
-        """Recompute every checkpoint from scratch; raise on any drift."""
-        n_codes = self._size
-        running = [0] * n_codes
-        n_blocks = self._length // self._sample_rate + 1
-        for block in range(n_blocks):
-            for c in range(n_codes):
-                if self._flat[block * n_codes + c] != running[c]:
-                    raise IndexCorruptionError(f"checkpoint drift at block {block}, code {c}")
-            lo = block * self._sample_rate
-            hi = min(lo + self._sample_rate, self._length)
-            for i in range(lo, hi):
-                if self._packed[i] != self._codes_bytes[i]:
-                    raise IndexCorruptionError(f"packed/shadow drift at position {i}")
-                running[self._codes_bytes[i]] += 1
-        if running != self._totals:
+        """Recompute every checkpoint and the sentinel's row from the byte
+        BWT; raise on any drift."""
+        codes = bytes(self._codes_bytes)
+        if codes.count(0) != 1 or codes.index(0) != self._sentinel_row:
+            raise IndexCorruptionError(f"sentinel row {self._sentinel_row} drifted")
+        flat, totals = _checkpoint_table(codes, self._size, self._sample_rate)
+        stored = self._flat.tolist()
+        if len(stored) != len(flat):
+            raise IndexCorruptionError(
+                f"checkpoint table holds {len(stored)} values, expected {len(flat)}"
+            )
+        for i in range(1, len(flat)):
+            if stored[i] != flat[i]:
+                block, code = divmod(i - 1, self._width)
+                raise IndexCorruptionError(f"checkpoint drift at block {block}, code {code + 1}")
+        if totals != self._totals:
             raise IndexCorruptionError("total counts drifted")
+
+
+def _check_shape(alphabet: Alphabet, sample_rate: int) -> None:
+    if sample_rate < 1:
+        raise IndexCorruptionError("sample_rate must be >= 1")
+    if alphabet.size > 256:
+        raise IndexCorruptionError("alphabets larger than 256 symbols are not supported")

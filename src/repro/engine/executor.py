@@ -10,10 +10,10 @@ stream of reads.  :class:`BatchExecutor` runs a read batch
 * on a **process pool**, placing the zero-copy binary index blob
   (:mod:`repro.io.binfmt`) in :mod:`multiprocessing.shared_memory` once
   and letting every worker re-hydrate from it in O(header) — true CPU
-  parallelism without per-worker deserialization cost.  Indexes the
-  binary format cannot hold (non-rankall rank backends) fall back to the
-  JSON payload, still shipped through the one shared segment.  Either
-  is serialized by an index's first pool batch and reused by the rest.
+  parallelism without per-worker deserialization cost.  The blob is
+  serialized by an index's first pool batch and reused by the rest; a
+  host the binary format cannot serve (a big-endian one) runs every
+  batch serially.
 
 ``workers`` is an upper bound.  A batch of ``n`` items runs on
 ``min(workers, usable CPUs, n // MIN_ITEMS_PER_WORKER)`` pool workers
@@ -167,30 +167,29 @@ class BatchResult:
     n_chunks: int = 1
     workers: int = 1
     mode: str = "serial"
-    #: Mode-specific detail (process mode: transfer kind, shm size,
-    #: per-worker hydration timings).
+    #: Mode-specific detail (process mode: shm size, per-worker
+    #: hydration timings).
     extra: Dict[str, object] = field(default_factory=dict)
 
 
-#: Each index's pool payload ``(blob, transfer)``, serialized by the
-#: first pool batch that needs it.  An index is immutable, so every later
-#: pool batch on it ships the same bytes; an index only ever served
-#: serially holds nothing here.
-_PAYLOADS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Each index's binary blob, serialized by the first pool batch that
+#: needs it.  An index is immutable, so every later pool batch on it
+#: ships the same bytes; an index only ever served serially holds
+#: nothing here.
+_BLOBS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _pool_payload(index) -> Tuple[bytes, str]:
-    """``(blob, transfer)`` for ``index``: the binary blob (``"shm-bin"``)
-    or, for an index the binary format cannot hold, its JSON payload
-    (``"shm-json"``); cached per index in :data:`_PAYLOADS`."""
-    payload = _PAYLOADS.get(index)
-    if payload is None:
+def _pool_blob(index) -> Optional[bytes]:
+    """The binary blob the pool ships for ``index``, cached per index in
+    :data:`_BLOBS`; ``None`` when the binary format cannot hold it (a
+    big-endian host), and the batch then runs serially."""
+    blob = _BLOBS.get(index)
+    if blob is None:
         try:
-            payload = (index.to_binary(), "shm-bin")
+            blob = _BLOBS[index] = index.to_binary()
         except SerializationError:
-            payload = (index.dumps().encode("utf-8"), "shm-json")
-        _PAYLOADS[index] = payload
-    return payload
+            return None
+    return blob
 
 
 class BatchExecutor:
@@ -201,8 +200,9 @@ class BatchExecutor:
     workers:
         Upper bound on pool workers.  A batch runs on
         :func:`pool_size` workers: ``min(workers, usable CPUs,
-        len(items) // MIN_ITEMS_PER_WORKER)``.  Below 2 it runs serially
-        (through the index's cached, memo-bearing engine); otherwise it
+        len(items) // MIN_ITEMS_PER_WORKER)``.  Below 2, or when the index
+        has no binary blob, it runs serially (through the index's cached,
+        memo-bearing engine); otherwise it
         fans chunks out over the process pool, which hydrates the index
         per worker from one shared-memory binary blob in O(header) and
         pulls chunks from a dynamic task queue — it pays a process
@@ -295,6 +295,9 @@ class BatchExecutor:
 
     def _run(self, index, kind: str, items: List[str], k: int, method: str) -> BatchResult:
         workers = pool_size(self.workers, len(items))
+        blob = _pool_blob(index) if workers > 1 else None
+        if blob is None:
+            workers = 1
         parallel = workers > 1
         # One correlation id per batch run, threaded into the result's
         # ``extra`` and the batch's telemetry record — a
@@ -315,7 +318,7 @@ class BatchExecutor:
                 batch = BatchResult(results, stats, n_chunks=1, workers=1, mode="serial")
             else:
                 batch = self._run_parallel(
-                    index, kind, items, k, method, workers, batch_trace_id
+                    blob, kind, items, k, method, workers, batch_trace_id
                 )
             span.set(chunks=batch.n_chunks)
         if OBS.enabled:
@@ -343,14 +346,14 @@ class BatchExecutor:
         return batch
 
     def _run_parallel(
-        self, index, kind: str, items: List[str], k: int, method: str, workers: int,
+        self, blob: bytes, kind: str, items: List[str], k: int, method: str, workers: int,
         batch_trace_id: Optional[str] = None,
     ) -> BatchResult:
         size = self.chunk_size or max(1, -(-len(items) // (workers * _CHUNKS_PER_WORKER)))
         chunks = [items[i : i + size] for i in range(0, len(items), size)]
         extra: Dict[str, object] = {}
         chunk_results = self._map_process(
-            index, kind, chunks, k, method, workers, extra, batch_trace_id
+            blob, kind, chunks, k, method, workers, extra, batch_trace_id
         )
         results: List[object] = []
         stats = SearchStats()
@@ -362,11 +365,10 @@ class BatchExecutor:
             extra=extra,
         )
 
-    def _map_process(self, index, kind, chunks, k, method, workers, extra,
+    def _map_process(self, blob, kind, chunks, k, method, workers, extra,
                      batch_trace_id=None):
         from .registry import REGISTRY
 
-        blob, transfer = _pool_payload(index)
         workers = min(workers, len(chunks))
         observe = OBS.enabled
         engine_name = REGISTRY.canonical_name(method)
@@ -412,7 +414,7 @@ class BatchExecutor:
                 proc = ctx.Process(
                     target=_pool_worker,
                     args=(
-                        worker_id, shm.name, len(blob), transfer, observe,
+                        worker_id, shm.name, observe,
                         kind, k, method, task_q, result_q, profile_hz,
                         self.shard, arena.name if use_arena else None,
                         region[0], region[1],
@@ -468,7 +470,6 @@ class BatchExecutor:
         # stalled/dead verdict a previous batch left on readiness.
         if not watchdog.stalled:
             READINESS.set_component("workers", True, "batch pool completed normally")
-        extra["transfer"] = transfer
         extra["shm_nbytes"] = len(blob)
         extra["worker_hydrate_ms"] = sorted(hydrations.values())
         if not use_arena:
@@ -494,18 +495,15 @@ class BatchExecutor:
             for worker_id, hydrate_ms in sorted(hydrations.items()):
                 OBS.metrics.counter("engine.worker.hydrations").inc()
                 hist.observe(hydrate_ms)
-                # Dimensional series: which worker hydrated how fast, and
-                # over which transfer (shm-bin vs the JSON fallback) —
+                # Dimensional series: which worker hydrated how fast —
                 # worker ids are pool slots (0..workers-1), bounded
                 # cardinality by construction.  Routed batches add the
                 # shard id so seam-local hydration cost stays separable.
                 OBS.metrics.counter(
-                    "engine.worker.hydrations", worker=worker_id, transfer=transfer,
-                    **shard_labels,
+                    "engine.worker.hydrations", worker=worker_id, **shard_labels,
                 ).inc()
                 OBS.metrics.histogram(
-                    "engine.worker.hydrate_ms", worker=worker_id, transfer=transfer,
-                    **shard_labels,
+                    "engine.worker.hydrate_ms", worker=worker_id, **shard_labels,
                 ).observe(hydrate_ms)
         # Fold each worker chunk's telemetry back into this process, in
         # chunk order — `map --workers N` reports the same counter
@@ -641,8 +639,6 @@ def _run_chunk(
 def _pool_worker(
     worker_id: int,
     shm_name: str,
-    blob_size: int,
-    transfer: str,
     observe: bool,
     kind: str,
     k: int,
@@ -717,13 +713,9 @@ def _pool_worker(
         PROFILER.start(hz=profile_hz, meta={"worker": worker_id})
     start = perf_counter()
     shm = shared_memory.SharedMemory(name=shm_name)
-    # The binary path wraps `shm.buf` zero-copy — the index holds
-    # memoryviews into the segment until the worker drops it; the parent
-    # owns the unlink.
-    if transfer == "shm-json":
-        index = KMismatchIndex.loads(bytes(shm.buf[:blob_size]).decode("utf-8"))
-    else:
-        index = KMismatchIndex.from_binary(shm.buf)
+    # The index wraps `shm.buf` zero-copy — it holds memoryviews into the
+    # segment until the worker drops it; the parent owns the unlink.
+    index = KMismatchIndex.from_binary(shm.buf)
     index.shard = shard
     hydrate_ms = (perf_counter() - start) * 1e3
     result_q.put(("hydrated", worker_id, hydrate_ms))
@@ -743,7 +735,7 @@ def _pool_worker(
                 if observe:
                     snapshot = ObsDelta.capture(OBS)
                     OBS.metrics.counter(
-                        "engine.worker.chunks", worker=worker_id, transfer=transfer,
+                        "engine.worker.chunks", worker=worker_id,
                         **({} if shard is None else {"shard": shard}),
                     ).inc()
                 out, stats = _run_chunk(index, kind, chunk, k, method)

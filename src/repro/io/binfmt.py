@@ -5,7 +5,7 @@ compatibility path: loading it re-encodes the BWT, rebuilds every rank
 checkpoint and re-hydrates the sampled suffix array — O(index) parsing
 that dominates wall-clock when a process pool ships one index to every
 worker.  This module stores the index the way the paper's space
-accounting already thinks about it: flat, packed, aligned buffers that
+accounting already thinks about it: flat, aligned buffers that
 serialize verbatim from the underlying ``array``/``bytes`` payloads and
 deserialize by *wrapping* an ``mmap``/``memoryview`` — no per-section
 copies, O(header) work on load.
@@ -13,7 +13,7 @@ copies, O(header) work on load.
 Layout (all integers little-endian; see ``docs/INDEX_FORMAT.md``)::
 
     0   8s   magic                b"REPROIDX"
-    8   u32  format version       1
+    8   u32  format version       3
     12  u32  endianness stamp     0x01020304 (readers reject other values)
     16  u32  header size          32 + 32 * n_sections
     20  u32  n_sections
@@ -22,24 +22,22 @@ Layout (all integers little-endian; see ``docs/INDEX_FORMAT.md``)::
           4s tag, 4x pad, u64 offset, u64 length, u32 crc32, 4x pad
     ..  section payloads, each 8-byte aligned, zero-padded between
 
-Sections (every one required in both format versions):
+Sections (every one required):
 
 =======  ==================================================================
-``META``  JSON: alphabet, lengths, sample rates, rank totals
-``BWTW``  the 2-bit-packed BWT, 64-bit words (:class:`PackedSequence`)
-``BWTC``  one-byte-per-code BWT shadow (the C-speed scan path)
-``RANK``  int32 row-major rankall checkpoint table
+``META``  JSON: alphabet, lengths, sample rates, rank totals, the
+          sentinel's row, ``sa_width``
+``BWTC``  the BWT, one byte per code
+``RANK``  int32 rankall checkpoint table: one pad, then one row of the
+          non-sentinel codes' counts per checkpoint
 ``SARO``  sampled suffix-array rows, ascending
 ``SAPO``  sampled suffix-array positions, aligned with ``SARO``
 =======  ==================================================================
 
-**Format version 2** widens ``SARO``/``SAPO`` from uint32 to uint64
-behind the ``META.sa_width`` flag (4 or 8 bytes per entry), lifting the
-4 Gbp target cap.  Writers emit version 1 (byte-identical to the
-original format) whenever every suffix-array value fits uint32 and only
-stamp version 2 when u64 sections are actually needed — so v1 readers
-keep loading every file a v1 writer could have produced, and a v1 file
-claiming ``sa_width`` other than 4 is rejected as corrupt.
+``META.sa_width`` is 4 (uint32 ``SARO``/``SAPO``) or 8 (uint64, for
+targets of 4 Gbp and more).  This build reads and writes version 3 only;
+a file of an earlier version fails with
+:class:`~repro.errors.IndexCorruptionError` naming the version found.
 
 This module also defines the ``REPROSHD`` shard-manifest container
 (:func:`dump_manifest` / :func:`parse_manifest`): a small header plus a
@@ -52,11 +50,11 @@ files, section-table overruns, section-length mismatches against
 ``META``, checksum drift — raises
 :class:`~repro.errors.IndexCorruptionError` naming the offending field;
 a corrupt file must never produce a silently wrong answer.  A value the
-*requested* format cannot hold (an SA entry past uint32 in a forced v1
-write) raises :class:`~repro.errors.IndexFormatError` naming the
-section and the v2 flag.  CRC32s are stored per section but verified
-only on request (``verify_checksums=True``) because checksumming is
-O(file) and would defeat the zero-copy load.
+*requested* width cannot hold (an SA entry past uint32 in a forced
+``sa_width=4`` write) raises :class:`~repro.errors.IndexFormatError`
+naming the sections and ``sa_width``.  CRC32s are stored per section
+but verified only on request (``verify_checksums=True``) because
+checksumming is O(file) and would defeat the zero-copy load.
 """
 
 from __future__ import annotations
@@ -73,7 +71,6 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..alphabet import Alphabet
 from ..errors import IndexCorruptionError, IndexFormatError, SerializationError
 from ..obs import OBS
-from ..sequence import PackedSequence, bits_needed
 from ..bwt.rankall import RankAll
 
 #: First 8 bytes of every binary index file.
@@ -82,10 +79,8 @@ MAGIC = b"REPROIDX"
 #: First 8 bytes of every shard-manifest file.
 MANIFEST_MAGIC = b"REPROSHD"
 
-#: Highest index format version this build reads and writes.  Writers
-#: emit the *lowest* version that can represent the index: 1 while every
-#: SA value fits uint32, 2 (u64 ``SARO``/``SAPO``) beyond that.
-FORMAT_VERSION = 2
+#: The one index format version this build reads and writes.
+FORMAT_VERSION = 3
 
 #: Shard-manifest format version written by this build.
 MANIFEST_VERSION = 1
@@ -97,8 +92,8 @@ _HEADER = struct.Struct("<8sIIIIQ")
 _SECTION = struct.Struct("<4s4xQQI4x")
 _ALIGN = 8
 
-#: Section tags of format version 1, in file order.
-SECTION_TAGS = (b"META", b"BWTW", b"BWTC", b"RANK", b"SARO", b"SAPO")
+#: Section tags, in file order.
+SECTION_TAGS = (b"META", b"BWTC", b"RANK", b"SARO", b"SAPO")
 
 
 def _pad(n: int) -> int:
@@ -187,21 +182,13 @@ def dump_fmindex(fm, sa_width: Optional[int] = None) -> bytes:
     """Serialize ``fm`` to one binary blob, straight from its buffers.
 
     ``sa_width`` selects the ``SARO``/``SAPO`` entry width in bytes: 4
-    (uint32, format version 1) or 8 (uint64, format version 2).  The
-    default picks the narrowest width that holds every suffix-array
-    value — version 1 output stays byte-identical to pre-v2 builds.
-    Forcing ``sa_width=4`` on a target whose SA values exceed uint32
-    raises :class:`~repro.errors.IndexFormatError` (never a silent
-    truncation).
+    (uint32) or 8 (uint64).  The default picks the narrowest width that
+    holds every suffix-array value.  Forcing ``sa_width=4`` on a target
+    whose SA values exceed uint32 raises
+    :class:`~repro.errors.IndexFormatError` (never a silent truncation).
     """
     _require_little_endian()
-    if getattr(fm, "_rank_backend", "rankall") != "rankall":
-        raise SerializationError(
-            "the binary index format stores the rankall backend only "
-            f"(index uses {fm._rank_backend!r}); use the JSON serialization"
-        )
     rank = fm._rank
-    packed = rank.packed
     checkpoints = rank.checkpoints
     if getattr(checkpoints, "itemsize", 4) != 4:  # pragma: no cover - exotic ABIs
         checkpoints = array("i", checkpoints)
@@ -215,49 +202,47 @@ def dump_fmindex(fm, sa_width: Optional[int] = None) -> bytes:
     if sa_width == 4 and needs_u64:
         raise IndexFormatError(
             "sections SARO/SAPO: suffix-array values for a target of "
-            f"{fm.text_length} bp exceed uint32; write format v2 instead "
-            "(sa_width=8, the META.sa_width flag)"
+            f"{fm.text_length} bp exceed uint32; write them with sa_width=8"
         )
     sampled = sorted(fm._sampled_sa.items())
     typecode = "I" if sa_width == 4 else "Q"
     rows = array(typecode, (row for row, _ in sampled))
     positions = array(typecode, (pos for _, pos in sampled))
-    version = 1 if sa_width == 4 else 2
     meta = {
         "alphabet": "".join(fm.alphabet.symbols),
         "text_len": fm.text_length,
         "bwt_len": len(rank),
-        "packed_width": packed.width,
         "occ_sample_rate": rank.sample_rate,
         "sa_sample_rate": fm.sa_sample_rate,
-        "rank_backend": "rankall",
         "totals": rank.totals_list,
+        "sentinel_row": rank.sentinel_row,
         "n_sampled": len(sampled),
+        "sa_width": sa_width,
     }
-    if sa_width != 4:
-        # The v2 flag.  Omitted (not written as 4) in v1 files so that
-        # version-1 output is byte-identical to pre-v2 builds.
-        meta["sa_width"] = sa_width
     payloads = {
         b"META": json.dumps(meta, sort_keys=True).encode("utf-8"),
-        b"BWTW": _as_byte_view(packed.raw_words),
         b"BWTC": _as_byte_view(rank.codes_buffer),
         b"RANK": _as_byte_view(checkpoints),
         b"SARO": _as_byte_view(rows),
         b"SAPO": _as_byte_view(positions),
     }
-    header_size = _HEADER.size + _SECTION.size * len(SECTION_TAGS)
+    return _assemble(payloads)
+
+
+def _assemble(payloads: Dict[bytes, object]) -> bytes:
+    """The container around ``payloads`` (tag -> section bytes), its
+    sections in the order given."""
+    header_size = _HEADER.size + _SECTION.size * len(payloads)
     offset = _pad(header_size)
     entries = []
-    for tag in SECTION_TAGS:
-        payload = payloads[tag]
+    for tag, payload in payloads.items():
         entries.append((tag, offset, len(payload), zlib.crc32(payload) & 0xFFFFFFFF))
         offset = _pad(offset + len(payload))
     total_size = offset
     blob = bytearray(total_size)
     _HEADER.pack_into(
-        blob, 0, MAGIC, version, ENDIAN_STAMP, header_size,
-        len(SECTION_TAGS), total_size,
+        blob, 0, MAGIC, FORMAT_VERSION, ENDIAN_STAMP, header_size,
+        len(payloads), total_size,
     )
     for i, (tag, off, length, crc) in enumerate(entries):
         _SECTION.pack_into(blob, _HEADER.size + i * _SECTION.size, tag, off, length, crc)
@@ -302,10 +287,10 @@ def parse_sections(buffer, source: str = "<buffer>") -> Tuple[dict, Dict[bytes, 
             source, "endianness stamp",
             f"expected {ENDIAN_STAMP:#010x}, found {endian:#010x} (foreign byte order?)",
         )
-    if not 1 <= version <= FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise _corrupt(
             source, "version",
-            f"found {version}, this build reads versions 1..{FORMAT_VERSION}",
+            f"found version {version}, this build reads version {FORMAT_VERSION}",
         )
     expected_header = _HEADER.size + _SECTION.size * n_sections
     if header_size != expected_header:
@@ -394,11 +379,6 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
             alphabet = Alphabet(symbols)
         except Exception as exc:
             raise _corrupt(source, "META.alphabet", str(exc)) from None
-        if meta.get("rank_backend", "rankall") != "rankall":
-            raise _corrupt(
-                source, "META.rank_backend",
-                f"expected 'rankall', found {meta.get('rank_backend')!r}",
-            )
         text_len = _meta_int(meta, "text_len", source)
         bwt_len = _meta_int(meta, "bwt_len", source, minimum=1)
         if bwt_len != text_len + 1:
@@ -406,27 +386,14 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
                 source, "META.bwt_len",
                 f"{bwt_len} does not equal text_len + 1 ({text_len + 1})",
             )
-        width = _meta_int(meta, "packed_width", source, minimum=1)
-        if width != bits_needed(alphabet.size):
-            raise _corrupt(
-                source, "META.packed_width",
-                f"{width} does not match alphabet of {alphabet.size} codes "
-                f"(expected {bits_needed(alphabet.size)})",
-            )
         occ_rate = _meta_int(meta, "occ_sample_rate", source, minimum=1)
         sa_rate = _meta_int(meta, "sa_sample_rate", source, minimum=1)
         n_sampled = _meta_int(meta, "n_sampled", source)
-        sa_width = meta.get("sa_width", 4)
+        sa_width = meta.get("sa_width")
         if sa_width not in (4, 8):
             raise _corrupt(
                 source, "META.sa_width",
                 f"expected 4 (uint32) or 8 (uint64), found {sa_width!r}",
-            )
-        if info["version"] < 2 and sa_width != 4:
-            raise _corrupt(
-                source, "META.sa_width",
-                f"format v1 stores uint32 SA sections only; the sa_width={sa_width} "
-                "flag requires format version 2",
             )
         totals = meta.get("totals")
         if (
@@ -453,14 +420,18 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
                 )
             return section
 
-        n_words = (bwt_len * width + 63) // 64
         n_blocks = bwt_len // occ_rate + 1
-        words = _section_exact(b"BWTW", n_words * 8, f"{bwt_len} x {width}-bit BWT").cast("Q")
-        codes = _section_exact(b"BWTC", bwt_len, "BWT code shadow")
+        codes = _section_exact(b"BWTC", bwt_len, "the byte BWT")
         flat = _section_exact(
-            b"RANK", n_blocks * alphabet.size * 4,
-            f"{n_blocks} checkpoint rows x {alphabet.size} codes",
+            b"RANK", (1 + n_blocks * (alphabet.size - 1)) * 4,
+            f"a pad and {n_blocks} checkpoint rows x {alphabet.size - 1} codes",
         ).cast("i")
+        sentinel_row = _meta_int(meta, "sentinel_row", source)
+        if sentinel_row >= bwt_len or codes[sentinel_row] != 0:
+            raise _corrupt(
+                source, "META.sentinel_row",
+                f"row {sentinel_row} of {bwt_len} does not hold the sentinel",
+            )
         sa_code = "I" if sa_width == 4 else "Q"
         rows = _section_exact(
             b"SARO", n_sampled * sa_width, f"{n_sampled} sampled SA rows"
@@ -469,8 +440,7 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
             b"SAPO", n_sampled * sa_width, f"{n_sampled} sampled SA positions"
         ).cast(sa_code)
 
-        packed = PackedSequence.from_words(width, bwt_len, words)
-        rank = RankAll.from_parts(alphabet, occ_rate, bwt_len, packed, codes, flat, totals)
+        rank = RankAll.from_parts(alphabet, occ_rate, codes, flat, totals, sentinel_row)
         fm = FMIndex._from_parts(
             alphabet, text_len, sa_rate, rank, SampledSAView(rows, positions)
         )

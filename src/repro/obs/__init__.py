@@ -1,7 +1,7 @@
 """Observability: tracing, metrics, and trace-file export.
 
 This package is the engine's measurement substrate.  Every layer —
-FM-index construction, rank backends, the tree searchers, the facade,
+FM-index construction, the rank structure, the tree searchers, the facade,
 the benchmark suite, the CLI — reports through the one process-wide
 :data:`OBS` singleton, so a single switch turns the whole pipeline's
 instrumentation on and a single export captures it.

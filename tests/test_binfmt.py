@@ -7,6 +7,7 @@ probe counters), the corruption taxonomy (every malformed file raises
 shared-memory process-pool transfer built on top of the format.
 """
 
+import json
 import os
 import random
 import struct
@@ -28,8 +29,8 @@ def _random_text(rnd, symbols, length):
 
 def _probe_counts(fn):
     """Run ``fn`` and return how often it probed ``RankAll.occ`` /
-    ``RankAll.counts_at`` (counted by wrappers, restored afterwards)."""
-    counts = {"occ": 0, "counts_at": 0}
+    ``RankAll.children`` (counted by wrappers, restored afterwards)."""
+    counts = {"occ": 0, "children": 0}
     originals = {name: getattr(RankAll, name) for name in counts}
 
     def counting(name):
@@ -55,7 +56,6 @@ def _exercise(fm, queries):
         out.append(fm.count(query))
         out.append(sorted(fm.locate(query)))
     for i in range(0, fm.text_length + 1, 3):
-        out.append(fm._rank.counts_at(i))
         for code in range(fm.alphabet.size):
             out.append(fm._rank.occ(code, i))
     return out
@@ -158,7 +158,7 @@ class TestCorruption:
         struct.pack_into("<I", bad, 8, binfmt.FORMAT_VERSION + 1)
         with pytest.raises(IndexCorruptionError, match="version") as excinfo:
             self._load(bytes(bad))
-        assert f"versions 1..{binfmt.FORMAT_VERSION}" in str(excinfo.value)
+        assert f"this build reads version {binfmt.FORMAT_VERSION}" in str(excinfo.value)
 
     def test_foreign_endianness(self, blob):
         bad = bytearray(blob)
@@ -185,7 +185,7 @@ class TestCorruption:
         bad = bytearray(blob)
         # Shrink the recorded BWTC length: bounds still valid, but the
         # META-derived size check must name the section.
-        entry = binfmt._HEADER.size + 2 * binfmt._SECTION.size  # BWTC entry
+        entry = binfmt._HEADER.size + binfmt.SECTION_TAGS.index(b"BWTC") * binfmt._SECTION.size
         (length,) = struct.unpack_from("<Q", bad, entry + 16)
         struct.pack_into("<Q", bad, entry + 16, length - 1)
         with pytest.raises(IndexCorruptionError, match="section BWTC length"):
@@ -234,11 +234,6 @@ class TestCorruption:
         with pytest.raises(IndexCorruptionError, match="header"):
             binfmt.open_fmindex(path)
 
-    def test_wavelet_backend_refused_for_binary(self):
-        fm = FMIndex("acagacag", rank_backend="wavelet")
-        with pytest.raises(SerializationError, match="rankall"):
-            fm.to_binary()
-
     def test_sniff(self, tmp_path, blob):
         bin_path = tmp_path / "a.fmbin"
         bin_path.write_bytes(blob)
@@ -272,7 +267,6 @@ class TestSharedMemoryTransfer:
         # worker only sees its own chunks — same as the thread path.)
         assert batch.results == serial.results
         assert batch.mode == "process"
-        assert batch.extra["transfer"] == "shm-bin"
         assert batch.extra["shm_nbytes"] > 0
         assert len(batch.extra["worker_hydrate_ms"]) == batch.workers
 
@@ -292,16 +286,20 @@ class TestSharedMemoryTransfer:
             OBS.disable()
             OBS.reset()
 
-    def test_json_fallback_when_binary_unsupported(self):
-        index, reads = self._make(n_reads=6)
-        index.to_binary = lambda: (_ for _ in ()).throw(
-            SerializationError("unsupported backend")
-        )
+    def test_serial_when_binary_unsupported(self):
+        # A host the binary format cannot serve (big-endian) has no blob
+        # to ship: the batch runs serially and touches no shared memory.
+        index, reads = self._make()
         serial = BatchExecutor(workers=0).run_map(index, reads, 1)
+        index.to_binary = lambda: (_ for _ in ()).throw(
+            SerializationError("big-endian host")
+        )
+        shm_before = sorted(os.listdir("/dev/shm"))
         batch = BatchExecutor(workers=2, mode="process", chunk_size=2).run_map(
             index, reads, 1
         )
-        assert batch.extra["transfer"] == "shm-json"
+        assert sorted(os.listdir("/dev/shm")) == shm_before
+        assert batch.mode == "serial" and batch.workers == 1
         assert batch.results == serial.results
 
     def test_blob_serialized_once_per_index(self):
@@ -322,7 +320,6 @@ class TestSharedMemoryTransfer:
                 index, reads, 2
             )
             assert batch.mode == "process"
-            assert batch.extra["transfer"] == "shm-bin"
             assert batch.results == serial.results
         assert calls == [1]
         assert sorted(os.listdir("/dev/shm")) == shm_before
@@ -336,39 +333,35 @@ class TestSharedMemoryTransfer:
 
 
 class TestFormatV2:
-    """u64 suffix-array sections behind the META.sa_width flag."""
+    """u64 suffix-array sections behind ``META.sa_width``, which format v2
+    introduced and v3 writes in every file."""
 
     def _fm(self, length=400, seed=3):
         rnd = random.Random(seed)
         return FMIndex(_random_text(rnd, "acgt", length))
 
-    def test_writer_defaults_to_v1_for_small_targets(self):
+    def test_writer_defaults_to_u32_for_small_targets(self):
         fm = self._fm()
-        blob = fm.to_binary()
-        info, sections = binfmt.parse_sections(blob)
-        assert info["version"] == 1
-        import json as _json
+        info, sections = binfmt.parse_sections(fm.to_binary())
+        assert info["version"] == binfmt.FORMAT_VERSION
+        assert json.loads(bytes(sections[b"META"]))["sa_width"] == 4
 
-        assert "sa_width" not in _json.loads(bytes(sections[b"META"]))
-
-    def test_forced_u64_round_trips_as_v2(self):
+    def test_forced_u64_round_trips(self):
         fm = self._fm()
         blob = binfmt.dump_fmindex(fm, sa_width=8)
         info, sections = binfmt.parse_sections(blob)
-        assert info["version"] == 2
-        import json as _json
-
-        assert _json.loads(bytes(sections[b"META"]))["sa_width"] == 8
+        assert info["version"] == binfmt.FORMAT_VERSION
+        assert json.loads(bytes(sections[b"META"]))["sa_width"] == 8
         loaded = binfmt.load_fmindex(blob)
         queries = ["acg", "tta", "gg"]
         assert _exercise(loaded, queries) == _exercise(fm, queries)
         assert loaded.text_length == fm.text_length
-        # v2 SA sections are twice the v1 size; everything else matches.
-        v1 = binfmt.dump_fmindex(fm, sa_width=4)
-        assert len(blob) > len(v1)
-        assert binfmt.load_fmindex(v1).reconstruct_text() == fm.reconstruct_text()
+        # u64 SA sections are twice the u32 size; everything else matches.
+        narrow = binfmt.dump_fmindex(fm, sa_width=4)
+        assert len(blob) > len(narrow)
+        assert binfmt.load_fmindex(narrow).reconstruct_text() == fm.reconstruct_text()
 
-    def test_v2_file_saves_and_opens_from_disk(self, tmp_path):
+    def test_u64_file_saves_and_opens_from_disk(self, tmp_path):
         fm = self._fm()
         path = tmp_path / "wide.fmbin"
         binfmt.save_fmindex(fm, path, sa_width=8)
@@ -389,13 +382,11 @@ class TestFormatV2:
         finally:
             fm._text_len = real_length
         message = str(excinfo.value)
-        # The error must name the sections and point at the v2 flag.
+        # The error must name the sections and the width that holds them.
         assert "SARO/SAPO" in message
-        assert "sa_width" in message and "v2" in message
+        assert "sa_width=8" in message
 
     def test_oversized_target_auto_selects_u64(self):
-        import json as _json
-
         fm = self._fm(length=60)
         real_length = fm._text_len
         fm._text_len = 2**32  # simulate a > 4 Gbp target
@@ -403,42 +394,121 @@ class TestFormatV2:
             blob = binfmt.dump_fmindex(fm)  # no width forced: auto-select
         finally:
             fm._text_len = real_length
-        # The writer must have picked u64 sections and stamped version 2
-        # instead of truncating (the blob itself is inconsistent — its
-        # META length is faked — so only the header/META choice is read).
-        (version,) = struct.unpack_from("<I", blob, 8)
-        assert version == 2
+        # The writer must have picked u64 sections instead of truncating
+        # (the blob itself is inconsistent — its META length is faked —
+        # so only the META choice is read).
         info, sections = binfmt.parse_sections(blob)
-        assert _json.loads(bytes(sections[b"META"]))["sa_width"] == 8
+        assert json.loads(bytes(sections[b"META"]))["sa_width"] == 8
 
     def test_invalid_sa_width_rejected(self):
         with pytest.raises(SerializationError, match="sa_width"):
             binfmt.dump_fmindex(self._fm(length=40), sa_width=2)
 
-    def test_v1_reader_meets_v2_flag(self):
-        # A blob whose META says sa_width=8 but whose header claims
-        # version 1 is self-contradictory: v1 readers would misparse the
-        # u64 sections as u32.  The loader must refuse, naming the field.
-        fm = self._fm(length=80)
-        bad = bytearray(binfmt.dump_fmindex(fm, sa_width=8))
-        struct.pack_into("<I", bad, 8, 1)
-        with pytest.raises(IndexCorruptionError, match="META.sa_width") as excinfo:
-            binfmt.load_fmindex(bytes(bad), source="skew.fmbin")
-        assert "version 2" in str(excinfo.value)
-
     def test_bad_sa_width_value_rejected(self):
-        import json as _json
-
         fm = self._fm(length=80)
-        blob = binfmt.dump_fmindex(fm, sa_width=8)
+        for value in (6, None):
+            bad = _with_meta(binfmt.dump_fmindex(fm, sa_width=8), sa_width=value)
+            with pytest.raises(IndexCorruptionError, match="META.sa_width"):
+                binfmt.load_fmindex(bad)
+
+
+def _with_meta(blob, **changes):
+    """``blob`` rebuilt with ``META`` fields changed (``None`` drops one)."""
+    info, sections = binfmt.parse_sections(blob)
+    meta = json.loads(bytes(sections[b"META"]))
+    for field, value in changes.items():
+        if value is None:
+            meta.pop(field, None)
+        else:
+            meta[field] = value
+    payloads = {tag: bytes(section) for tag, section in sections.items()}
+    payloads[b"META"] = json.dumps(meta, sort_keys=True).encode()
+    return binfmt._assemble(payloads)
+
+
+class TestFormatV3:
+    """One file layout: META BWTC RANK SARO SAPO, the sentinel's row in
+    META and one int32 pad before the non-sentinel codes' checkpoints."""
+
+    def _fm(self, length=300, seed=5, **kwargs):
+        rnd = random.Random(seed)
+        return FMIndex(_random_text(rnd, "acgt", length), **kwargs)
+
+    @pytest.mark.parametrize("sa_width", [4, 8])
+    def test_round_trip_in_memory_and_mmap(self, tmp_path, sa_width):
+        fm = self._fm(occ_sample_rate=3, sa_sample_rate=4)
+        queries = ["acg", "tta", "gg", "a"]
+        path = tmp_path / "idx.fmbin"
+        binfmt.save_fmindex(fm, path, sa_width=sa_width)
+        blob = binfmt.dump_fmindex(fm, sa_width=sa_width)
+        assert path.read_bytes() == blob
+        loaded = [binfmt.load_fmindex(blob)]
+        loaded += [binfmt.open_fmindex(path, mmap=use_mmap) for use_mmap in (True, False)]
+        for other in loaded:
+            assert _exercise(other, queries) == _exercise(fm, queries)
+            assert other.bwt == fm.bwt
+            assert other._rank.sentinel_row == fm._rank.sentinel_row
+            other._rank.verify()
         info, sections = binfmt.parse_sections(blob)
-        meta = _json.loads(bytes(sections[b"META"]))
-        meta["sa_width"] = 6
-        encoded = _json.dumps(meta, sort_keys=True).encode()
-        assert len(encoded) == len(sections[b"META"])  # same digit count
-        bad = blob.replace(bytes(sections[b"META"]), encoded)
-        with pytest.raises(IndexCorruptionError, match="META.sa_width"):
-            binfmt.load_fmindex(bad)
+        assert tuple(sections) == binfmt.SECTION_TAGS
+        assert b"BWTW" not in sections
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_earlier_versions_refused_naming_the_version(self, version):
+        bad = bytearray(self._fm().to_binary())
+        struct.pack_into("<I", bad, 8, version)
+        with pytest.raises(IndexCorruptionError) as excinfo:
+            binfmt.load_fmindex(bytes(bad), source="old.fmbin")
+        message = str(excinfo.value)
+        assert f"found version {version}" in message
+        assert f"reads version {binfmt.FORMAT_VERSION}" in message
+
+    def test_sentinel_row_checked(self):
+        fm = self._fm()
+        blob = fm.to_binary()
+        n = fm.n_rows
+        not_sentinel = (fm._rank.sentinel_row + 1) % n
+        for value in (None, -1, n, "3", not_sentinel):
+            with pytest.raises(IndexCorruptionError, match="META.sentinel_row"):
+                binfmt.load_fmindex(_with_meta(blob, sentinel_row=value))
+        # A rebuilt blob with the row unchanged still loads.
+        row = fm._rank.sentinel_row
+        assert binfmt.load_fmindex(_with_meta(blob, sentinel_row=row)).bwt == fm.bwt
+
+    def test_rank_section_of_wrong_length_refused(self):
+        blob = self._fm().to_binary()
+        info, sections = binfmt.parse_sections(blob)
+        payloads = {tag: bytes(section) for tag, section in sections.items()}
+        rank = payloads[b"RANK"]
+        for wrong in (rank[:-4], rank + bytes(4), rank[4:]):
+            payloads[b"RANK"] = wrong
+            with pytest.raises(IndexCorruptionError, match="section RANK length"):
+                binfmt.load_fmindex(binfmt._assemble(payloads))
+
+    def test_nbytes_counts_the_held_sections(self, tmp_path):
+        fm = self._fm(occ_sample_rate=4, sa_sample_rate=8)
+        path = tmp_path / "idx.fmbin"
+        fm.save(path)
+        info, sections = binfmt.parse_sections(path.read_bytes())
+        meta = json.loads(bytes(sections[b"META"]))
+        expected = (
+            len(sections[b"BWTC"])
+            + len(sections[b"RANK"])
+            + 4 * meta["n_sampled"] + (fm.n_rows + 7) // 8
+        )
+        assert fm.nbytes() == expected
+        assert FMIndex.load(path, mmap=True).nbytes() == expected
+
+    def test_json_payload_naming_the_wavelet_backend_loads(self):
+        fm = self._fm()
+        payload = fm.to_dict()
+        assert "rank_backend" not in payload
+        payload["rank_backend"] = "wavelet"
+        loaded = FMIndex.from_dict(payload)
+        fresh = FMIndex.loads(fm.dumps())
+        queries = ["acg", "tta", "gg"]
+        assert _exercise(loaded, queries) == _exercise(fresh, queries)
+        assert loaded.to_binary() == fm.to_binary()
 
 
 class TestManifestContainer:

@@ -79,18 +79,24 @@ class TestRankAll:
                     built._rank.occ(code, i) for i in range(built.n_rows + 1)
                 ], (text, code)
 
-    def test_counts_at_matches_occ(self):
+    def test_sentinel_occ_is_a_row_test(self):
+        # The sentinel has no checkpoint column: occ(0, i) is i > its row.
         bwt = bwt_transform("acagacagtt")
         ra = RankAll(bwt, DNA)
+        assert ra.sentinel_row == bwt.index("$")
         for i in range(len(bwt) + 1):
-            row = ra.counts_at(i)
-            for code in range(DNA.size):
-                assert row[code] == ra.occ(code, i)
+            assert ra.occ(0, i) == bwt[:i].count("$") == int(i > ra.sentinel_row)
 
     def test_occ_range(self):
         ra = RankAll("acg$caaa", DNA)
-        assert ra.occ_range(DNA.code("a"), 0, 8) == 4
-        assert ra.occ_range(DNA.code("c"), 1, 5) == 2  # L[1:5] = 'cg$c'
+        a, c = DNA.code("a"), DNA.code("c")
+        assert ra.occ(a, 8) - ra.occ(a, 0) == 4
+        assert ra.occ(c, 5) - ra.occ(c, 1) == 2  # L[1:5] = 'cg$c'
+
+    def test_rejects_bwt_without_one_sentinel(self):
+        for bwt in ("acga", "a$c$"):
+            with pytest.raises(IndexCorruptionError, match="sentinel"):
+                RankAll(bwt, DNA)
 
     def test_children_codes(self):
         # The non-sentinel codes occurring in L[lo:hi], with their ranges.
@@ -120,10 +126,14 @@ class TestRankAll:
         with pytest.raises(IndexError):
             ra.occ(1, 3)
 
-    def test_nbytes_counts_packed_payload(self):
-        small = RankAll(bwt_transform("acgt"), DNA)
-        big = RankAll(bwt_transform("acgt" * 100), DNA)
-        assert big.nbytes() > small.nbytes()
+    def test_nbytes_counts_held_buffers(self):
+        # The byte BWT plus one int32 pad and, per checkpoint, one int32
+        # per non-sentinel code.
+        bwt = bwt_transform("acgt" * 100)
+        for sample_rate in (1, 4, 7):
+            ra = RankAll(bwt, DNA, sample_rate=sample_rate)
+            blocks = len(bwt) // sample_rate + 1
+            assert ra.nbytes() == len(bwt) + 4 * (1 + blocks * (DNA.size - 1))
 
 
 class TestRange:
@@ -230,15 +240,14 @@ class TestFMIndex:
 
 
 class TestChildrenKernel:
-    """``FMIndex.children`` delegates to one kernel per rank backend; on
-    every range it must equal one ``extend`` per character, highest code
-    first, as a tuple of int triples the garbage collector can untrack."""
+    """``FMIndex.children`` delegates to the rankall kernel; on every range
+    it must equal one ``extend`` per character, highest code first, as a
+    tuple of int triples the garbage collector can untrack."""
 
     @staticmethod
     def indexes(rnd, tmp_path):
         """``(label, index)`` over small random texts: rankall at three
-        checkpoint spacings, rankall opened from an mmap'd file, and the
-        wavelet backend."""
+        checkpoint spacings and rankall opened from an mmap'd file."""
         for trial in range(4):
             symbols = "acgt" if trial % 2 == 0 else "abcdefg"
             text = "".join(rnd.choice(symbols) for _ in range(rnd.randint(1, 40)))
@@ -249,7 +258,6 @@ class TestChildrenKernel:
             mapped = FMIndex.load(path, mmap=True)
             assert isinstance(mapped._rank.codes_buffer, memoryview)
             yield "rankall/mmap", mapped
-            yield "wavelet", FMIndex(text, rank_backend="wavelet")
 
     @staticmethod
     def by_extend(fm, rng):
@@ -281,7 +289,7 @@ class TestChildrenKernel:
             if rate > 1:
                 # Ranges starting and ending on and off a checkpoint.
                 assert edges == {(True, True), (True, False), (False, True), (False, False)}
-        assert labels == {"rankall/1", "rankall/3", "rankall/4", "rankall/mmap", "wavelet"}
+        assert labels == {"rankall/1", "rankall/3", "rankall/4", "rankall/mmap"}
 
     def test_pairs_are_untracked_after_collection(self, tmp_path):
         """Each child triple, and the tuple holding them, is untracked."""
@@ -319,8 +327,8 @@ class TestLocateRange:
 
     @classmethod
     def indexes(cls, rnd, tmp_path):
-        """``(label, text, index)``: rankall in memory, rankall opened
-        from an mmap'd file and the wavelet backend, at every rate."""
+        """``(label, text, index)``: rankall in memory and rankall opened
+        from an mmap'd file, at every rate."""
         for trial, text in enumerate(cls.texts(rnd)):
             for rate in cls.RATES:
                 yield "rankall", text, FMIndex(text, DNA, sa_sample_rate=rate)
@@ -329,9 +337,6 @@ class TestLocateRange:
                 mapped = FMIndex.load(path, mmap=True)
                 assert isinstance(mapped._rank.codes_buffer, memoryview)
                 yield "mmap", text, mapped
-                yield "wavelet", text, FMIndex(
-                    text, DNA, sa_sample_rate=rate, rank_backend="wavelet"
-                )
 
     def test_equals_suffix_array(self, tmp_path):
         from repro.suffix import suffix_array
@@ -358,7 +363,7 @@ class TestLocateRange:
                 assert fm.locate_range(Range(lo, hi)) == sa[lo:hi]
             assert [fm.suffix_position(row) for row in range(n)] == sa
             seen.add((label, rate))
-        assert seen == {(label, rate) for label in ("rankall", "mmap", "wavelet")
+        assert seen == {(label, rate) for label in ("rankall", "mmap")
                         for rate in self.RATES}
 
     def test_empty_range(self):

@@ -495,12 +495,13 @@ class TestPhi:
 
 
 def make_fm(text, backend, tmp_path):
-    """An index of ``text`` on one rank backend, or opened by mmap."""
+    """An index of ``text`` built in memory (``"rankall"``) or opened by
+    mmap (``"mmap"``)."""
     if backend == "mmap":
         path = tmp_path / f"index{len(list(tmp_path.iterdir()))}.bin"
         KMismatchIndex(text).save(path)
         return KMismatchIndex.open(path, mmap=True).fm_index
-    return FMIndex(text[::-1], DNA, rank_backend=backend)
+    return FMIndex(text[::-1], DNA)
 
 
 class TestPhiAtScoring:
@@ -508,7 +509,7 @@ class TestPhiAtScoring:
     searchers cap φ at k + 1; both are held to the pop-time loop over the
     full φ table: the same answers, counts and leaves."""
 
-    @pytest.mark.parametrize("backend", ["rankall", "wavelet", "mmap"])
+    @pytest.mark.parametrize("backend", ["rankall", "mmap"])
     def test_matches_pop_time_loop(self, rng, tmp_path, backend):
         cuts = 0
         for text, pattern, k, use_phi in TestLFWalk.random_cases(rng, 40):
@@ -527,7 +528,7 @@ class TestPhiAtScoring:
             cuts += runs[0][1]["phi_pruned"]
         assert cuts > 0
 
-    @pytest.mark.parametrize("backend", ["rankall", "wavelet", "mmap"])
+    @pytest.mark.parametrize("backend", ["rankall", "mmap"])
     def test_searchers_match_pop_time_loop(self, monkeypatch, repeat_text, tmp_path, backend):
         """Both searchers, A() with its M-tree and a memo carried across
         queries, against the same searchers running the pop-time loop."""
@@ -610,11 +611,11 @@ class TestLFWalk:
                 pattern = random_dna(rng, m)
             yield text, pattern, rng.randint(0, 4), rng.random() < 0.5
 
-    @pytest.mark.parametrize("backend", ["rankall", "wavelet"])
-    def test_matches_children_only_loop(self, rng, backend):
+    @pytest.mark.parametrize("backend", ["rankall"])
+    def test_matches_children_only_loop(self, rng, tmp_path, backend):
         steps = 0
         for text, pattern, k, use_phi in self.random_cases(rng, 40):
-            fm = FMIndex(text[::-1], DNA, rank_backend=backend)
+            fm = make_fm(text, backend, tmp_path)
             walked, reference = walk_and_reference(fm, pattern, k, use_phi)
             assert_walk_matches(walked, reference)
             steps += walked[1].lf_steps

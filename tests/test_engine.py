@@ -493,8 +493,8 @@ class TestProcessPoolObsParity:
             (("engine", "stree"), ("k", "2")): len(reads)
         }
         assert process == serial
-        # Worker-side telemetry is labelled by pool slot + transfer kind
-        # (bounded cardinality: slot index, not pid).
+        # Worker-side telemetry is labelled by pool slot alone (bounded
+        # cardinality: slot index, not pid).
         chunks = {
             dict(labels)["worker"]: child["value"]
             for labels, child in iter_series(payload["engine.worker.chunks"])
@@ -502,12 +502,11 @@ class TestProcessPoolObsParity:
         }
         assert set(chunks) == {"0", "1"}
         assert sum(chunks.values()) == 4  # 20 reads / chunk_size 5
-        transfers = {
-            dict(labels)["transfer"]
+        assert {
+            tuple(sorted(dict(labels)))
             for labels, child in iter_series(payload["engine.worker.chunks"])
             if labels
-        }
-        assert transfers <= {"shm-bin", "shm-json"}
+        } == {("worker",)}
 
     def test_process_mode_merges_worker_profiles(self, workload):
         """When the parent profiler runs, worker processes sample

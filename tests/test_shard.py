@@ -295,8 +295,7 @@ class TestShardTelemetry:
             sharded.search_batch(patterns, 1, workers=2, chunk_size=4)
             for shard in range(2):
                 hydrated = OBS.metrics.counter(
-                    "engine.worker.hydrations", worker=0, transfer="shm-bin",
-                    shard=shard,
+                    "engine.worker.hydrations", worker=0, shard=shard,
                 ).value
                 assert hydrated >= 1
         finally:
