@@ -35,6 +35,7 @@ import pytest
 
 from repro.bench.reporting import format_table
 from repro.core.matcher import KMismatchIndex
+from repro.engine import BatchExecutor
 from repro.obs import OBS
 
 from conftest import write_json_result, write_result
@@ -111,11 +112,13 @@ def test_cold_load_speedup(benchmark, results_dir, tmp_path):
     ]
     OBS.reset().enable()
     try:
-        batch = index.map_reads(reads, K, workers=WORKERS)
+        # WORKERS is an upper bound: the pool also stops at the usable
+        # CPUs (executor.pool_size), so the batch reports what it used.
+        batch = BatchExecutor(workers=WORKERS).run_map(index, reads, K)
         hist = OBS.metrics.histogram("engine.worker.hydrate_ms")
         hydrations = OBS.metrics.counter("engine.worker.hydrations").value
         hydrate = {
-            "workers": WORKERS,
+            "workers": batch.workers,
             "hydrations": hydrations,
             "min_ms": hist.min,
             "max_ms": hist.max,
@@ -125,8 +128,9 @@ def test_cold_load_speedup(benchmark, results_dir, tmp_path):
     finally:
         OBS.disable()
         OBS.reset()
-    assert len(batch) == N_READS
-    assert hydrate["count"] == WORKERS
+    assert len(batch.results) == N_READS
+    assert batch.mode == "process" and batch.workers >= 2
+    assert hydrate["count"] == hydrations == batch.workers
 
     rows = [
         ["json", f"{measured['json'] * 1e3:10.2f}", f"{1.0:8.1f}x"],
@@ -140,7 +144,7 @@ def test_cold_load_speedup(benchmark, results_dir, tmp_path):
             f"cold index load, {GENOME_BP} bp genome "
             f"(json {len(json_payload)} B, bin {len(blob)} B); "
             f"worker hydration {hydrate['min_ms']:.2f}-{hydrate['max_ms']:.2f} ms "
-            f"across {WORKERS} workers"
+            f"across {batch.workers} workers"
         ),
     )
     write_result(results_dir, "cold_load", table)

@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.registry import CAP_MISMATCH, REGISTRY
-from ..core.matcher import KMismatchIndex
+from ..engine.registry import CAP_MISMATCH, REGISTRY, SearchEngine
+from ..core.matcher import KMismatchIndex, fold_search
 from ..core.types import SearchStats
 from ..obs import LATENCY_BUCKETS_MS, OBS, Histogram
 
@@ -119,9 +119,11 @@ class MethodSuite:
         Each read is also timed individually into the result's
         ``latency_hist`` so reports can show tail percentiles next to the
         paper's average — averages hide exactly the reads the derivation
-        machinery is supposed to help.
+        machinery is supposed to help.  With observability on, each
+        index-backed read is folded into ``search.*`` once, outside its
+        own latency.
         """
-        runner = self._runner_for(method, k)
+        engine, runner = self._runner_for(method, k)
         # A full collection owed to earlier allocations (tens of ms on a
         # large heap) must not land inside one method's few-ms timing.
         gc.collect()
@@ -136,6 +138,8 @@ class MethodSuite:
                 latency_hist.observe((time.perf_counter() - read_start) * 1e3)
                 n_occurrences += len(occurrences)
                 if stats is not None:
+                    if OBS.enabled:
+                        fold_search((engine,), k, stats, len(occurrences))
                     last_stats = stats if last_stats is None else last_stats.merge(stats)
             elapsed = time.perf_counter() - start
             span.set(seconds=round(elapsed, 6), occurrences=n_occurrences)
@@ -183,8 +187,9 @@ class MethodSuite:
 
     # -- method registry ----------------------------------------------------------
 
-    def _runner_for(self, method: str, k: int) -> Callable:
-        """Resolve ``method`` through the engine registry.
+    def _runner_for(self, method: str, k: int) -> Tuple[SearchEngine, Callable]:
+        """Resolve ``method`` through the engine registry: its engine and
+        a per-read runner.
 
         The engine instance comes from the index's per-(method, knobs)
         cache, so per-target preprocessing (Cole's suffix tree, the
@@ -198,5 +203,5 @@ class MethodSuite:
         spec = REGISTRY.resolve(method)
         engine = self._index.engine(spec.name)
         if spec.kind == "index":
-            return lambda read: engine.search(read, k)
-        return lambda read: (engine.search(read, k)[0], None)
+            return engine, lambda read: engine.search(read, k)
+        return engine, lambda read: (engine.search(read, k)[0], None)

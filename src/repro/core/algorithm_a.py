@@ -42,7 +42,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
 from ..mismatch.tables import MismatchTables
-from ..obs import COUNT_BUCKETS, OBS
+from ..obs import OBS
 from .mtree import MTree
 from .stree import (
     Children,
@@ -50,7 +50,6 @@ from .stree import (
     Memo,
     Mismatches,
     compute_phi,
-    record_search_metrics,
     tree_search,
 )
 from .types import Occurrence, SearchStats
@@ -133,7 +132,7 @@ class AlgorithmASearcher:
     """
 
     #: Canonical engine-registry name; spans are ``<engine_name>.search``
-    #: and metrics ``search.<engine_name>.*`` (the obs naming contract).
+    #: and the ``engine`` label of this engine's ``search.*`` series.
     engine_name = "algorithm_a"
 
     def __init__(
@@ -161,6 +160,8 @@ class AlgorithmASearcher:
         self._tables_cache: Optional[MismatchTables] = None
         #: M-tree of the most recent search (when ``record_mtree``).
         self.last_mtree: Optional[MTree] = None
+        #: Memo entries the most recent search evicted.
+        self.last_evicted = 0
 
     @property
     def memo_entries(self) -> int:
@@ -186,6 +187,7 @@ class AlgorithmASearcher:
         if k < 0:
             raise PatternError(f"k must be non-negative, got {k}")
         stats = SearchStats()
+        self.last_evicted = 0
         if m > fm.text_length:
             return [], stats
         with OBS.span(
@@ -214,7 +216,7 @@ class AlgorithmASearcher:
                 None if mtree is None else _mtree_recorder(mtree, fm.alphabet.symbol),
             )
             stats.memo_size = len(self._memo)
-            evicted = self._evict_memo(recorded_before)
+            self.last_evicted = self._evict_memo(recorded_before)
             span.set(
                 leaves=stats.leaves,
                 reuse_hits=stats.reuse_hits,
@@ -222,28 +224,6 @@ class AlgorithmASearcher:
                 memo_size=stats.memo_size,
                 occurrences=len(occurrences),
             )
-        if OBS.enabled:
-            record_search_metrics(self.engine_name, stats, len(occurrences), k)
-            # Derivation-machinery families, labelled {engine,k} like every
-            # other search series (the flat search.algorithm_a.* names they
-            # replace are retired — see docs/OBSERVABILITY.md).
-            metrics = OBS.metrics
-            engine = self.engine_name
-            metrics.counter("search.reuse_hits", engine=engine, k=k).inc(stats.reuse_hits)
-            metrics.counter("search.shared_reuse_hits", engine=engine, k=k).inc(
-                stats.shared_reuse_hits
-            )
-            metrics.counter("search.chars_replayed", engine=engine, k=k).inc(
-                stats.chars_replayed
-            )
-            metrics.counter("search.derivation_jumps", engine=engine, k=k).inc(
-                stats.derivation_jumps
-            )
-            metrics.histogram("search.memo_size", COUNT_BUCKETS, engine=engine, k=k).observe(
-                stats.memo_size
-            )
-            metrics.counter(self.engine_name + ".memo.evicted").inc(evicted)
-            metrics.gauge(self.engine_name + ".memo.entries").set(len(self._memo))
         self.last_mtree = mtree
         return sorted(occurrences, key=attrgetter("start")), stats
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
-from ..obs import COUNT_BUCKETS, OBS
+from ..obs import OBS
 from .types import SearchStats
 
 _INF = float("inf")
@@ -115,11 +115,6 @@ class KErrorsSearcher:
         with OBS.span("kerrors.search", m=m, k=k) as span:
             out = self._walk(fm.alphabet.encode(pattern), k, stats)
             span.set(occurrences=len(out))
-        if OBS.enabled:
-            OBS.metrics.counter("search.queries", engine="kerrors", k=k).inc()
-            OBS.metrics.histogram(
-                "search.occurrences", COUNT_BUCKETS, engine="kerrors", k=k
-            ).observe(len(out))
         return sorted(out, key=EDIT_ORDER), stats
 
     # -- internals ------------------------------------------------------------

@@ -16,12 +16,13 @@ from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabet import DNA, Alphabet, infer_alphabet
-from ..obs import OBS, PROFILER, new_trace_id, profile_memory, record_query_error
+from ..obs import COUNT_BUCKETS, OBS, PROFILER, new_trace_id, profile_memory, record_query_error
 from ..bwt.fmindex import DEFAULT_SA_SAMPLE, FMIndex
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
 from ..dna import reverse_complement
 from ..engine.registry import CAP_MISMATCH, REGISTRY, SearchEngine
 from ..errors import PatternError, SerializationError
+from .algorithm_a import AlgorithmASearcher
 from .kerrors import EditOccurrence
 from .types import Occurrence, SearchStats
 from .wildcard import DEFAULT_WILDCARD
@@ -73,6 +74,56 @@ def observe_queries(
     metrics.counter("query.occurrences", engine=engine, k=k).inc(occurrences)
 
 
+def record_search_metrics(engine: str, k: int, stats: SearchStats, n_occurrences: int,
+                          memo: Optional[Tuple[int, int]] = None, tree: bool = True) -> None:
+    """Fold one served query's :class:`SearchStats` into ``search.*{engine,k}``.
+
+    Runs once per served query, in the layer that serves it (facade,
+    shard router, :class:`~repro.bench.MethodSuite`); engines write no
+    metrics.  Every query adds ``search.queries`` and
+    ``search.occurrences``; a ``tree`` search also the paper's n'
+    ``search.leaves``, ``search.nodes_expanded`` and
+    ``search.rank_queries``.  ``memo`` is Algorithm A's ``(entries,
+    evicted)`` after the query, summed over its engines: it adds the
+    derivation families (``search.reuse_hits``, ``.shared_reuse_hits``,
+    ``.chars_replayed``, ``.derivation_jumps``, ``.memo_size``) and the
+    ``algorithm_a.memo.entries`` gauge / ``.evicted`` counter.  Callers
+    check ``OBS.enabled``.
+    """
+    counter, histogram = OBS.metrics.counter, OBS.metrics.histogram
+    labels = {"engine": engine, "k": k}
+    counter("search.queries", **labels).inc()
+    histogram("search.occurrences", COUNT_BUCKETS, **labels).observe(n_occurrences)
+    if not tree:
+        return
+    histogram("search.leaves", COUNT_BUCKETS, **labels).observe(stats.leaves)
+    histogram("search.nodes_expanded", COUNT_BUCKETS, **labels).observe(stats.nodes_expanded)
+    counter("search.rank_queries", **labels).inc(stats.rank_queries)
+    if memo is None:
+        return
+    counter("search.reuse_hits", **labels).inc(stats.reuse_hits)
+    counter("search.shared_reuse_hits", **labels).inc(stats.shared_reuse_hits)
+    counter("search.chars_replayed", **labels).inc(stats.chars_replayed)
+    counter("search.derivation_jumps", **labels).inc(stats.derivation_jumps)
+    histogram("search.memo_size", COUNT_BUCKETS, **labels).observe(stats.memo_size)
+    OBS.metrics.gauge("algorithm_a.memo.entries").set(memo[0])
+    counter("algorithm_a.memo.evicted").inc(memo[1])
+
+
+def fold_search(engines: Sequence[SearchEngine], k: int, stats: SearchStats,
+                n_occurrences: int) -> None:
+    """:func:`record_search_metrics` for a k-mismatch query its
+    ``engines`` served (one, or one per shard), labelled with their
+    ``engine_name``; the text baselines keep no search statistics."""
+    engine = getattr(engines[0], "engine_name", None)
+    if engine is None:
+        return
+    memo = None
+    if isinstance(engines[0], AlgorithmASearcher):
+        memo = (sum(e.memo_entries for e in engines), sum(e.last_evicted for e in engines))
+    record_search_metrics(engine, k, stats, n_occurrences, memo)
+
+
 #: The index-backed mismatch engines, in registry order — the method
 #: names the paper's evaluation exercises.  :meth:`KMismatchIndex.search`
 #: additionally accepts every other registered mismatch engine (the
@@ -102,13 +153,14 @@ class KMismatchIndex:
     """
 
     #: The shard id when this index serves as one shard of a
-    #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``;
-    #: carried as ``shard`` on this facade's telemetry records.  A shard
-    #: leg observes none of ``query.count``, ``query.latency_ms``,
-    #: ``query.search_ms`` and ``query.occurrences``: the router observes
-    #: the routed query once, as ``query.errors`` counts it once.  The
-    #: stamp is permanent, so a query sent straight to
-    #: ``sharded.shards[i]`` also reports as a shard leg.
+    #: :class:`~repro.shard.ShardedIndex` (stamped by it), else ``None``.
+    #: A shard leg does no query telemetry: no trace id, no
+    #: ``kmismatch.search`` span, no record, no ``query.*`` or
+    #: ``search.*`` metric.  The router records and folds the routed
+    #: query once; a leg still counts its own failure in
+    #: ``query.errors`` (with ``shard`` on the error record).  The stamp
+    #: is permanent, so a query sent straight to ``sharded.shards[i]``
+    #: also runs as a shard leg.
     shard: Optional[int] = None
 
     def __init__(
@@ -208,17 +260,26 @@ class KMismatchIndex:
         When observability is on, each query reports both the flat
         totals (``query.latency_ms``, ``query.count``, ...) and the
         dimensional series the paper's evaluation plots —
-        ``query.search_ms{engine,k}`` and labelled ``query.count`` /
-        ``query.occurrences`` children — plus one telemetry record
-        (flight recorder and ``--wide-events`` sink) sharing the latency
+        ``query.search_ms{engine,k}``, labelled ``query.count`` /
+        ``query.occurrences`` children and the ``search.*`` fold of its
+        :class:`SearchStats` — plus one telemetry record (flight
+        recorder and ``--wide-events`` sink) sharing the latency
         observation's exemplar ``trace_id``.  Engine labels use the
         registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
-        land in one series.  A shard leg (:attr:`shard` set) writes only
-        its record; the router observes the ``query.*`` families.
+        land in one series.  A shard leg (:attr:`shard` set) validates,
+        counts its own failure in ``query.errors`` and searches; the
+        router records the routed query.
         """
-        if not OBS.enabled:
-            self._alphabet.validate(pattern)
-            return self._dispatch(pattern, k, method, record_mtree)
+        if not OBS.enabled or self.shard is not None:
+            try:
+                self._alphabet.validate(pattern)
+                occurrences, stats, _ = self._dispatch(pattern, k, method, record_mtree)
+            except Exception as exc:
+                if OBS.enabled:
+                    record_query_error(REGISTRY.canonical_name(method), k, exc,
+                                       m=len(pattern), shard=self.shard)
+                raise
+            return occurrences, stats
         engine_name = REGISTRY.canonical_name(method)
         trace_id = new_trace_id()
         profile_marker = PROFILER.marker() if PROFILER.is_running() else None
@@ -230,15 +291,14 @@ class KMismatchIndex:
             with OBS.span("kmismatch.search", method=engine_name,
                           m=len(pattern), k=k) as span:
                 self._alphabet.validate(pattern)
-                occurrences, stats = self._dispatch(pattern, k, method, record_mtree)
+                occurrences, stats, engine = self._dispatch(pattern, k, method, record_mtree)
                 span.set(occurrences=len(occurrences))
         except Exception as exc:
-            record_query_error(engine_name, k, exc, m=len(pattern),
-                               trace_id=trace_id, shard=self.shard)
+            record_query_error(engine_name, k, exc, m=len(pattern), trace_id=trace_id)
             raise
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
-        if self.shard is None:
-            observe_queries(engine_name, k, len(occurrences), duration_ms, trace_id)
+        observe_queries(engine_name, k, len(occurrences), duration_ms, trace_id)
+        fold_search((engine,), k, stats, len(occurrences))
         # A slow query pins its own sample slice next to the record: the
         # folded stacks the profiler collected while this query ran, so
         # the flight recorder answers "where did that outlier spend its
@@ -257,7 +317,6 @@ class KMismatchIndex:
             trace_id=trace_id,
             stats=stats.to_dict(),
             spans=span.to_dict() if OBS.tracer.enabled else None,
-            shard=self.shard,
             **extra,
         )
         return occurrences, stats
@@ -287,7 +346,7 @@ class KMismatchIndex:
 
     def _dispatch(
         self, pattern: str, k: int, method: str, record_mtree: bool
-    ) -> Tuple[List[Occurrence], SearchStats]:
+    ) -> Tuple[List[Occurrence], SearchStats, SearchEngine]:
         spec = REGISTRY.resolve(method)
         if CAP_MISMATCH not in spec.capabilities:
             raise PatternError(
@@ -296,10 +355,10 @@ class KMismatchIndex:
             )
         knobs = {"record_mtree": True} if record_mtree and spec.supports_mtree else {}
         engine = self.engine(spec.name, **knobs)
-        result = engine.search(pattern, k)
+        occurrences, stats = engine.search(pattern, k)
         if spec.supports_mtree:
             self.last_mtree = getattr(engine, "last_mtree", None)
-        return result
+        return occurrences, stats, engine
 
     def count(self, pattern: str, k: int = 0, method: str = "algorithm_a") -> int:
         """Number of occurrences of ``pattern`` within distance ``k``."""
@@ -353,14 +412,18 @@ class KMismatchIndex:
         :func:`repro.core.kerrors.best_per_start` to reduce per start.
         """
         self._alphabet.validate(pattern)
-        occurrences, _ = self.engine("kerrors").search(pattern, k)
+        occurrences, stats = self.engine("kerrors").search(pattern, k)
+        if OBS.enabled and self.shard is None:
+            record_search_metrics("kerrors", k, stats, len(occurrences), tree=False)
         return occurrences
 
     def search_wildcard(
         self, pattern: str, k: int = 0, wildcard: str = DEFAULT_WILDCARD
     ) -> List[Occurrence]:
         """k-mismatch search where ``wildcard`` pattern positions match anything."""
-        occurrences, _ = self.engine("wildcard", wildcard=wildcard).search(pattern, k)
+        occurrences, stats = self.engine("wildcard", wildcard=wildcard).search(pattern, k)
+        if OBS.enabled and self.shard is None:
+            record_search_metrics("wildcard", k, stats, len(occurrences), tree=False)
         return occurrences
 
     # -- read mapping -------------------------------------------------------------------

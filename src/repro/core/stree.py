@@ -29,37 +29,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
-from ..obs import COUNT_BUCKETS, OBS
+from ..obs import OBS
 from .types import Occurrence, SearchStats
-
-
-def record_search_metrics(
-    engine: str, stats: SearchStats, n_occurrences: int, k: int = 0
-) -> None:
-    """Fold one search's :class:`SearchStats` into the metrics registry.
-
-    Shared by every tree searcher so the per-query distributions (the
-    paper's n' leaf counts, node totals) accumulate under uniform
-    dimensional families — ``search.leaves{engine,k}``,
-    ``search.nodes_expanded{engine,k}``, ``search.occurrences{engine,k}``,
-    ``search.queries{engine,k}``, ``search.rank_queries{engine,k}`` —
-    that let a dashboard reproduce the paper's per-k cuts (Fig. 11(a))
-    from one scrape.  (The name-mangled ``search.<engine>.*`` flat twins
-    these families replaced are retired; see the deprecation note in
-    docs/OBSERVABILITY.md.)  No-op while tracing is disabled.
-    """
-    metrics = OBS.metrics
-    metrics.histogram("search.leaves", COUNT_BUCKETS, engine=engine, k=k).observe(
-        stats.leaves
-    )
-    metrics.histogram(
-        "search.nodes_expanded", COUNT_BUCKETS, engine=engine, k=k
-    ).observe(stats.nodes_expanded)
-    metrics.histogram(
-        "search.occurrences", COUNT_BUCKETS, engine=engine, k=k
-    ).observe(n_occurrences)
-    metrics.counter("search.queries", engine=engine, k=k).inc()
-    metrics.counter("search.rank_queries", engine=engine, k=k).inc(stats.rank_queries)
 
 
 def compute_phi(
@@ -419,7 +390,7 @@ class STreeSearcher:
     """
 
     #: Canonical engine-registry name; spans are ``<engine_name>.search``
-    #: and metrics ``search.<engine_name>.*`` (the obs naming contract).
+    #: and the ``engine`` label of this engine's ``search.*`` series.
     engine_name = "stree"
 
     def __init__(self, fm_reverse: FMIndex, use_phi: bool = True):
@@ -449,18 +420,6 @@ class STreeSearcher:
         with OBS.span(self.engine_name + ".search", m=m, k=k, phi=self._use_phi) as span:
             pattern_codes = fm.alphabet.encode(pattern)
             phi = compute_phi(fm, pattern_codes, k + 1, stats) if self._use_phi else None
-            on_leaf = None
-            if OBS.enabled:
-                # The paper's S-tree leaf-depth distribution.
-                depths = OBS.metrics.histogram(
-                    "search.leaf_depth", COUNT_BUCKETS, engine=self.engine_name, k=k
-                )
-
-                def on_leaf(depth: int, mm: Mismatches) -> None:
-                    depths.observe(depth)
-
-            occurrences = tree_search(fm, pattern_codes, k, phi, stats, on_leaf=on_leaf)
+            occurrences = tree_search(fm, pattern_codes, k, phi, stats)
             span.set(leaves=stats.leaves, occurrences=len(occurrences))
-        if OBS.enabled:
-            record_search_metrics(self.engine_name, stats, len(occurrences), k)
         return sorted(occurrences, key=attrgetter("start")), stats

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from ..bwt.fmindex import FMIndex
 from ..errors import PatternError
-from ..obs import COUNT_BUCKETS, OBS
+from ..obs import OBS
 from .types import Occurrence, SearchStats
 
 #: Default wild-card character (IUPAC "any nucleotide").
@@ -70,11 +70,6 @@ class WildcardSearcher:
             ]
             out = self._walk(wanted, k, stats)
             span.set(occurrences=len(out))
-        if OBS.enabled:
-            OBS.metrics.counter("search.queries", engine="wildcard", k=k).inc()
-            OBS.metrics.histogram(
-                "search.occurrences", COUNT_BUCKETS, engine="wildcard", k=k
-            ).observe(len(out))
         return sorted(out, key=attrgetter("start")), stats
 
     # -- internals -----------------------------------------------------------

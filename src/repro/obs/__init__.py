@@ -26,9 +26,9 @@ Instrumented code follows three rules:
   shared no-op when disabled.
 * **Per-query counts** come from the
   :class:`~repro.core.types.SearchStats` the search already keeps,
-  folded into the registry once when the search ends
-  (``search.rank_queries{engine,k}`` and friends) — no registry work
-  inside rank-probe loops.  Guard with the
+  folded into the registry once per served query by the layer serving
+  it (``search.rank_queries{engine,k}`` and friends) — no registry work
+  in engines or rank-probe loops.  Guard with the
   ``enabled`` flag: ``if OBS.enabled: ...`` — one attribute read on
   the disabled path.
 * **Per-query telemetry** is one record: :meth:`Observability.record_event`
@@ -214,17 +214,6 @@ class Observability:
     def timed(self, name: str, **attrs: Any) -> Timer:
         """An always-on stopwatch that is also a span when enabled."""
         return Timer(self.span(name, **attrs))
-
-    def observe(self, name: str, value: float, buckets=LATENCY_BUCKETS_MS,
-                trace_id=None, **labels: Any) -> None:
-        """Record a histogram observation iff enabled.
-
-        Label keywords select the child series (``OBS.observe("query.search_ms",
-        ms, engine="stree", k=2)``); ``trace_id`` attaches an exemplar to
-        the observation's bucket.
-        """
-        if self.enabled:
-            self.metrics.histogram(name, buckets, **labels).observe(value, trace_id)
 
     def count(self, name: str, n: int = 1, **labels: Any) -> None:
         """Increment a counter iff enabled (labels select the child series)."""

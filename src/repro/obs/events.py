@@ -17,9 +17,8 @@ sites:
 * **Head-based sampling** — ``REPRO_EVENT_SAMPLE`` (0..1, default 1.0)
   keeps that fraction of records, decided *deterministically* from the
   record's ``trace_id`` hash, so a verdict is reproducible across runs
-  and processes.  Each record mints its own trace id — a routed query's
-  shard records do not share the router record's id — so the records
-  of one routed query are sampled independently.  Records without a
+  and processes.  A routed query writes one record (its shard legs
+  write none), so it is kept or dropped whole.  Records without a
   trace id fall back to a per-log counter so the kept fraction still
   converges.
 * **Size-based rotation** — ``REPRO_EVENT_MAX_BYTES`` (default 64 MiB)
@@ -105,10 +104,11 @@ def make_record(
 ) -> Dict[str, Any]:
     """One telemetry record (JSON-compatible, every field top-level).
 
-    ``event`` is ``"query"`` (one search: a facade's, a shard facade's
-    or the router's merged fan-out), ``"batch"`` (one executor run) or
+    ``event`` is ``"query"`` (one served search: a facade's or the
+    router's merged fan-out), ``"batch"`` (one executor run) or
     ``"error"``; ``shards`` is the router fan-out (0 = not routed);
-    ``shard`` marks a shard facade's own query (omitted elsewhere);
+    ``shard`` marks an error raised inside one shard leg (omitted
+    elsewhere);
     ``stats`` is the query's :meth:`SearchStats.to_dict`; ``spans`` its
     span tree (:meth:`~repro.obs.tracing.Span.to_dict`) when tracing
     was on; ``return_path`` the executor's result transport
@@ -286,14 +286,11 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
 
     Groups query records by ``(engine, k)`` with exact (nearest-rank)
     latency percentiles from the raw durations, counts batch records by
-    return path, and reports the overall event span and rate.  A shard
-    facade's own query (a record with ``shard``) is one leg of a routed
-    query, counted in ``n_shard_queries`` rather than as a query.
+    return path, and reports the overall event span and rate.  A routed
+    query is one record, so ``n_queries`` counts served queries on a
+    sharded index as on a flat one.
     """
-    queries = [r for r in records
-               if r.get("event") == "query" and "shard" not in r]
-    shard_queries = sum(1 for r in records
-                        if r.get("event") == "query" and "shard" in r)
+    queries = [r for r in records if r.get("event") == "query"]
     batches = [r for r in records if r.get("event") == "batch"]
     errors = [r for r in records if r.get("event") == "error"]
     timestamps = [r.get("ts", 0.0) for r in records if r.get("ts")]
@@ -334,7 +331,6 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         "version": 1,
         "n_events": len(records),
         "n_queries": len(queries),
-        "n_shard_queries": shard_queries,
         "n_batches": len(batches),
         "n_errors": len(errors),
         "span_s": round(span_s, 3),
@@ -348,7 +344,6 @@ def render_event_summary(summary: Dict[str, Any]) -> str:
     """Aligned plain-text rendering of :func:`summarize_events`."""
     lines = [
         f"{summary['n_events']} event(s): {summary['n_queries']} query, "
-        f"{summary['n_shard_queries']} shard query, "
         f"{summary['n_batches']} batch, {summary['n_errors']} error "
         f"over {summary['span_s']:g} s"
         + (f" ({summary['events_per_s']:g}/s)" if summary["span_s"] else ""),

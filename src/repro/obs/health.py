@@ -44,10 +44,10 @@ class HealthMonitor:
     >>> monitor = HealthMonitor()
     >>> monitor.check()["ready"]
     True
-    >>> monitor.set_component("workers", False, "pool stalled")
+    >>> _ = monitor.set_component("workers", False, "pool stalled")
     >>> monitor.check()["ready"]
     False
-    >>> monitor.set_component("workers", True)
+    >>> _ = monitor.set_component("workers", True)
     >>> monitor.check()["ready"]
     True
     """

@@ -26,10 +26,11 @@ label keywords returns the child for that label set::
 
 Children are keyed by a frozen, sorted ``(key, value)`` tuple (values
 stringified, the Prometheus model), so the same labels in any keyword
-order hit the same child.  The paper's evaluation is dimensional —
-Fig. 11(a) is time *as a function of k*, Table 2 compares leaf counts
-*per method* — and label sets are what let one live registry reproduce
-those cuts.
+order hit the same child; a repeated call's own label items skip the
+freeze (so ``1``, ``1.0`` and ``True`` share a child).  The paper's
+evaluation is dimensional — Fig. 11(a) is time *as a function of k*,
+Table 2 compares leaf counts *per method* — and label sets are what let
+one live registry reproduce those cuts.
 
 A per-family **cardinality cap** (:attr:`MetricsRegistry.max_label_sets`,
 default :data:`DEFAULT_MAX_LABEL_SETS`, env
@@ -329,13 +330,18 @@ class MetricFamily:
     cap rejects a new label set — it is never exported.
     """
 
-    __slots__ = ("name", "kind", "buckets", "children", "default", "overflow")
+    __slots__ = ("name", "kind", "buckets", "spec", "children", "lookup", "default", "overflow")
 
-    def __init__(self, name: str, kind: str, buckets: Optional[Tuple[float, ...]] = None):
+    def __init__(self, name: str, kind: str, buckets: Optional[Sequence[float]] = None):
         self.name = name
         self.kind = kind
-        self.buckets = buckets
+        #: Float upper bounds; ``spec`` is the ``buckets`` object last
+        #: checked against them, so passing it again costs nothing.
+        self.buckets = None if buckets is None else tuple(float(b) for b in buckets)
+        self.spec = buckets
         self.children: Dict[LabelTuple, Metric] = {}
+        #: A call's own label items -> the child they resolved to.
+        self.lookup: Dict[tuple, Metric] = {}
         #: Fast-path alias for ``children[()]`` (None until first use).
         self.default: Optional[Metric] = None
         self.overflow: Optional[Metric] = None
@@ -390,14 +396,16 @@ class MetricsRegistry:
     # -- family plumbing -----------------------------------------------------
 
     def _family(self, name: str, kind: str,
-                buckets: Optional[Tuple[float, ...]] = None) -> MetricFamily:
+                buckets: Optional[Sequence[float]] = None) -> MetricFamily:
         family = self._families.get(name)
         if family is None:
             family = self._families[name] = MetricFamily(name, kind, buckets)
         elif family.kind != kind:
             raise MetricError(f"metric {name!r} is a {family.kind}, not a {kind}")
-        elif kind == "histogram" and buckets != family.buckets:
-            raise MetricError(f"histogram {name!r} already exists with different buckets")
+        elif buckets is not family.spec:
+            if tuple(float(b) for b in buckets) != family.buckets:
+                raise MetricError(f"histogram {name!r} already exists with different buckets")
+            family.spec = buckets
         return family
 
     def _child(self, family: MetricFamily, labels: Dict[str, Any]) -> Metric:
@@ -406,17 +414,23 @@ class MetricsRegistry:
             if child is None:
                 child = family.default = family.children[()] = family._make(())
             return child
+        items = tuple(labels.items())
+        child = family.lookup.get(items)
+        if child is not None:
+            return child
         key = freeze_labels(labels)
         child = family.children.get(key)
         if child is None:
             if family.n_label_sets() >= self.max_label_sets:
                 # Cap hit: count the drop and absorb updates in the
-                # detached per-family sink so call sites never break.
+                # detached per-family sink so call sites never break
+                # (not remembered: every such call counts).
                 self.counter(LABELS_DROPPED_METRIC).inc()
                 if family.overflow is None:
                     family.overflow = family._make(())
                 return family.overflow
             child = family.children[key] = family._make(key)
+        family.lookup[items] = child
         return child
 
     # -- accessors -----------------------------------------------------------
@@ -432,8 +446,7 @@ class MetricsRegistry:
     def histogram(self, name: str, buckets: Sequence[float] = LATENCY_BUCKETS_MS,
                   **labels: Any) -> Histogram:
         """The histogram series called ``name`` (+ labels), created on first use."""
-        bounds = tuple(float(b) for b in buckets)
-        return self._child(self._family(name, "histogram", bounds), labels)
+        return self._child(self._family(name, "histogram", buckets), labels)
 
     def series(self, kind: str, name: str, labels: Optional[Dict[str, Any]] = None,
                buckets: Optional[Sequence[float]] = None) -> Metric:
@@ -442,10 +455,8 @@ class MetricsRegistry:
         as data rather than keywords."""
         if kind not in _KIND_CLASSES:
             raise MetricError(f"unknown metric kind {kind!r}")
-        if kind == "histogram":
-            bounds = tuple(float(b) for b in (buckets or LATENCY_BUCKETS_MS))
-            return self._child(self._family(name, kind, bounds), labels or {})
-        return self._child(self._family(name, kind), labels or {})
+        buckets = (buckets or LATENCY_BUCKETS_MS) if kind == "histogram" else None
+        return self._child(self._family(name, kind, buckets), labels or {})
 
     # -- introspection / export ----------------------------------------------
 

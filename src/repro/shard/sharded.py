@@ -21,10 +21,12 @@ visits the shards one after another; batch queries reuse
 :class:`~repro.engine.BatchExecutor` per shard (serial, or the
 shared-memory process pool when ``workers`` and the batch size allow
 it), tagging worker
-telemetry with the ``{shard}`` label.  The router observes each routed
-query once in ``query.count``, ``query.latency_ms``, ``query.search_ms``
-and ``query.occurrences`` (its shard legs do not), and its own
-fan-out emits ``query.shard_ms``/``query.shard_occurrences`` series and
+telemetry with the ``{shard}`` label.  The router records each routed
+query once: one record, one fold of the shards' merged stats into
+``search.*``, one observation in ``query.count``, ``query.latency_ms``,
+``query.search_ms`` and ``query.occurrences`` (its shard legs do no
+query telemetry).  Its own fan-out emits
+``query.shard_ms``/``query.shard_occurrences`` series and
 ``router.fanout``/``router.shard`` spans (``docs/SHARDING.md``).
 """
 
@@ -39,7 +41,14 @@ from ..alphabet import DNA, Alphabet, infer_alphabet
 from ..bwt.fmindex import DEFAULT_SA_SAMPLE
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
 from ..core.kerrors import EDIT_ORDER, EditOccurrence
-from ..core.matcher import HIT_ORDER, KMismatchIndex, ReadHit, observe_queries
+from ..core.matcher import (
+    HIT_ORDER,
+    KMismatchIndex,
+    ReadHit,
+    fold_search,
+    observe_queries,
+    record_search_metrics,
+)
 from ..core.types import Occurrence, SearchStats
 from ..core.wildcard import DEFAULT_WILDCARD
 from ..dna import reverse_complement
@@ -137,11 +146,13 @@ class QueryRouter:
         short to hold one window contribute nothing without being
         searched.  ``rebase`` maps ``(occurrence, global_offset)`` to a
         globally-positioned occurrence (defaults to the
-        :class:`Occurrence` shape).  ``observe`` marks a k-mismatch query,
-        whose shard legs leave the ``query.*`` families to the router:
-        it observes them once, with the merged, owned hits.  ``order`` is
-        the merge's sort key (by default the start, which an owned
-        k-mismatch hit has alone).
+        :class:`Occurrence` shape).  Shard legs do no query telemetry;
+        the router writes the query's one record and folds the merged
+        stats and owned hits into ``search.*`` once.  ``observe`` marks
+        a k-mismatch query, which is also observed in the ``query.*``
+        families, and whose ``search.*`` fold carries Algorithm A's memo
+        summed over the shards.  ``order`` is the merge's sort key (by
+        default the start, which an owned k-mismatch hit has alone).
 
         A raised routed query — seam-budget rejection, a shard failing
         mid-fanout — is counted in ``query.errors{engine,k,kind}``
@@ -210,10 +221,15 @@ class QueryRouter:
                     "query.shard_occurrences", engine=engine, k=k, shard=shard_id
                 ).inc(len(occurrences))
             duration_ms = (perf_counter_ns() - start_ns) / 1e6
-            if observe:
+            if not observe:
+                record_search_metrics(engine, k, stats, len(merged), tree=False)
+            else:
                 observe_queries(engine, k, len(merged), duration_ms, trace_id)
-            # ``shards`` > 0 marks the user-facing fan-out; each shard
-            # facade wrote its own record, stamped with its ``shard``.
+                spec = REGISTRY.resolve(engine)
+                if spec.kind == "index":
+                    fold_search([index.engine(spec.name) for index in sharded.shards],
+                                k, stats, len(merged))
+            # ``shards`` > 0 marks the routed query; its legs wrote none.
             OBS.record_event(
                 "query",
                 engine=engine,
@@ -224,6 +240,7 @@ class QueryRouter:
                 shards=len(items),
                 trace_id=trace_id,
                 stats=stats.to_dict(),
+                spans=span.to_dict() if OBS.tracer.enabled else None,
             )
         return merged, stats
 
@@ -497,9 +514,9 @@ class ShardedIndex:
     def shards(self) -> List[KMismatchIndex]:
         """The per-shard indexes, in core order.
 
-        Each is stamped with its shard id, so its telemetry records
-        carry ``shard`` even when it is searched directly: ``events
-        summarize`` counts those as ``n_shard_queries``, not queries."""
+        Each is stamped with its shard id, so it runs as a shard leg —
+        no query telemetry but its own failures — even when it is
+        searched directly."""
         return self._shards
 
     @property

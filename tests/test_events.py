@@ -298,25 +298,23 @@ class TestObservabilityIntegration:
             index.search(text[100 * i:100 * i + 20], 1)
         OBS.close_wide_log()
         records = load_wide_events(path)
-        routed = [r for r in records if r.get("shards")]
-        assert len(routed) == 10
-        assert {r["event"] for r in routed} == {"query"}
-        assert all(r["trace_id"] and "shard" not in r for r in routed)
-        assert sorted({r["shard"] for r in records if "shard" in r}) == [0, 1, 2, 3]
+        # One record per routed query; its shard legs write none.
+        assert len(records) == 10
+        assert all(r["event"] == "query" and r["shards"] == 4 for r in records)
+        assert all(r["trace_id"] and "shard" not in r for r in records)
+        assert len({r["trace_id"] for r in records}) == 10
         summary = summarize_events(records)
         assert summary["n_queries"] == 10
-        assert summary["n_shard_queries"] == 40
+        assert "n_shard_queries" not in summary
         assert summary["by_engine"][0]["queries"] == 10
 
         # A process-pool batch: each worker hydrates its shard with the
-        # shard stamp, and its per-query records carry it home.
+        # shard stamp, so its legs ship home no per-query records.
         OBS.reset()
         reads = [text[301 * i:301 * i + 20] for i in range(6)]
         index.search_batch(reads, 1, workers=2)
-        legs = [r for r in OBS.recorder.recent()
-                if r["event"] == "query" and "batch_trace_id" in r]
-        assert len(legs) == 4 * len(reads)
-        assert sorted({r["shard"] for r in legs}) == [0, 1, 2, 3]
+        recent = OBS.recorder.recent()
+        assert [r["event"] for r in recent] == ["batch"] * 4
         assert OBS.metrics.counter("query.count").value == len(reads)
         routed_hits = OBS.metrics.counter("query.occurrences").value
         assert routed_hits == sum(len(KMismatchIndex(text).search(read, 1)) for read in reads)

@@ -238,6 +238,31 @@ class TestLabelledMetrics:
         labels = [dict(key) for key, _ in iter_series(registry.to_dict()["q"])]
         assert labels == [{"k": "0"}, {"k": "1"}]
 
+    def test_labelled_lookups_resolve_to_one_child(self):
+        registry = MetricsRegistry()
+        child = registry.histogram("h", COUNT_BUCKETS, engine="stree", k=2)
+        assert registry.histogram("h", COUNT_BUCKETS, engine="stree", k=2) is child
+        assert registry.histogram("h", COUNT_BUCKETS, k=2, engine="stree") is child
+        assert registry.histogram("h", COUNT_BUCKETS, k="2", engine="stree") is child
+        # An equal bucket list in another object is the same family...
+        assert registry.histogram("h", list(COUNT_BUCKETS), engine="stree", k=2) is child
+        # ...and different buckets still conflict, whatever was passed before.
+        with pytest.raises(MetricError):
+            registry.histogram("h", (1, 2), engine="stree", k=2)
+        assert [dict(key) for key, _ in iter_series(registry.to_dict()["h"])] == [
+            {"engine": "stree", "k": "2"}
+        ]
+        registry.reset()
+        assert registry.histogram("h", COUNT_BUCKETS, engine="stree", k=2) is not child
+
+    def test_cardinality_cap_counts_every_dropped_call(self):
+        registry = MetricsRegistry(max_label_sets=1)
+        registry.counter("q", k=0)
+        for _ in range(3):
+            registry.counter("q", k=1).inc()
+        assert registry.get(LABELS_DROPPED_METRIC).value == 3
+        assert registry.counter("q", k=0) is registry.family("q").children[(("k", "0"),)]
+
     def test_unlabelled_family_serializes_as_v1(self):
         registry = MetricsRegistry()
         registry.counter("q").inc(4)
@@ -327,8 +352,8 @@ class TestEngineIntegration:
         ).value > 0
         assert metrics.counter("query.count").value == 1
         assert metrics.histogram("query.latency_ms").count == 1
-        # The leaf-depth distribution is the S-tree's alone: Algorithm A
-        # runs the same search loop but passes no leaf callback for it.
+        # Engines write no metrics, so nothing is observed per leaf: the
+        # leaf-depth family is retired with the S-tree's leaf callback.
         assert "search.leaf_depth" not in metrics.to_dict()
 
     def test_stree_path_reports(self):
@@ -342,8 +367,9 @@ class TestEngineIntegration:
             "search.rank_queries", engine="stree", k=1
         ).value > 0
         assert OBS.metrics.histogram(
-            "search.leaf_depth", COUNT_BUCKETS, engine="stree", k=1
-        ).count > 0
+            "search.leaves", COUNT_BUCKETS, engine="stree", k=1
+        ).count == 1
+        assert "search.leaf_depth" not in OBS.metrics.to_dict()
 
     def test_disabled_leaves_no_trace(self):
         index = KMismatchIndex("acagaca")
@@ -440,6 +466,38 @@ class TestEnabledBudget:
         assert short_hits == long_hits == 1
         assert long_probes > 100 * short_probes
         assert long_calls <= short_calls
+
+    def test_routed_registry_work_does_not_grow_with_shards(self, monkeypatch):
+        """A routed query looks up the families a flat query does, once,
+        plus the router's two ``query.shard_*`` families per shard: its
+        shard legs fold nothing."""
+        from repro.shard import ShardedIndex
+
+        rnd = random.Random(12)
+        genome = "".join(rnd.choice("acgt") for _ in range(4000))
+        calls = []
+        family = MetricsRegistry._family
+
+        def counting_family(self, *args, **kwargs):
+            calls.append(args[0])
+            return family(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "_family", counting_family)
+
+        def lookups(index):
+            OBS.enable()
+            index.search_with_stats(genome[1000:1020], 2)
+            before = len(calls)
+            index.search_with_stats(genome[2000:2020], 2)
+            return calls[before:]
+
+        flat = lookups(KMismatchIndex(genome))
+        assert "search.queries" in flat and "algorithm_a.memo.entries" in flat
+        for n_shards in (1, 2, 4):
+            routed = lookups(ShardedIndex.build(genome, n_shards, max_pattern=24, max_k=2))
+            own = [name for name in routed if not name.startswith("query.shard_")]
+            assert len(routed) - len(own) == 2 * n_shards
+            assert sorted(own) == sorted(flat)
 
 
 class TestSearchStatsMerge:

@@ -260,13 +260,14 @@ class TestCrossProcessMerge:
         payload = delta.finish(OBS)
         profile = payload.get("profile")
         assert profile is not None and profile["n_samples"] > 0
-        # Simulate the parent: re-adopt into the running profile under a
-        # worker prefix.
+        # Simulate the parent: re-adopt into the profile under a worker
+        # prefix.  Stop the sampler first, so no local sample lands
+        # between the two counts.
+        PROFILER.stop()
         payload["profile"]["meta"] = {"worker": 0}
         before = PROFILER.profile.n_samples
         merge_obs_delta(OBS, payload)
         after = PROFILER.profile.n_samples
-        PROFILER.stop()
         assert after == before + profile["n_samples"]
         assert any(
             frames[0] == "worker:0" for frames in PROFILER.profile.counts

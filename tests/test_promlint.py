@@ -71,8 +71,8 @@ class TestProfilerFamilies:
             index = KMismatchIndex("acagacaacagacagtacagaca" * 300)
             index.search_with_stats("tcaca", 2, method="A()")
             index.search_with_stats("tcaca", 1, method="BWT")
-            index.engine("wildcard").search("tcnca", 1)
-            index.engine("kerrors").search("tcaca", 1)
+            index.search_wildcard("tcnca", 1)
+            index.search_edit("tcaca", 1)
         finally:
             PROFILER.stop()
             set_memory_profiling(False)
@@ -96,8 +96,9 @@ class TestProfilerFamilies:
             assert not (
                 name.startswith("suite.") and name.endswith(".latency_ms")
             ), f"retired suite series {name!r} reappeared"
-        # ...and their labelled twins are present instead.
-        assert "search.leaf_depth" in names
+        # ...and their labelled twins are present instead (the S-tree's
+        # per-leaf depth histogram is retired: engines write no metrics).
+        assert "search.leaves" in names and "search.leaf_depth" not in names
         assert "search.reuse_hits" in names
         assert 'repro_search_queries_total{engine="wildcard"' in text
         assert 'engine="kerrors"' in text

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.matcher import KMismatchIndex
-from repro.errors import IndexCorruptionError, PatternError
-from repro.obs import OBS
+from repro.errors import AlphabetError, IndexCorruptionError, PatternError
+from repro.obs import COUNT_BUCKETS, OBS
 from repro.shard import ShardManifest, ShardSpec, ShardedIndex, plan_shards
 
 
@@ -280,6 +280,100 @@ class TestShardTelemetry:
                 for s in range(3)
             )
             assert total >= len(sharded.search(text[40:50], 1))
+        finally:
+            OBS.disable()
+            OBS.reset()
+
+    def test_routed_query_is_recorded_and_folded_once(self):
+        """A routed query writes one record and folds once: ``search.*``
+        and ``query.*`` count the reads exactly as a flat index does."""
+        rnd = random.Random(45)
+        text = _random_text(rnd, 2000)
+        sharded = ShardedIndex.build(text, 4, max_pattern=24, max_k=2)
+        reads = [text[97 * i : 97 * i + 20] for i in range(12)]
+
+        def serve(index):
+            OBS.reset().enable()
+            try:
+                for read in reads:
+                    index.search(read, 2)
+            finally:
+                OBS.disable()
+            metrics = OBS.metrics
+            counts = tuple(
+                metrics.counter(name, engine="algorithm_a", k=2).value
+                for name in ("search.queries", "query.count", "query.occurrences")
+            )
+            hists = [
+                metrics.histogram(name, COUNT_BUCKETS, engine="algorithm_a", k=2)
+                for name in ("search.occurrences", "search.leaves",
+                             "search.nodes_expanded", "search.memo_size")
+            ]
+            # Observation counts, and the hits the occurrence fold summed.
+            observed = [h.count for h in hists] + [hists[0].total]
+            records = OBS.recorder.recent()
+            OBS.reset()
+            return counts, observed, records
+
+        flat_counts, flat_observed, flat_records = serve(KMismatchIndex(text))
+        counts, observed, records = serve(sharded)
+        assert counts == flat_counts
+        assert counts[0] == counts[1] == len(reads)
+        assert observed == flat_observed
+        assert [r["event"] for r in records] == ["query"] * len(reads)
+        assert all(r["shards"] == 4 and "shard" not in r for r in records)
+        assert [r["occurrences"] for r in records] == [
+            r["occurrences"] for r in flat_records
+        ]
+
+    def test_memo_gauge_sums_the_shards(self, monkeypatch):
+        """``algorithm_a.memo.entries`` is the memo summed over the
+        shards, and ``algorithm_a.memo.evicted`` counts every shard's
+        evictions (a routed query's merged ``memo_size`` less the
+        gauge after it)."""
+        from repro.core import algorithm_a
+
+        monkeypatch.setattr(algorithm_a, "MEMO_LIMIT", 40)
+        rnd = random.Random(46)
+        text = _random_text(rnd, 2000)
+        sharded = ShardedIndex.build(text, 4, max_pattern=24, max_k=2)
+        OBS.reset().enable()
+        try:
+            evicted = 0
+            for i in range(8):
+                _, stats = sharded.search_with_stats(text[211 * i : 211 * i + 20], 2)
+                gauge = OBS.metrics.gauge("algorithm_a.memo.entries").value
+                memos = [shard.engine("algorithm_a").memo_entries for shard in sharded.shards]
+                assert gauge == sum(memos)
+                evicted += stats.memo_size - gauge
+            # Not the last leg's memo: several shards hold entries.
+            assert gauge > max(memos)
+            assert OBS.metrics.counter("algorithm_a.memo.evicted").value == evicted > 0
+        finally:
+            OBS.disable()
+            OBS.reset()
+
+    def test_routed_failures_count_once(self):
+        """A rejected read, a seam-budget rejection and a failure inside
+        one shard leg each count once in ``query.errors``, with one
+        error record and no query record."""
+        text = "acagacagatta" * 30
+        sharded = ShardedIndex.build(text, 4, max_pattern=12, max_k=2)
+        OBS.reset().enable()
+        try:
+            with pytest.raises(AlphabetError):
+                sharded.search("acgx" * 3, 1)
+            with pytest.raises(PatternError, match="seam"):
+                sharded.search("acag" * 5, 2)
+            with pytest.raises(PatternError, match="k-mismatch"):
+                sharded.search("acagacag", 1, method="kerrors")
+            errors = OBS.metrics.counter("query.errors")
+            assert errors.value == 3
+            records = OBS.recorder.recent()
+            assert [r["event"] for r in records] == ["error"] * 3
+            # The leg's own failure names the shard it came from.
+            assert [r.get("shard") for r in records] == [None, None, 0]
+            assert OBS.metrics.counter("query.count").value == 0
         finally:
             OBS.disable()
             OBS.reset()
