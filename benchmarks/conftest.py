@@ -14,6 +14,7 @@ Scale knobs (environment):
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import platform
@@ -47,6 +48,16 @@ def provenance() -> str:
     except OSError:
         commit = "unknown"
     return f"# host: {os.cpu_count()} CPUs, Python {platform.python_version()}, commit {commit}"
+
+
+def kmbench_module(name: str):
+    """Load ``kmbench/<name>.py`` (kmbench is not a package): its host
+    probe scales benchmark times to a reference host speed."""
+    path = Path(__file__).resolve().parent.parent / "kmbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"kmbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_result(results_dir: Path, name: str, content: str) -> None:

@@ -50,15 +50,6 @@ EMPTY_RANGE = Range(0, 0)
 DEFAULT_SA_SAMPLE = 8
 
 
-def _c_array(rank: RankAll, alphabet: Alphabet) -> List[int]:
-    """``C[code]`` = number of BWT characters with a smaller code = first
-    row of that character's F interval (the paper's F_x start)."""
-    c_array = [0] * (alphabet.size + 1)
-    for code in range(alphabet.size):
-        c_array[code + 1] = c_array[code] + rank.total(code)
-    return c_array
-
-
 class FMIndex:
     """A searchable BWT array over ``text + '$'``.
 
@@ -116,7 +107,7 @@ class FMIndex:
     def _init_from_bwt(self, bwt: str, occ_sample_rate: int) -> None:
         self._bwt = bwt
         self._rank = RankAll(bwt, self._alphabet, occ_sample_rate)
-        self._c_array = _c_array(self._rank, self._alphabet)
+        self._c_array = self._rank.c_array
 
     # -- introspection --------------------------------------------------------
 
@@ -161,7 +152,7 @@ class FMIndex:
 
     def nbytes(self) -> int:
         """Bytes of what the index holds: the rankall structure (the byte
-        BWT and the 32-bit checkpoint table every probe reads) plus the
+        BWT and the two checkpoint tables every probe reads) plus the
         sampled suffix array, counted as 32-bit positions with a one-bit
         sampled-row marker per row.
         """
@@ -179,9 +170,8 @@ class FMIndex:
         """
         if rng.is_empty:
             return EMPTY_RANGE
-        base = self._c_array[code]
-        lo = base + self._rank.occ(code, rng.lo)
-        hi = base + self._rank.occ(code, rng.hi)
+        lo = self._rank.lf(code, rng.lo)
+        hi = self._rank.lf(code, rng.hi)
         return Range(lo, hi) if lo < hi else EMPTY_RANGE
 
     def extend_char(self, rng: Range, ch: str) -> Range:
@@ -197,7 +187,8 @@ class FMIndex:
         depth-first search pushes them to explore them in code order.
         Each ``(child_lo, child_hi)`` equals ``extend(rng, code)``.  The
         rankall kernel reads every character's counts at both ends at
-        once: two checkpoint rows, not two probes per character.
+        once: two block rows, not two probes per character, and ``C``
+        comes folded into the superblock entries it reads.
 
         >>> fm = FMIndex("acagaca")
         >>> fm.children(fm.full_range())
@@ -206,7 +197,7 @@ class FMIndex:
         lo, hi = rng
         if hi <= lo:
             return ()
-        return self._rank.children(lo, hi, self._c_array)
+        return self._rank.children(lo, hi)
 
     def backward_search(self, query: str) -> Range:
         """Row range of suffixes prefixed by ``query`` (empty when absent)."""
@@ -231,34 +222,33 @@ class FMIndex:
 
     def lf_step(self, row: int) -> int:
         """The LF mapping: row of the rotation one position to the left."""
-        code = self._rank.char_code_at(row)
-        return self._c_array[code] + self._rank.occ(code, row)
+        rank = self._rank
+        return rank.lf(rank.char_code_at(row), row)
 
-    def lf_parts(self) -> Tuple[Callable[[int], int], Callable[[int, int], int], Tuple[int, ...]]:
-        """``(char_code_at, occ, C)``: the pieces of :meth:`lf_step`, bound
+    def lf_parts(self) -> Tuple[Callable[[int], int], Callable[[int, int], int]]:
+        """``(char_code_at, lf)``: the pieces of :meth:`lf_step`, bound
         once for a loop that steps LF itself.
 
-        ``code = char_code_at(row)`` is ``L[row]`` and ``C[code] +
-        occ(code, row)`` the row one position to its left.
+        ``code = char_code_at(row)`` is ``L[row]`` and ``lf(code, row)``,
+        which is ``C[code] + occ(code, row)``, the row one position to its
+        left.  At both ends of a range, ``lf`` is one backward-search step.
 
         >>> fm = FMIndex("acagaca")
-        >>> char_code_at, occ, c_array = fm.lf_parts()
-        >>> code = char_code_at(3)
-        >>> c_array[code] + occ(code, 3) == fm.lf_step(3)
+        >>> char_code_at, lf = fm.lf_parts()
+        >>> lf(char_code_at(3), 3) == fm.lf_step(3)
         True
         """
-        return self._rank.char_code_at, self._rank.occ, tuple(self._c_array)
+        return self._rank.char_code_at, self._rank.lf
 
     def _suffix_walk(self, row: int) -> Tuple[int, int]:
         """``(SA[row], steps)``: the LF walk from ``row`` to a sampled row."""
-        char_code_at, occ, c_array = self._rank.char_code_at, self._rank.occ, self._c_array
+        char_code_at, lf = self._rank.char_code_at, self._rank.lf
         get = self._sampled_sa.get
         limit = self.n_rows
         steps = 0
         pos = get(row)
         while pos is None:
-            code = char_code_at(row)
-            row = c_array[code] + occ(code, row)
+            row = lf(char_code_at(row), row)
             steps += 1
             if steps > limit:
                 raise IndexCorruptionError("LF walk failed to reach a sampled row")
@@ -294,7 +284,6 @@ class FMIndex:
         get = self._sampled_sa.get
         codes_slice = self._rank.codes_slice
         children = self._rank.children
-        c_array = self._c_array
         walk = self._suffix_walk
         size = self._alphabet.size
         limit = self.n_rows
@@ -331,7 +320,7 @@ class FMIndex:
                     pos, walked = walk(glo + list(codes).index(0))
                     out[buckets[0][0]] = pos + depth
                     steps += walked
-                for code, clo, chi in children(glo, ghi, c_array):
+                for code, clo, chi in children(glo, ghi):
                     bucket = buckets[code]
                     moved = len(bucket) - bucket.count(-1)
                     if not moved:
@@ -438,7 +427,8 @@ class FMIndex:
         The zero-copy deserialization entry point: ``rank`` is a
         :class:`~repro.bwt.rankall.RankAll` wrapping mmap-backed buffers
         and ``sampled_sa`` any mapping-like row → position view.  The
-        C-array is the only thing derived here — O(alphabet) work.
+        C-array (which the rank structure sums from its totals) is the only
+        thing derived — O(alphabet) work.
         """
         instance = cls.__new__(cls)
         instance._alphabet = alphabet
@@ -446,7 +436,7 @@ class FMIndex:
         instance._sa_sample_rate = sa_sample_rate
         instance._rank = rank
         instance._bwt = None
-        instance._c_array = _c_array(rank, alphabet)
+        instance._c_array = rank.c_array
         instance._sampled_sa = sampled_sa
         return instance
 

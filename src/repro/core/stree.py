@@ -53,8 +53,8 @@ def compute_phi(
     the end and then binary search, each test an early-exit forward
     extension on the reversed-text index: O(m log m) backward-search steps
     instead of the O(m²) of restarting a search at every offset.  Each
-    step is ``C[code] + occ(code, ·)`` at both ends of the range, through
-    :meth:`FMIndex.lf_parts`.
+    step is ``lf(code, ·)`` = ``C[code] + occ(code, ·)`` at both ends of
+    the range, through :meth:`FMIndex.lf_parts`.
 
     A search with budget ``k`` only asks whether ``k - used < φ``, which
     decides the same for ``min(φ, k + 1)``; the searchers pass
@@ -82,7 +82,7 @@ def compute_phi(
     """
     m = len(pattern_codes)
     n_rows = fm_reverse.n_rows
-    _, occ, c_array = fm_reverse.lf_parts()
+    _, lf = fm_reverse.lf_parts()
     steps = 0
 
     def absent(start: int, end: int) -> bool:
@@ -90,9 +90,8 @@ def compute_phi(
         lo, hi = 0, n_rows
         for pos in range(start, end):
             code = pattern_codes[pos]
-            base = c_array[code]
-            lo = base + occ(code, lo)
-            hi = base + occ(code, hi)
+            lo = lf(code, lo)
+            hi = lf(code, hi)
             if hi <= lo:
                 steps += pos - start + 1
                 return True
@@ -235,7 +234,7 @@ def tree_search(
     m = len(pattern_codes)
     end = fm.text_length - m  # a row at text position p starts at end - p
     children_of = fm.children
-    char_code_at, occ, c_array = fm.lf_parts()
+    char_code_at, lf = fm.lf_parts()
     locate_rows = fm.locate_rows
     if memo is not None:
         table, gen, extend, replay = memo
@@ -301,7 +300,7 @@ def tree_search(
                         budget_cuts += 1
                         break
                     used += 1
-                row = c_array[code] + occ(code, row)
+                row = lf(code, row)
                 i += 1
                 nodes += 1
                 if i == m:

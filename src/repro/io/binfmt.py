@@ -13,7 +13,7 @@ copies, O(header) work on load.
 Layout (all integers little-endian; see ``docs/INDEX_FORMAT.md``)::
 
     0   8s   magic                b"REPROIDX"
-    8   u32  format version       3
+    8   u32  format version       4
     12  u32  endianness stamp     0x01020304 (readers reject other values)
     16  u32  header size          32 + 32 * n_sections
     20  u32  n_sections
@@ -28,14 +28,18 @@ Sections (every one required):
 ``META``  JSON: alphabet, lengths, sample rates, rank totals, the
           sentinel's row, ``sa_width``
 ``BWTC``  the BWT, one byte per code
-``RANK``  int32 rankall checkpoint table: one pad, then one row of the
-          non-sentinel codes' counts per checkpoint
+``RANK``  uint8 rankall block table: one pad, then one row of the
+          non-sentinel codes' counts per checkpoint, each counted from
+          the start of its superblock
+``SUPR``  int32 superblock table: one pad, then one row of
+          ``C[code] + occ(code, start)`` for the non-sentinel codes per
+          superblock
 ``SARO``  sampled suffix-array rows, ascending
 ``SAPO``  sampled suffix-array positions, aligned with ``SARO``
 =======  ==================================================================
 
 ``META.sa_width`` is 4 (uint32 ``SARO``/``SAPO``) or 8 (uint64, for
-targets of 4 Gbp and more).  This build reads and writes version 3 only;
+targets of 4 Gbp and more).  This build reads and writes version 4 only;
 a file of an earlier version fails with
 :class:`~repro.errors.IndexCorruptionError` naming the version found.
 
@@ -71,7 +75,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..alphabet import Alphabet
 from ..errors import IndexCorruptionError, IndexFormatError, SerializationError
 from ..obs import OBS
-from ..bwt.rankall import RankAll
+from ..bwt.rankall import RankAll, superblock_span
 
 #: First 8 bytes of every binary index file.
 MAGIC = b"REPROIDX"
@@ -80,7 +84,7 @@ MAGIC = b"REPROIDX"
 MANIFEST_MAGIC = b"REPROSHD"
 
 #: The one index format version this build reads and writes.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Shard-manifest format version written by this build.
 MANIFEST_VERSION = 1
@@ -93,7 +97,7 @@ _SECTION = struct.Struct("<4s4xQQI4x")
 _ALIGN = 8
 
 #: Section tags, in file order.
-SECTION_TAGS = (b"META", b"BWTC", b"RANK", b"SARO", b"SAPO")
+SECTION_TAGS = (b"META", b"BWTC", b"RANK", b"SUPR", b"SARO", b"SAPO")
 
 
 def _pad(n: int) -> int:
@@ -189,9 +193,9 @@ def dump_fmindex(fm, sa_width: Optional[int] = None) -> bytes:
     """
     _require_little_endian()
     rank = fm._rank
-    checkpoints = rank.checkpoints
-    if getattr(checkpoints, "itemsize", 4) != 4:  # pragma: no cover - exotic ABIs
-        checkpoints = array("i", checkpoints)
+    superblocks = rank.superblocks
+    if getattr(superblocks, "itemsize", 4) != 4:  # pragma: no cover - exotic ABIs
+        superblocks = array("i", superblocks)
     # SA rows run up to bwt_len - 1 == text_len and positions up to
     # text_len - 1, so text_len is the exact overflow criterion.
     needs_u64 = fm.text_length >= 2**32
@@ -222,7 +226,8 @@ def dump_fmindex(fm, sa_width: Optional[int] = None) -> bytes:
     payloads = {
         b"META": json.dumps(meta, sort_keys=True).encode("utf-8"),
         b"BWTC": _as_byte_view(rank.codes_buffer),
-        b"RANK": _as_byte_view(checkpoints),
+        b"RANK": _as_byte_view(rank.blocks),
+        b"SUPR": _as_byte_view(superblocks),
         b"SARO": _as_byte_view(rows),
         b"SAPO": _as_byte_view(positions),
     }
@@ -420,11 +425,17 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
                 )
             return section
 
+        width = alphabet.size - 1
         n_blocks = bwt_len // occ_rate + 1
+        n_super = bwt_len // superblock_span(occ_rate) + 1
         codes = _section_exact(b"BWTC", bwt_len, "the byte BWT")
-        flat = _section_exact(
-            b"RANK", (1 + n_blocks * (alphabet.size - 1)) * 4,
-            f"a pad and {n_blocks} checkpoint rows x {alphabet.size - 1} codes",
+        blocks = _section_exact(
+            b"RANK", 1 + n_blocks * width,
+            f"a pad and {n_blocks} uint8 block rows x {width} codes",
+        )
+        superblocks = _section_exact(
+            b"SUPR", (1 + n_super * width) * 4,
+            f"a pad and {n_super} int32 superblock rows x {width} codes",
         ).cast("i")
         sentinel_row = _meta_int(meta, "sentinel_row", source)
         if sentinel_row >= bwt_len or codes[sentinel_row] != 0:
@@ -440,7 +451,9 @@ def load_fmindex(buffer, verify_checksums: bool = False, source: str = "<buffer>
             b"SAPO", n_sampled * sa_width, f"{n_sampled} sampled SA positions"
         ).cast(sa_code)
 
-        rank = RankAll.from_parts(alphabet, occ_rate, codes, flat, totals, sentinel_row)
+        rank = RankAll.from_parts(
+            alphabet, occ_rate, codes, blocks, superblocks, totals, sentinel_row
+        )
         fm = FMIndex._from_parts(
             alphabet, text_len, sa_rate, rank, SampledSAView(rows, positions)
         )

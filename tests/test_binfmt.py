@@ -16,7 +16,6 @@ import pytest
 
 from repro.alphabet import Alphabet
 from repro.bwt.fmindex import FMIndex
-from repro.bwt.rankall import RankAll
 from repro.core.matcher import KMismatchIndex
 from repro.engine.executor import BatchExecutor
 from repro.errors import IndexCorruptionError, SerializationError
@@ -27,25 +26,26 @@ def _random_text(rnd, symbols, length):
     return "".join(rnd.choice(symbols) for _ in range(length))
 
 
-def _probe_counts(fn):
-    """Run ``fn`` and return how often it probed ``RankAll.occ`` /
-    ``RankAll.children`` (counted by wrappers, restored afterwards)."""
-    counts = {"occ": 0, "children": 0}
-    originals = {name: getattr(RankAll, name) for name in counts}
+def _probe_counts(fm, fn):
+    """Run ``fn`` and return how often it probed ``fm``'s rank kernels
+    ``lf`` / ``children`` (counted by wrappers, restored afterwards)."""
+    rank = fm._rank
+    counts = {"lf": 0, "children": 0}
+    originals = {name: getattr(rank, name) for name in counts}
 
     def counting(name):
-        def probe(self, *args):
+        def probe(*args):
             counts[name] += 1
-            return originals[name](self, *args)
+            return originals[name](*args)
         return probe
 
     try:
         for name in counts:
-            setattr(RankAll, name, counting(name))
+            setattr(rank, name, counting(name))
         fn()
     finally:
         for name, original in originals.items():
-            setattr(RankAll, name, original)
+            setattr(rank, name, original)
     return counts
 
 
@@ -83,8 +83,8 @@ class TestRoundTripProperty:
             fm.save(path)
             loaded = FMIndex.load(path, mmap=use_mmap)
 
-            baseline = _probe_counts(lambda: _exercise(fm, queries))
-            probes = _probe_counts(lambda: _exercise(loaded, queries))
+            baseline = _probe_counts(fm, lambda: _exercise(fm, queries))
+            probes = _probe_counts(loaded, lambda: _exercise(loaded, queries))
             assert _exercise(loaded, queries) == _exercise(fm, queries)
             # Same answers *via the same amount of work*: the loaded
             # checkpoint table must drive probe-for-probe identical
@@ -334,7 +334,7 @@ class TestSharedMemoryTransfer:
 
 class TestFormatV2:
     """u64 suffix-array sections behind ``META.sa_width``, which format v2
-    introduced and v3 writes in every file."""
+    introduced and every version since v3 writes in every file."""
 
     def _fm(self, length=400, seed=3):
         rnd = random.Random(seed)
@@ -427,8 +427,10 @@ def _with_meta(blob, **changes):
 
 
 class TestFormatV3:
-    """One file layout: META BWTC RANK SARO SAPO, the sentinel's row in
-    META and one int32 pad before the non-sentinel codes' checkpoints."""
+    """The one-file layout v3 introduced, as version 4 keeps it: META BWTC
+    RANK SUPR SARO SAPO, the sentinel's row in META, one uint8 pad before
+    the non-sentinel codes' block counts and the int32 superblock rows
+    after them."""
 
     def _fm(self, length=300, seed=5, **kwargs):
         rnd = random.Random(seed)
@@ -453,7 +455,7 @@ class TestFormatV3:
         assert tuple(sections) == binfmt.SECTION_TAGS
         assert b"BWTW" not in sections
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_earlier_versions_refused_naming_the_version(self, version):
         bad = bytearray(self._fm().to_binary())
         struct.pack_into("<I", bad, 8, version)
@@ -479,11 +481,15 @@ class TestFormatV3:
         blob = self._fm().to_binary()
         info, sections = binfmt.parse_sections(blob)
         payloads = {tag: bytes(section) for tag, section in sections.items()}
-        rank = payloads[b"RANK"]
-        for wrong in (rank[:-4], rank + bytes(4), rank[4:]):
-            payloads[b"RANK"] = wrong
-            with pytest.raises(IndexCorruptionError, match="section RANK length"):
-                binfmt.load_fmindex(binfmt._assemble(payloads))
+        for tag in (b"RANK", b"SUPR"):
+            table = payloads[tag]
+            for wrong in (table[:-1], table[:-4], table + bytes(4), table[4:]):
+                payloads[tag] = wrong
+                with pytest.raises(
+                    IndexCorruptionError, match=f"section {tag.decode()} length"
+                ):
+                    binfmt.load_fmindex(binfmt._assemble(payloads))
+            payloads[tag] = table
 
     def test_nbytes_counts_the_held_sections(self, tmp_path):
         fm = self._fm(occ_sample_rate=4, sa_sample_rate=8)
@@ -494,6 +500,7 @@ class TestFormatV3:
         expected = (
             len(sections[b"BWTC"])
             + len(sections[b"RANK"])
+            + len(sections[b"SUPR"])
             + 4 * meta["n_sampled"] + (fm.n_rows + 7) // 8
         )
         assert fm.nbytes() == expected

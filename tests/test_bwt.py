@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.alphabet import DNA
+from repro.alphabet import DNA, Alphabet
 from repro.bwt import EMPTY_RANGE, FMIndex, Range, RankAll, bwt_transform, inverse_bwt
+from repro.bwt.rankall import superblock_span
 from repro.errors import IndexCorruptionError, PatternError, SerializationError
 
 dna = st.text(alphabet="acgt", min_size=0, max_size=80)
@@ -101,9 +102,8 @@ class TestRankAll:
     def test_children_codes(self):
         # The non-sentinel codes occurring in L[lo:hi], with their ranges.
         ra = RankAll("acg$caaa", DNA)
-        c_array = [0, 1, 5, 7, 8, 8]
-        assert [code for code, _, _ in ra.children(0, 8, c_array)] == [3, 2, 1]
-        assert ra.children(4, 5, c_array) == ((DNA.code("c"), 6, 7),)
+        assert [code for code, _, _ in ra.children(0, 8)] == [3, 2, 1]
+        assert ra.children(4, 5) == ((DNA.code("c"), 6, 7),)
 
     def test_total(self):
         ra = RankAll("acg$caaa", DNA)
@@ -127,13 +127,154 @@ class TestRankAll:
             ra.occ(1, 3)
 
     def test_nbytes_counts_held_buffers(self):
-        # The byte BWT plus one int32 pad and, per checkpoint, one int32
-        # per non-sentinel code.
+        # The byte BWT; one uint8 pad and, per block, one uint8 per
+        # non-sentinel code; one int32 pad and, per superblock, one int32
+        # per such code.
         bwt = bwt_transform("acgt" * 100)
-        for sample_rate in (1, 4, 7):
+        for sample_rate, span in ((1, 256), (4, 256), (7, 252), (300, 300)):
             ra = RankAll(bwt, DNA, sample_rate=sample_rate)
+            assert superblock_span(sample_rate) == span
             blocks = len(bwt) // sample_rate + 1
-            assert ra.nbytes() == len(bwt) + 4 * (1 + blocks * (DNA.size - 1))
+            superblocks = len(bwt) // span + 1
+            assert ra.nbytes() == len(bwt) + (1 + blocks * 4) + 4 * (1 + superblocks * 4)
+        # 401 rows at the paper's rate: 401 + (1 + 101 * 4) + 4 * (1 + 2 * 4).
+        assert RankAll(bwt, DNA).nbytes() == 842
+
+
+class TestRankDirectory:
+    """The two-level rank directory against counts made by definition.
+
+    Each case is a synthetic BWT (any string holding one sentinel is a
+    valid rank input) of 700 rows, so it spans several superblocks at
+    every rate, with the sentinel on a superblock boundary, on a block
+    boundary inside a superblock, in a block's tail or on the last row.
+    ``occ`` and ``lf`` are checked at every row, and ``children`` on
+    seeded ranges, on every range from up to three rows before a
+    superblock boundary to up to three rows after it and on one wide
+    range across each boundary, for the
+    table built in memory, loaded from ``from_binary`` bytes and opened
+    from an mmap'd file.
+    """
+
+    RATES = (1, 2, 3, 4, 8, 64, 256, 300)
+    ALPHABETS = {
+        2: Alphabet("a"),
+        5: DNA,
+        256: Alphabet("".join(chr(0x100 + i) for i in range(255))),
+    }
+    ROWS = 700
+
+    @classmethod
+    def bwts(cls, alphabet, rate, rnd):
+        """``(placement, bwt)`` with the sentinel at each placement."""
+        span = superblock_span(rate)
+        rows = {
+            "superblock": span,
+            "block": rate if rate < span else span * 2,
+            "tail": span + rate // 2 + 1 if rate > 1 else span + 1,
+            "last": cls.ROWS - 1,
+        }
+        for placement, row in rows.items():
+            body = [rnd.choice(alphabet.symbols) for _ in range(cls.ROWS - 1)]
+            yield placement, "".join(body[:row]) + "$" + "".join(body[row:])
+
+    @staticmethod
+    def stored(ra, tmp_path, name):
+        """``(label, rank)`` for the table in memory, from bytes, mmap'd."""
+        fm = FMIndex._from_parts(ra._alphabet, len(ra) - 1, 8, ra, {})
+        blob = fm.to_binary()
+        path = tmp_path / f"{name}.fmbin"
+        path.write_bytes(blob)
+        yield "memory", ra
+        yield "bytes", FMIndex.from_binary(blob)._rank
+        mapped = FMIndex.load(path, mmap=True)._rank
+        assert isinstance(mapped.codes_buffer, memoryview)
+        yield "mmap", mapped
+
+    @staticmethod
+    def ranges(n, span, rnd):
+        """Seeded ranges plus every narrow range around each superblock
+        boundary and one reaching from each superblock into the next."""
+        out = {(0, n), (n - 1, n)}
+        for _ in range(300):
+            lo = rnd.randrange(n)
+            out.add((lo, rnd.randint(lo + 1, min(n, lo + rnd.choice((1, 2, 3, 40, n))))))
+        for edge in range(span, n, span):
+            for lo in range(edge - 3, edge + 1):
+                for hi in range(edge, edge + 4):
+                    if 0 <= lo < hi <= n:
+                        out.add((lo, hi))
+            out.add((edge - span // 2, min(n, edge + span // 2 + 1)))
+        return sorted(out)
+
+    @pytest.mark.parametrize("size", sorted(ALPHABETS))
+    @pytest.mark.parametrize("rate", RATES)
+    def test_occ_lf_and_children_by_definition(self, tmp_path, rate, size):
+        alphabet = self.ALPHABETS[size]
+        assert alphabet.size == size
+        rnd = random.Random(rate * 1000 + size)
+        span = superblock_span(rate)
+        for placement, bwt in self.bwts(alphabet, rate, rnd):
+            codes = alphabet.encode(bwt)
+            n = len(codes)
+            prefix = {}
+            for code in range(size):
+                column, running = [0], 0
+                for value in codes:
+                    running += value == code
+                    column.append(running)
+                prefix[code] = column
+            c_array = [0]
+            for code in range(size):
+                c_array.append(c_array[-1] + prefix[code][n])
+            # Every code at every row is 256 x 700 probes per table on the
+            # largest alphabet; there, the codes of the BWT's first rows,
+            # the first and last code and one absent code stand in for the
+            # rest.
+            checked = range(size)
+            if size > 5:
+                absent = [code for code in range(size) if not prefix[code][n]]
+                checked = sorted(set(codes[:8]) | {0, 1, size - 1} | set(absent[:1]))
+            ranges = self.ranges(n, span, rnd)
+            ra = RankAll(bwt, alphabet, sample_rate=rate)
+            assert ra.sentinel_row == bwt.index("$")
+            for label, rank in self.stored(ra, tmp_path, f"{placement}-{rate}-{size}"):
+                where = (placement, label)
+                for code in checked:
+                    column, base = prefix[code], c_array[code]
+                    assert [rank.occ(code, i) for i in range(n + 1)] == column, where
+                    assert [rank.lf(code, i) - base for i in range(n + 1)] == column, where
+                for lo, hi in ranges:
+                    expected = tuple(
+                        (code, c_array[code] + prefix[code][lo], c_array[code] + prefix[code][hi])
+                        for code in range(size - 1, 0, -1)
+                        if prefix[code][hi] > prefix[code][lo]
+                    )
+                    assert rank.children(lo, hi) == expected, (where, lo, hi)
+
+    def test_superblock_span(self):
+        assert [superblock_span(rate) for rate in self.RATES] == [
+            256, 256, 255, 256, 256, 256, 256, 300
+        ]
+
+    def test_verify_catches_one_flipped_byte_in_either_table(self):
+        from repro.io import binfmt
+
+        rnd = random.Random(0xF11)
+        bwt = "".join(rnd.choice("acgt") for _ in range(599))
+        bwt = bwt[:300] + "$" + bwt[300:]
+        fm = FMIndex._from_parts(DNA, len(bwt) - 1, 8, RankAll(bwt, DNA), {})
+        blob = fm.to_binary()
+        info, sections = binfmt.parse_sections(blob)
+        FMIndex.from_binary(blob)._rank.verify()
+        for tag in (b"RANK", b"SUPR"):
+            entry = binfmt._HEADER.size + binfmt.SECTION_TAGS.index(tag) * binfmt._SECTION.size
+            offset = binfmt._SECTION.unpack_from(blob, entry)[1]
+            for byte in range(len(sections[tag])):
+                bad = bytearray(blob)
+                bad[offset + byte] ^= 0x10
+                with pytest.raises(IndexCorruptionError, match="drift"):
+                    FMIndex.from_binary(bytes(bad))._rank.verify()
 
 
 class TestRange:

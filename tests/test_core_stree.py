@@ -192,7 +192,7 @@ def tree_search_at_pop(
     m = len(pattern_codes)
     n = fm.text_length
     children_of = fm.children
-    char_code_at, occ, c_array = fm.lf_parts()
+    char_code_at, lf = fm.lf_parts()
     locate = fm.suffix_position
     occurrences = []
     report = occurrences.append
@@ -240,7 +240,7 @@ def tree_search_at_pop(
                         budget_cuts += 1
                         break
                     used += 1
-                row = c_array[code] + occ(code, row)
+                row = lf(code, row)
                 i += 1
                 nodes += 1
                 if i == m:
@@ -421,19 +421,19 @@ class TestPhi:
         text = random_dna(rng, 3000)
         fm = FMIndex(text[::-1], DNA)
         calls = 0
-        char_code_at, occ, c_array = fm.lf_parts()
+        char_code_at, lf = fm.lf_parts()
 
-        def counting_occ(code, i):
+        def counting_lf(code, i):
             nonlocal calls
             calls += 1
-            return occ(code, i)
+            return lf(code, i)
 
-        fm.lf_parts = lambda: (char_code_at, counting_occ, c_array)
+        fm.lf_parts = lambda: (char_code_at, counting_lf)
         m = 100
         stats = SearchStats()
         phi = compute_phi(fm, DNA.encode(text[1200:1200 + m]), stats=stats)
         assert phi == [0] * (m + 1)
-        # Each extension is two occ probes, one per end of the range.
+        # Each extension is two lf probes, one per end of the range.
         extensions = calls // 2
         assert 0 < extensions <= 4 * m
         assert stats.phi_steps == extensions
@@ -821,15 +821,15 @@ class TestRecursionHeadroom:
         before, text, pattern = self.long_search_inputs(9)
         held_fm = FMIndex(text[::-1], DNA)
         entered, release = threading.Event(), threading.Event()
-        char_code_at, occ, c_array = held_fm.lf_parts()
+        char_code_at, lf = held_fm.lf_parts()
 
-        def held_occ(code, i):
+        def held_lf(code, i):
             if not entered.is_set():
                 entered.set()
                 release.wait(timeout=60)
-            return occ(code, i)
+            return lf(code, i)
 
-        held_fm.lf_parts = lambda: (char_code_at, held_occ, c_array)
+        held_fm.lf_parts = lambda: (char_code_at, held_lf)
         errors = []
         held = self.search_in_thread(held_fm, pattern, errors)
         try:

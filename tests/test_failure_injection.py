@@ -58,7 +58,7 @@ class TestPayloadCorruption:
 class TestStructuralChecks:
     def test_rankall_verify_detects_checkpoint_drift(self):
         ra = RankAll("acg$caaa", DNA)
-        ra._flat[ra._size + 1] += 1  # damage one checkpoint
+        ra._blocks[ra._size + 1] += 1  # damage one block checkpoint
         with pytest.raises(IndexCorruptionError):
             ra.verify()
 

@@ -425,6 +425,44 @@ class TestDisabledOverhead:
             baseline = min(baseline, best_of())
         assert disabled_again <= 1.25 * baseline
 
+    def test_disabled_search_makes_no_registry_lookups_spans_or_records(self, monkeypatch):
+        """The count-based twin of the timing guard above: after an
+        enable/disable cycle, a search looks up no metric family, opens no
+        span and writes no record.  Counts do not flake on a loaded host."""
+        from repro.obs.tracing import Span
+
+        genome = ("acagacatta" * 40)[:400]
+        index = KMismatchIndex(genome)
+        lookups, spans, records = [], [], []
+        family, span_init = MetricsRegistry._family, Span.__init__
+        record_event = Observability.record_event
+
+        def counting_family(self, *args, **kwargs):
+            lookups.append(args[0])
+            return family(self, *args, **kwargs)
+
+        def counting_span_init(self, name, *args, **kwargs):
+            spans.append(name)
+            span_init(self, name, *args, **kwargs)
+
+        def counting_record_event(self, event, **fields):
+            records.append(event)
+            return record_event(self, event, **fields)
+
+        monkeypatch.setattr(MetricsRegistry, "_family", counting_family)
+        monkeypatch.setattr(Span, "__init__", counting_span_init)
+        monkeypatch.setattr(Observability, "record_event", counting_record_event)
+        OBS.enable()
+        index.search("acagacatta", k=2)
+        OBS.disable()
+        # The counters see an enabled search ...
+        assert lookups and spans and records
+        del lookups[:], spans[:], records[:]
+        # ... and nothing of a disabled one.
+        for _ in range(3):
+            assert index.search("acagacatta", k=2)
+        assert (lookups, spans, records) == ([], [], [])
+
     def test_disabled_span_call_is_cheap(self):
         tracer = Tracer(enabled=False)
         n = 20_000

@@ -396,3 +396,37 @@ class TestDisabledProfilerOverhead:
                 break
             baseline = min(baseline, best_of())
         assert stopped_again <= 1.25 * baseline
+
+    def test_stopped_profiler_takes_no_samples(self, monkeypatch):
+        """The count-based twin of the timing guard above: once stopped,
+        the profiler reads no thread stacks and adds no samples while the
+        search runs.  Counts do not flake on a loaded host."""
+        import sys
+        import threading
+
+        genome = ("acagacatta" * 40)[:400]
+        index = KMismatchIndex(genome)
+        reads = []
+        current_frames = sys._current_frames
+
+        def counting_current_frames():
+            reads.append(1)
+            return current_frames()
+
+        monkeypatch.setattr(sys, "_current_frames", counting_current_frames)
+        profile = PROFILER.start(hz=400)
+        deadline = time.monotonic() + 10
+        while not (reads and profile.n_samples) and time.monotonic() < deadline:
+            index.search("acagacatta", k=2)
+        PROFILER.stop()
+        # The counters see a running profiler ...
+        assert reads and profile.n_samples
+        del reads[:]
+        samples, marker = profile.n_samples, PROFILER.marker()
+        # ... and nothing once it is stopped.
+        for _ in range(20):
+            assert index.search("acagacatta", k=2)
+        assert not PROFILER.is_running()
+        assert "repro-profiler" not in [thread.name for thread in threading.enumerate()]
+        assert reads == []
+        assert (profile.n_samples, PROFILER.marker()) == (samples, marker)
