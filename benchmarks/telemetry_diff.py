@@ -9,15 +9,13 @@ on a 4-shard index.  It then compares what the serving surfaces show:
   values, histogram observation counts (bucket placement of latency
   histograms is timing, so only non-latency buckets are compared);
 * ``/debug/queries`` — every flight-recorder record, field by field;
-* ``slo report --json`` and ``top --once --json`` over the run's trace;
 * ``events summarize --json`` over the sink.
 
-Time fields (timestamps, durations, latency percentiles, rates,
-utilization, trace ids, span trees) and file paths are left out of
-every comparison.  The differences the one-record-per-query telemetry
-change makes on purpose are listed below as constants (``RETIRED``,
-``RENAMED_EVENTS``, ``FILLED`` and the sharded ``events summarize``
-counts); anything else fails::
+Time fields (timestamps, durations, latency percentiles, rates, trace
+ids, span trees) are left out of every comparison.  The differences
+the one-record-per-query telemetry change makes on purpose are listed
+below as constants (``RETIRED``, ``RENAMED_EVENTS``, ``FILLED`` and the
+sharded ``events summarize`` counts); anything else fails::
 
     python benchmarks/telemetry_diff.py OLD_SRC NEW_SRC
 
@@ -33,12 +31,10 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: Record/report keys whose values are wall-clock, random or paths.
+#: Record/report keys whose values are wall-clock or random.
 VOLATILE_KEYS = {
     "ts", "duration_ms", "trace_id", "batch_trace_id", "spans", "profile",
     "slow", "span_s", "events_per_s", "p50_ms", "p95_ms", "p99_ms",
-    "uptime_s", "rss_bytes", "qps", "utilization", "window_s", "covered_s",
-    "source",
 }
 
 #: Metric families the new tree no longer emits: per-probe rank counters,
@@ -87,21 +83,12 @@ def run_workload(out: Path, shards: int) -> None:
     (out / "queries.json").write_text(json.dumps(OBS.recorder.to_dict()))
     (out / "meta.json").write_text(json.dumps(
         {"queries": routed, "rejected": len(reads) - routed}))
-    OBS.write_trace(str(out / "trace.json"), command="telemetry_diff")
-    cli_main(["slo", "report", str(out / "trace.json"),
-              "--json", str(out / "slo.json")])
-    for name, argv in (
-        ("top.json", ["top", str(out / "trace.json"), "--once", "--json",
-                      "--window", "10"]),
-        ("events.json", ["events", "summarize", str(out / "wide.jsonl"),
-                         "--json"]),
-    ):
-        with open(out / name, "w") as handle:
-            saved, sys.stdout = sys.stdout, handle
-            try:
-                cli_main(argv)
-            finally:
-                sys.stdout = saved
+    with open(out / "events.json", "w") as handle:
+        saved, sys.stdout = sys.stdout, handle
+        try:
+            cli_main(["events", "summarize", str(out / "wide.jsonl"), "--json"])
+        finally:
+            sys.stdout = saved
 
 
 def stable(value):
@@ -181,10 +168,6 @@ def compare(old: Path, new: Path, sharded: bool) -> list:
             record.pop(field, None)
     problems += ["queries" + p for p in missing_or_changed(
         stable(old_records), stable(new_records))]
-
-    for name in ("slo.json", "top.json"):
-        problems += [name + p for p in missing_or_changed(
-            stable(load(old, name)), stable(load(new, name)))]
 
     old_events, new_events = load(old, "events.json"), load(new, "events.json")
     if sharded:

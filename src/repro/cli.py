@@ -18,25 +18,16 @@ Subcommands
                    queries) regroups labelled series into dimensional
                    tables, ``--url`` replays a live ``/debug/metrics``
                    endpoint instead of a file.
-``serve-metrics``  Expose /metrics, /healthz, /readyz, /slo, /alerts,
-                   /debug/queries and the /debug/stream SSE push over
-                   HTTP, optionally driving a read workload to populate
-                   them (``--wide-events PATH`` appends one JSON record
-                   per query); shuts down cleanly on SIGTERM/SIGINT.
-``top``            Live terminal dashboard — QPS, latency percentiles,
-                   error rate, worker utilization, per-engine and
-                   per-shard tables — from a saved trace file or a live
-                   server's /debug/stream (``--once``/``--json`` for
-                   headless use).
+``serve-metrics``  Expose /metrics, /healthz, /readyz, /debug/queries and
+                   /debug/metrics over HTTP, optionally driving a read
+                   workload to populate them (``--wide-events PATH``
+                   appends one JSON record per query); shuts down
+                   cleanly on SIGTERM/SIGINT.
 ``events``         Read telemetry records — a ``--wide-events`` log or a
                    ``--flight-json`` dump: ``tail`` (newest records;
                    ``--slow``, ``--spans``) and ``summarize``
                    (per-{engine,k} exact percentiles, batch return
                    paths, event rate).
-``slo``            ``report`` (objectives, budgets burned, firing alerts),
-                   ``check`` (exit 4 on violation — the CI gate) and
-                   ``lint`` (strictly validate a rules file), over a live
-                   ``--url`` or a saved trace file.
 ``metrics-lint``   Strictly validate an OpenMetrics exposition (file or
                    live URL) — the CI scrape-and-lint step.
 ``bench``          Run the fixed CI workload; with ``--check-regression``,
@@ -345,7 +336,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     from .errors import ReproError
     from .obs import LABELS_DROPPED_METRIC, READINESS, index_canary
     from .obs.server import MetricsServer
-    from .obs.slo import configure_slo_engine, load_rules
 
     OBS.enable()
     if args.slow_ms is not None:
@@ -353,20 +343,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
     if args.wide_events:
         OBS.open_wide_log(args.wide_events)
         print(f"# wide events -> {args.wide_events}", file=sys.stderr)
-    # Background registry sampling: gives /debug/stream and the SLO
-    # engine a populated time-series substrate even when nobody scrapes.
-    from .obs.stream import get_broker
-    from .obs.timeseries import get_timeseries
-
-    get_timeseries().start()
     READINESS.reset()
-    if args.slo_rules:
-        try:
-            configure_slo_engine(rules=load_rules(args.slo_rules))
-        except (OSError, MetricError) as exc:
-            print(f"error: cannot load SLO rules: {exc}", file=sys.stderr)
-            return 2
-        print(f"# slo rules loaded from {args.slo_rules}", file=sys.stderr)
 
     # SIGTERM/SIGINT request a graceful stop: the event wakes the serve
     # loop, the socket is closed and final state flushed — no
@@ -383,8 +360,8 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
             pass
     server = MetricsServer(host=args.host, port=args.port)
     host, port = server.address
-    print(f"# serving /metrics /healthz /readyz /slo /alerts /debug/queries "
-          f"/debug/stream on http://{host}:{port}", file=sys.stderr)
+    print(f"# serving /metrics /healthz /readyz /debug/queries "
+          f"/debug/metrics on http://{host}:{port}", file=sys.stderr)
     server.start()
     try:
         if args.target:
@@ -416,9 +393,7 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
                             index.search_with_stats(read, args.k)
                         except ReproError:
                             # Counted in query.errors{engine,k,kind} by the
-                            # facade — a bad read feeds the SLO evaluation
-                            # instead of killing the server (this is how
-                            # CI forces an objective violation).
+                            # facade; a bad read does not kill the server.
                             raised += 1
                 print(f"# ran {max(1, args.loop)} pass(es) over {len(reads)} "
                       f"read(s), {raised} raised", file=sys.stderr)
@@ -432,8 +407,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
         pass
     finally:
         server.stop()
-        get_broker().stop()
-        get_timeseries().stop()
         if OBS.wide_log is not None:
             wide_state = OBS.wide_log.to_dict()
             OBS.close_wide_log()
@@ -452,125 +425,6 @@ def _cmd_serve_metrics(args: argparse.Namespace) -> int:
                 signal.signal(sig, handler)
             except ValueError:
                 pass
-    return 0
-
-
-def _slo_metrics_source(args: argparse.Namespace):
-    """(metrics payload, error line) for ``slo report``/``slo check`` —
-    a live ``/debug/metrics`` scrape (``--url``) or a saved trace file's
-    ``metrics`` section (positional TRACE)."""
-    if args.url:
-        from .obs.export import fetch_metrics_json
-
-        try:
-            payload = fetch_metrics_json(args.url)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            return None, f"cannot fetch {args.url}: {exc}"
-        problem = _metrics_payload_problem(payload)
-        if problem:
-            return None, (f"{args.url} is not a schema-v2 metrics endpoint "
-                          f"({problem})")
-        return payload, ""
-    if args.trace_file:
-        try:
-            return load_trace(args.trace_file).get("metrics") or {}, ""
-        except MetricError as exc:
-            return None, str(exc)
-    return None, "slo needs a TRACE file or --url URL"
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from .obs.slo import (
-        SLO_REPORT_FORMAT,
-        evaluate_payload,
-        lint_rules,
-        load_rules,
-        parse_rules_file,
-    )
-
-    if args.slo_command == "lint":
-        try:
-            data = parse_rules_file(args.rules)
-        except (OSError, MetricError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        problems = lint_rules(data)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"FAIL: {len(problems)} problem(s) in {args.rules}")
-            return 1
-        n_objectives = len(data.get("objectives") or [])
-        print(f"OK: {n_objectives} objective(s) valid")
-        return 0
-
-    try:
-        rules = load_rules(args.rules or None)
-    except (OSError, MetricError) as exc:
-        print(f"error: cannot load SLO rules: {exc}", file=sys.stderr)
-        return 2
-    metrics, problem = _slo_metrics_source(args)
-    if metrics is None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
-    results = evaluate_payload(metrics, rules)
-
-    # Live sources also carry alert state; a trace file has none.
-    alerts = None
-    if args.url:
-        from urllib.request import urlopen
-
-        try:
-            with urlopen(args.url.rstrip("/") + "/alerts", timeout=10.0) as response:
-                alerts = json.load(response)
-        except (OSError, json.JSONDecodeError, ValueError):
-            alerts = None
-
-    document = {
-        "format": SLO_REPORT_FORMAT,
-        "version": 1,
-        "rules": args.rules or "(defaults)",
-        "source": args.url or args.trace_file,
-        "objectives": results,
-        "alerts": alerts,
-    }
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"# slo report written to {args.json_out}", file=sys.stderr)
-
-    rows = []
-    for status in results:
-        selector = ",".join(f"{k}={v}" for k, v in status["selector"].items()) or "-"
-        burned = f"{min(status['burn_rate'], 1e4) * 100:.1f}%"
-        rows.append([
-            status["objective"],
-            status["type"],
-            f"{status['target']:g}%",
-            selector,
-            status["total"],
-            status["bad"],
-            burned,
-            "no data" if status["no_data"] else ("OK" if status["ok"] else "VIOLATED"),
-        ])
-    print(format_table(
-        ["objective", "type", "target", "selector", "events", "bad",
-         "budget burned", "status"],
-        rows, title=f"{len(results)} objective(s), rules: {document['rules']}",
-    ))
-    if alerts and alerts.get("alerts"):
-        firing = [a["objective"] for a in alerts["alerts"] if a["state"] == "firing"]
-        print(f"alerts: {alerts.get('n_firing', 0)} firing"
-              + (f" ({', '.join(firing)})" if firing else ""))
-
-    violated = [status["objective"] for status in results if not status["ok"]]
-    if args.slo_command == "check":
-        if violated:
-            print(f"SLO CHECK FAILED: {len(violated)} objective(s) violated: "
-                  f"{', '.join(violated)}", file=sys.stderr)
-            return 4
-        print("SLO check passed", file=sys.stderr)
     return 0
 
 
@@ -701,84 +555,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         for memory_profile in MEMORY_PROFILES:
             print(memory_profile.render(), file=sys.stderr)
     return code
-
-
-def _stream_frames(url: str, frames: int):
-    """Yield decoded SSE frames from a server's ``/debug/stream``.
-
-    ``url`` may be the server base or the full endpoint; ``frames`` > 0
-    asks the server to close the stream after that many frames (the
-    bounded mode ``--once`` uses).
-    """
-    from urllib.request import urlopen
-
-    from .obs.stream import iter_sse_frames
-
-    target = url.rstrip("/")
-    if not target.endswith("/debug/stream"):
-        target += "/debug/stream"
-    if frames:
-        target += ("&" if "?" in target else "?") + f"frames={frames}"
-    with urlopen(target) as response:
-        yield from iter_sse_frames(response)
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from .obs.top import CLEAR_SCREEN, compute_dashboard, render_dashboard
-
-    def show(dashboard, live: bool) -> None:
-        if args.json_out:
-            print(json.dumps(dashboard))
-        else:
-            prefix = CLEAR_SCREEN if live else ""
-            print(prefix + render_dashboard(
-                dashboard, color=sys.stdout.isatty()
-            ))
-
-    if args.url:
-        # --once rides the subscription bootstrap: the hello frame plus
-        # one full metrics snapshot arrive immediately, no tick wait.
-        frames = 2 if args.once else max(0, args.frames)
-        last = None
-        shown = 0
-        try:
-            for frame in _stream_frames(args.url, frames):
-                if frame.get("type") != "metrics":
-                    continue
-                dashboard = frame.get("dashboard")
-                if dashboard is None:
-                    continue
-                last = dashboard
-                if args.once:
-                    continue
-                show(dashboard, live=not args.json_out)
-                shown += 1
-        except KeyboardInterrupt:
-            return 0
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot stream from {args.url}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.once:
-            if last is None:
-                print("error: no dashboard frame received", file=sys.stderr)
-                return 2
-            show(last, live=False)
-        return 0
-    if not args.trace_file:
-        print("error: top needs a TRACE file or --url", file=sys.stderr)
-        return 2
-    try:
-        document = load_trace(args.trace_file)
-    except (OSError, MetricError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    meta = document.get("meta") or {}
-    window = args.window or meta.get("duration_s") or None
-    dashboard = compute_dashboard(document.get("metrics") or {},
-                                  window_s=window)
-    show(dashboard, live=False)
-    return 0
 
 
 def _cmd_events(args: argparse.Namespace) -> int:
@@ -971,41 +747,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--slow-ms", type=float, default=None,
                          help="pin queries at or above this latency (ms) in the "
                               "flight recorder")
-    p_serve.add_argument("--slo-rules", default="", metavar="PATH",
-                         help="SLO rules file (TOML or JSON) for the /slo and "
-                              "/alerts endpoints (default: shipped defaults; "
-                              "see docs/OBSERVABILITY.md)")
     p_serve.add_argument("--wide-events", default="", metavar="PATH",
                          help="append one JSON record per query/batch to "
                               "PATH (JSON lines; sampled via REPRO_EVENT_SAMPLE, "
                               "rotated at REPRO_EVENT_MAX_BYTES — read with "
                               "`repro-cli events`)")
     p_serve.set_defaults(func=_cmd_serve_metrics)
-
-    p_top = sub.add_parser(
-        "top",
-        help="live terminal dashboard: QPS, latency percentiles, error "
-             "rate, worker utilization, per-engine/per-shard breakdowns")
-    p_top.add_argument("trace_file", metavar="TRACE", nargs="?", default="",
-                       help="trace file written by --stats-json "
-                            "(omit with --url)")
-    p_top.add_argument("--url", default="", metavar="URL",
-                       help="follow a live server's /debug/stream instead of "
-                            "a trace file (e.g. http://127.0.0.1:9109)")
-    p_top.add_argument("--window", type=float, default=0, metavar="SECONDS",
-                       help="with TRACE: seconds the trace's counters "
-                            "accumulated over (rates divide by this; "
-                            "default: the trace's own duration metadata "
-                            "or its process.uptime_s gauge)")
-    p_top.add_argument("--once", action="store_true",
-                       help="print one dashboard and exit (headless mode)")
-    p_top.add_argument("--json", dest="json_out", action="store_true",
-                       help="emit the dashboard document as JSON instead of "
-                            "the ANSI rendering")
-    p_top.add_argument("--frames", type=int, default=0,
-                       help="with --url: stop after N dashboard updates "
-                            "(0 = follow until Ctrl-C)")
-    p_top.set_defaults(func=_cmd_top)
 
     p_events = sub.add_parser(
         "events",
@@ -1039,33 +786,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="read only the live file, not rotated "
                                "generations")
     p_ev_sum.set_defaults(func=_cmd_events)
-
-    p_slo = sub.add_parser(
-        "slo",
-        help="evaluate service-level objectives over live or saved metrics")
-    slo_sub = p_slo.add_subparsers(dest="slo_command", required=True)
-    for slo_name, slo_help in (
-        ("report", "table of objectives, budgets burned and firing alerts"),
-        ("check", "exit 4 when any objective is violated (the CI gate)"),
-    ):
-        p_slo_sub = slo_sub.add_parser(slo_name, help=slo_help)
-        p_slo_sub.add_argument("trace_file", metavar="TRACE", nargs="?", default="",
-                               help="trace file written by --stats-json "
-                                    "(omit with --url)")
-        p_slo_sub.add_argument("--url", default="", metavar="URL",
-                               help="evaluate a live server's /debug/metrics "
-                                    "(e.g. http://127.0.0.1:9109)")
-        p_slo_sub.add_argument("--rules", default="", metavar="PATH",
-                               help="SLO rules file, TOML or JSON "
-                                    "(default: shipped defaults)")
-        p_slo_sub.add_argument("--json", dest="json_out", default="", metavar="PATH",
-                               help="also write the full report document as JSON")
-        p_slo_sub.set_defaults(func=_cmd_slo)
-    p_slo_lint = slo_sub.add_parser(
-        "lint", help="strictly validate an SLO rules file")
-    p_slo_lint.add_argument("rules", metavar="RULES",
-                            help="rules file to validate (TOML or JSON)")
-    p_slo_lint.set_defaults(func=_cmd_slo)
 
     p_lint = sub.add_parser(
         "metrics-lint",

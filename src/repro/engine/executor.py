@@ -53,7 +53,6 @@ from ..obs import (
     OBS,
     PROFILER,
     READINESS,
-    WORKER_STALLED_METRIC,
     ObsDelta,
     count_query_error,
     merge_obs_delta,
@@ -66,6 +65,9 @@ from .arena import DEFAULT_ARENA_BYTES, RECORD_HEADER, ArenaWriter, decode_chunk
 #: a process batch with no chunk completion for this long is declared
 #: stalled by the watchdog.
 DEFAULT_STALL_TIMEOUT_S = float(_os.environ.get("REPRO_WORKER_STALL_S", "30"))
+
+#: Counter bumped when the batch watchdog declares a pool stalled.
+WORKER_STALLED_METRIC = "engine.worker.stalled"
 
 #: Counter bumped every time the collect loop's queue poll times out
 #: without a message — a cheap liveness signal for slow hosts where the

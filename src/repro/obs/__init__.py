@@ -72,63 +72,27 @@ from .export import (
     sanitize_metric_name,
 )
 from .health import HealthMonitor, READINESS, index_canary
-from .slo import (
-    AlertManager,
-    AlertPolicy,
-    DEFAULT_RULES_TOML,
-    Objective,
-    QUERY_ERRORS_METRIC,
-    SLOEngine,
-    SLORules,
-    WORKER_STALLED_METRIC,
-    classify_error,
-    configure_slo_engine,
-    count_query_error,
-    default_rules,
-    evaluate_objective,
-    evaluate_payload,
-    get_slo_engine,
-    lint_rules,
-    load_rules,
-    record_query_error,
-)
 from .recorder import (
     DEFAULT_SLOW_MS,
     FlightRecorder,
     new_trace_id,
     prune_span_tree,
 )
-from .timeseries import (
-    TimeSeriesStore,
-    configure_timeseries,
-    get_timeseries,
-)
 from .events import (
+    QUERY_ERRORS_METRIC,
     WIDE_EVENT_FORMAT,
     WIDE_EVENT_VERSION,
     WideEventLog,
+    classify_error,
+    count_query_error,
     load_wide_events,
     make_record,
+    record_query_error,
     render_event_lines,
     render_event_summary,
     sample_keep,
     summarize_events,
     tail_events,
-)
-from .stream import (
-    STREAM_FORMAT,
-    STREAM_VERSION,
-    StreamBroker,
-    configure_broker,
-    format_sse,
-    get_broker,
-    iter_sse_frames,
-    parse_sse,
-)
-from .top import (
-    DASHBOARD_FORMAT,
-    compute_dashboard,
-    render_dashboard,
 )
 from .profiling import (
     MEMORY_PROFILES,
@@ -377,25 +341,6 @@ __all__ = [
     "merge_obs_delta",
     "ObsDelta",
     "fetch_metrics_json",
-    # SLO engine + error accounting (repro.obs.slo)
-    "QUERY_ERRORS_METRIC",
-    "WORKER_STALLED_METRIC",
-    "DEFAULT_RULES_TOML",
-    "classify_error",
-    "count_query_error",
-    "record_query_error",
-    "Objective",
-    "AlertPolicy",
-    "SLORules",
-    "lint_rules",
-    "load_rules",
-    "default_rules",
-    "evaluate_objective",
-    "evaluate_payload",
-    "AlertManager",
-    "SLOEngine",
-    "get_slo_engine",
-    "configure_slo_engine",
     # deep health / readiness (repro.obs.health)
     "HealthMonitor",
     "READINESS",
@@ -405,10 +350,6 @@ __all__ = [
     "DEFAULT_SLOW_MS",
     "new_trace_id",
     "prune_span_tree",
-    # time-series store (repro.obs.timeseries)
-    "TimeSeriesStore",
-    "get_timeseries",
-    "configure_timeseries",
     # the record schema, its sink and reader (repro.obs.events)
     "WIDE_EVENT_FORMAT",
     "WIDE_EVENT_VERSION",
@@ -420,18 +361,11 @@ __all__ = [
     "summarize_events",
     "render_event_summary",
     "render_event_lines",
-    # live stream + dashboard (repro.obs.stream / repro.obs.top)
-    "STREAM_FORMAT",
-    "STREAM_VERSION",
-    "StreamBroker",
-    "get_broker",
-    "configure_broker",
-    "format_sse",
-    "parse_sse",
-    "iter_sse_frames",
-    "DASHBOARD_FORMAT",
-    "compute_dashboard",
-    "render_dashboard",
+    # error accounting (repro.obs.events)
+    "QUERY_ERRORS_METRIC",
+    "classify_error",
+    "count_query_error",
+    "record_query_error",
     # sampling / memory profiler (repro.obs.profiling)
     "PROFILER",
     "Profiler",

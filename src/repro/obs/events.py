@@ -29,6 +29,12 @@ sites:
   on the log object (and printed when the sink closes), never silently
   gone.
 
+Error accounting lives here too, since it writes the ``"error"``
+record: :func:`record_query_error` classifies a raised exception into
+a bounded ``kind`` (``pattern`` / ``corruption`` / ``worker`` /
+``internal``), bumps the ``query.errors{engine,k,kind}`` counter family
+and records the failure once, however many layers see it.
+
 The schema is documented in ``docs/OBSERVABILITY.md``.
 """
 
@@ -42,6 +48,12 @@ import threading
 import time
 from typing import Any, Dict, IO, List, Optional
 
+from ..errors import (
+    AlphabetError,
+    IndexCorruptionError,
+    PatternError,
+    SerializationError,
+)
 from .recorder import prune_span_tree
 from .tracing import render_span_tree
 
@@ -63,6 +75,9 @@ DEFAULT_EVENT_MAX_BYTES = int(
 
 #: Default rotated-generation count — env REPRO_EVENT_BACKUPS.
 DEFAULT_EVENT_BACKUPS = int(os.environ.get("REPRO_EVENT_BACKUPS", "3"))
+
+#: Counter family bumped once per raised query (labels: engine, k, kind).
+QUERY_ERRORS_METRIC = "query.errors"
 
 
 def sample_keep(trace_id: Optional[str], sample: float,
@@ -396,6 +411,67 @@ def render_event_lines(records: List[Dict[str, Any]],
     return "\n".join(lines)
 
 
+# -- error accounting ------------------------------------------------------------
+
+
+def classify_error(exc: BaseException) -> str:
+    """The bounded ``kind`` label value for a raised query exception.
+
+    ``pattern``    — bad input (:class:`PatternError`, :class:`AlphabetError`);
+    ``corruption`` — the index itself failed a check
+    (:class:`IndexCorruptionError`, :class:`SerializationError`);
+    ``internal``   — anything else.  Worker deaths are counted by the
+    executor directly under ``kind="worker"`` (no exception object
+    crosses the process boundary).
+    """
+    if isinstance(exc, (PatternError, AlphabetError)):
+        return "pattern"
+    if isinstance(exc, (IndexCorruptionError, SerializationError)):
+        return "corruption"
+    return "internal"
+
+
+def count_query_error(engine: str, k: Any, kind: str) -> None:
+    """Bump ``query.errors`` (flat total + the ``{engine,k,kind}`` child)."""
+    from . import OBS
+
+    if not OBS.enabled:
+        return
+    OBS.metrics.counter(QUERY_ERRORS_METRIC).inc()
+    OBS.metrics.counter(QUERY_ERRORS_METRIC, engine=engine, k=k, kind=kind).inc()
+
+
+def record_query_error(engine: str, k: Any, exc: BaseException,
+                       **fields: Any) -> str:
+    """Count one raised query exactly once, however many layers see it.
+
+    The facade, the shard router and the batch executor each wrap their
+    query paths with this call; the exception object is tagged on first
+    count so an error bubbling through all three layers still produces
+    one ``query.errors`` increment and one ``"error"`` record.
+    ``fields`` (``m``, ``trace_id``, ``shard``) go into that record.
+    Returns the classified kind.
+    """
+    kind = classify_error(exc)
+    if getattr(exc, "_repro_error_counted", False):
+        return kind
+    try:
+        exc._repro_error_counted = True
+    except Exception:  # pragma: no cover - exotic exception with __slots__
+        pass
+    count_query_error(engine, k, kind)
+    from . import OBS
+
+    if OBS.enabled:
+        OBS.record_event(
+            "error", engine=engine, k=k, kind=kind,
+            error=type(exc).__name__,
+            message=f"{type(exc).__name__}: {exc}"[:300],
+            **fields,
+        )
+    return kind
+
+
 __all__ = [
     "WIDE_EVENT_FORMAT",
     "WIDE_EVENT_VERSION",
@@ -410,4 +486,8 @@ __all__ = [
     "summarize_events",
     "render_event_summary",
     "render_event_lines",
+    "QUERY_ERRORS_METRIC",
+    "classify_error",
+    "count_query_error",
+    "record_query_error",
 ]

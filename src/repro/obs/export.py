@@ -86,9 +86,8 @@ def read_rss_bytes() -> int:
 def refresh_process_gauges(registry: MetricsRegistry) -> None:
     """Set the process-level gauges (uptime, RSS) on ``registry``.
 
-    Called by the ``/metrics``/``/debug/metrics`` scrape handlers and by
-    :meth:`~repro.obs.timeseries.TimeSeriesStore.sample`, so both the
-    exposition and retained time-series snapshots carry fresh values.
+    Called by the ``/metrics`` and ``/debug/metrics`` scrape handlers, so
+    every scrape carries fresh values.
     """
     registry.gauge(PROCESS_UPTIME_METRIC).set(
         round((time_ns() - _PROCESS_START_NS) / 1e9, 3)
@@ -223,8 +222,8 @@ def fetch_metrics_json(url: str, timeout: float = 10.0) -> Dict[str, dict]:
 
     ``url`` is the server base (``http://host:port``) or the full
     ``/debug/metrics`` endpoint — the suffix is appended when missing.
-    Shared by ``repro-cli stats --url`` and ``repro-cli slo`` so both
-    read exactly what the server exports.
+    What ``repro-cli stats --url`` reads, so it sees exactly what the
+    server exports.
     """
     import json
     from urllib.request import urlopen

@@ -240,8 +240,7 @@ class Histogram:
         """Observations provably ``<= bound``: the summed counts of every
         bucket whose upper bound is within it.  Bucket-resolution, like
         :meth:`percentile` — observations in a straddling bucket are not
-        counted (they cannot be proven within the bound).  This is the
-        "good events" side of latency SLO evaluation.
+        counted (they cannot be proven within the bound).
 
         >>> h = Histogram("x", (1, 10, 100))
         >>> for v in (0.5, 3, 3, 250): h.observe(v)

@@ -151,14 +151,6 @@ class FlightRecorder:
         with self._lock:
             return list(self._slow)
 
-    def slow_since(self, seq: int) -> List[Dict[str, Any]]:
-        """Pinned slow records with ``seq`` strictly after ``seq``,
-        oldest first — the incremental read the ``/debug/stream``
-        publisher polls between frames."""
-        with self._lock:
-            return [record for record in self._slow
-                    if record.get("seq", 0) > seq]
-
     def clear(self) -> None:
         """Drop every retained record (the sequence counter keeps counting)."""
         with self._lock:

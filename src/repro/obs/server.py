@@ -13,12 +13,6 @@ singleton:
   probes (canary query against the loaded index, worker-pool state) and
   answers 200 only when every component is ready, 503 otherwise, with
   the per-component report as JSON (see :mod:`repro.obs.health`);
-* ``GET /slo``           — one SLO engine tick: every objective judged
-  over the rolling fast/slow windows, burn rates and alert state
-  included (see :mod:`repro.obs.slo`).  Scraping this endpoint is what
-  builds the windows — each request adds a snapshot;
-* ``GET /alerts``        — the in-process alert manager's state
-  (firing / resolved / inactive per objective) without ticking;
 * ``GET /debug/queries`` — the flight recorder as JSON: recent query
   records plus the pinned slow list.  ``?trace_id=<id>`` narrows the
   response to the records carrying that correlation id — the resolution
@@ -26,11 +20,6 @@ singleton:
 * ``GET /debug/metrics`` — the raw registry ``to_dict`` JSON (schema
   v2, labelled series nested under their family) — what
   ``repro-cli stats --by ... --url ...`` consumes;
-* ``GET /debug/stream`` — Server-Sent-Events push of live telemetry:
-  incremental metric deltas with an embedded dashboard document, alert
-  transitions, and newly pinned slow-query records (see
-  :mod:`repro.obs.stream`; ``?frames=N`` bounds the stream for
-  ``curl``/CI consumers; ``repro-cli top --url`` renders it live);
 * ``GET /debug/pprof`` — the sampling profiler's collapsed/folded
   stacks as text (``frame;frame count`` lines, span-attributed).  When
   no profile has been collected, ``?seconds=N[&hz=H]`` runs a blocking
@@ -130,26 +119,11 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
                 200 if report["ready"] else 503,
                 "application/json", json.dumps(report) + "\n",
             )
-        elif path == "/slo":
-            from .slo import get_slo_engine
-
-            self._respond(
-                200, "application/json", json.dumps(get_slo_engine().tick()) + "\n"
-            )
-        elif path == "/alerts":
-            from .slo import get_slo_engine
-
-            self._respond(
-                200, "application/json",
-                json.dumps(get_slo_engine().alerts.to_dict()) + "\n",
-            )
         elif path == "/debug/metrics":
             refresh_process_gauges(OBS.metrics)
             self._respond(
                 200, "application/json", json.dumps(OBS.metrics.to_dict()) + "\n"
             )
-        elif path == "/debug/stream":
-            self._serve_stream(parsed)
         elif path in ("/debug/pprof", "/debug/pprof/flamegraph"):
             from .profiling import PROFILER
 
@@ -202,64 +176,10 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
                 "application/json",
                 json.dumps({"error": "not found",
                             "endpoints": ["/metrics", "/healthz", "/readyz",
-                                          "/slo", "/alerts",
                                           "/debug/queries", "/debug/metrics",
-                                          "/debug/stream",
                                           "/debug/pprof", "/debug/pprof/flamegraph",
                                           "/debug/pprof/heap"]}) + "\n",
             )
-
-    def _serve_stream(self, parsed) -> None:
-        """``/debug/stream``: Server-Sent-Events telemetry push.
-
-        Subscribes this handler thread to the process-wide
-        :class:`~repro.obs.stream.StreamBroker` (starting its publisher
-        on first use) and relays frames until the client disconnects,
-        the broker evicts the subscription, or ``?frames=N`` frames
-        have been sent (the bounded mode ``curl``/CI use — an SSE
-        stream otherwise never ends).  A connection dropped mid-frame
-        is normal client behaviour, not a handler error: the
-        subscription is cleaned up and nothing propagates.
-        """
-        from .stream import format_sse, get_broker
-
-        query = parse_qs(parsed.query)
-        try:
-            max_frames = max(0, int(query.get("frames", ["0"])[0] or 0))
-        except ValueError:
-            self._respond(400, "application/json",
-                          json.dumps({"error": "frames must be an integer"}) + "\n")
-            return
-        broker = get_broker().start()
-        client = broker.subscribe()
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            sent = 0
-            # Frames-until-idle heartbeat: a comment line every timeout
-            # keeps intermediaries from closing the stream and makes a
-            # dead socket surface as a write error promptly.
-            while not client.evicted:
-                frame = client.get(timeout=max(1.0, broker.interval_s * 2))
-                if frame is None:
-                    if client.evicted:
-                        break
-                    self.wfile.write(b": keep-alive\n\n")
-                    self.wfile.flush()
-                    continue
-                self.wfile.write(format_sse(frame))
-                self.wfile.flush()
-                sent += 1
-                if max_frames and sent >= max_frames:
-                    break
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        finally:
-            broker.unsubscribe(client)
-            self.close_connection = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging (scrapes are periodic)."""

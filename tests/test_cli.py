@@ -634,6 +634,7 @@ class TestShardedCli:
     def test_serve_metrics_sharded_exposes_shard_labels(
         self, big_genome_file, tmp_path, capsys
     ):
+        import json
         import os
         import signal
         import threading
@@ -643,6 +644,7 @@ class TestShardedCli:
         genome, text = big_genome_file
         reads = tmp_path / "reads.txt"
         reads.write_text(text[30:60] + "\n" + text[420:450] + "\n")
+        events = tmp_path / "events.jsonl"
         captured = {}
 
         def grab_then_stop():
@@ -667,9 +669,17 @@ class TestShardedCli:
         scraper.start()
         rc = main(["serve-metrics", str(genome), "--reads", str(reads),
                    "-k", "1", "--shards", "2", "--port", "9188",
-                   "--duration", "30"])
+                   "--duration", "30", "--wide-events", str(events)])
         scraper.join(timeout=20.0)
         assert rc == 0
         exposition = captured["text"]
         assert 'repro_query_shard_ms_bucket{engine="algorithm_a"' in exposition
         assert 'shard="0"' in exposition and 'shard="1"' in exposition
+        # The wide-event log read back: one routed record per query,
+        # each stamped with the fan-out across both shards.
+        capsys.readouterr()
+        assert main(["events", "summarize", str(events), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["n_queries"] > 0
+        assert summary["by_engine"]
+        assert max(group["max_shards"] for group in summary["by_engine"]) == 2

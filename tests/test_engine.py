@@ -813,7 +813,8 @@ class TestWorkerWatchdog:
         import time
 
         from repro.engine.executor import _WorkerWatchdog
-        from repro.obs import OBS, READINESS, WORKER_STALLED_METRIC
+        from repro.engine.executor import WORKER_STALLED_METRIC
+        from repro.obs import OBS, READINESS
 
         READINESS.reset()
         OBS.reset()
