@@ -41,7 +41,7 @@ class Alphabet:
     5
     """
 
-    __slots__ = ("_symbols", "_codes", "_with_sentinel")
+    __slots__ = ("_symbols", "_codes", "_with_sentinel", "_allowed", "_to_codes")
 
     def __init__(self, symbols: Iterable[str]):
         ordered = tuple(symbols)
@@ -61,6 +61,8 @@ class Alphabet:
         self._symbols = ordered
         self._with_sentinel = (SENTINEL,) + ordered
         self._codes = {ch: i for i, ch in enumerate(self._with_sentinel)}
+        self._allowed = frozenset(ordered)
+        self._to_codes = str.maketrans({ch: chr(i) for i, ch in enumerate(ordered, 1)})
 
     # -- introspection ----------------------------------------------------
 
@@ -103,22 +105,39 @@ class Alphabet:
         except KeyError as exc:
             raise AlphabetError(f"character {exc.args[0]!r} is not in alphabet") from None
 
+    def encode_bytes(self, text: str) -> bytes:
+        """Validate ``text`` and encode it to one byte per code (no
+        sentinel added), both at C speed.  Alphabets of more than 255
+        symbols have codes past one byte and raise.
+
+        >>> DNA.encode_bytes("acgt")
+        b'\\x01\\x02\\x03\\x04'
+        """
+        if self.size > 256:
+            raise AlphabetError(f"byte codes hold at most 255 symbols, not {self.size - 1}")
+        self.validate(text)
+        return text.translate(self._to_codes).encode("latin-1")
+
     def decode(self, codes: Iterable[int]) -> str:
         """Decode integer codes back into a string."""
         table = self._with_sentinel
         return "".join(table[c] for c in codes)
 
     def validate(self, text: str) -> None:
-        """Raise :class:`AlphabetError` if ``text`` has out-of-alphabet chars."""
-        codes = self._codes
+        """Raise :class:`AlphabetError` if ``text`` has out-of-alphabet chars.
+
+        The set of ``text``'s characters is checked first; only a text
+        that fails is scanned for the first offending position.
+        """
+        if self._allowed.issuperset(text):
+            return
         for i, ch in enumerate(text):
-            if ch not in codes or ch == SENTINEL:
+            if ch not in self._allowed:
                 raise AlphabetError(f"character {ch!r} at position {i} is not in alphabet")
 
     def contains(self, text: str) -> bool:
         """True when every character of ``text`` is a non-sentinel symbol."""
-        allowed = set(self._symbols)
-        return all(ch in allowed for ch in text)
+        return self._allowed.issuperset(text)
 
     # -- dunder -----------------------------------------------------------
 

@@ -25,7 +25,6 @@ from ..errors import IndexCorruptionError, PatternError, SerializationError
 from ..obs import OBS
 from .. import suffix
 from .rankall import DEFAULT_SAMPLE_RATE, RankAll
-from .transform import bwt_from_suffix_array
 
 
 class Range(NamedTuple):
@@ -81,7 +80,7 @@ class FMIndex:
     ):
         if alphabet is None:
             alphabet = infer_alphabet(text) if text else Alphabet("a")
-        alphabet.validate(text)
+        codes = alphabet.encode_bytes(text)  # validated and encoded once
         if sa_sample_rate < 1:
             raise IndexCorruptionError("sa_sample_rate must be >= 1")
         self._alphabet = alphabet
@@ -90,11 +89,16 @@ class FMIndex:
 
         with OBS.span("fmindex.build", length=len(text)) as build_span:
             with OBS.span("fmindex.suffix_array"):
-                sa = suffix.suffix_array(text, alphabet)
+                # Through the package attribute, which benchmarks wrap.
+                sa = suffix.suffix_array(codes)
             with OBS.span("fmindex.bwt"):
-                bwt = bwt_from_suffix_array(text, sa)
+                # Eq. (3): L[i] = s[H[i] - 1], the sentinel where H[i] = 0.
+                # Behind a leading sentinel code, index H[i] holds exactly that.
+                bwt = bytes(map((b"\x00" + codes).__getitem__, sa))
             with OBS.span("fmindex.rank_tables"):
-                self._init_from_bwt(bwt, occ_sample_rate)
+                self._rank = RankAll.from_codes(bwt, alphabet, occ_sample_rate)
+                self._bwt = None
+                self._c_array = self._rank.c_array
             with OBS.span("fmindex.sample_sa", rate=sa_sample_rate):
                 self._sampled_sa: Dict[int, int] = {
                     row: pos for row, pos in enumerate(sa) if pos % sa_sample_rate == 0
@@ -130,8 +134,9 @@ class FMIndex:
     def bwt(self) -> str:
         """The BWT string ``L`` (sentinel included).
 
-        Indexes loaded from the binary format keep only the byte codes;
-        the string form is decoded lazily on first access and cached.
+        Built indexes and those loaded from the binary format keep only
+        the byte codes; the string form is decoded lazily on first access
+        and cached.
         """
         if self._bwt is None:
             self._bwt = self._alphabet.decode(self._rank.iter_codes())

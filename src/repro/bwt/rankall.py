@@ -41,6 +41,7 @@ it, and nothing reads it.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import List, Tuple
 
 from ..alphabet import Alphabet
@@ -86,6 +87,23 @@ def _slice_counter(buf):
     return count
 
 
+def _block_sums(marks: bytes, rate: int):
+    """Per whole block of ``rate`` bytes, the sum of the 0/1 ``marks``
+    over it.
+
+    Below 256 a block's sum fits a byte, and one big-integer product
+    forms every sum at once: multiplying by ``rate`` one-bytes adds each
+    byte into the ``rate - 1`` bytes above it without carries, so byte
+    ``b*rate + rate - 1`` of the product is block ``b``'s sum.
+    """
+    n = len(marks)
+    if rate < 256:
+        ones = (256**rate - 1) // 255
+        product = int.from_bytes(marks, "little") * ones
+        return product.to_bytes(n + rate, "little")[rate - 1:n:rate]
+    return [marks.count(1, lo, lo + rate) for lo in range(0, n - rate + 1, rate)]
+
+
 def _rank_tables(codes: bytes, size: int, sample_rate: int) -> Tuple[array, array, List[int]]:
     """``(blocks, superblocks, totals)`` for the code sequence ``codes``.
 
@@ -93,23 +111,31 @@ def _rank_tables(codes: bytes, size: int, sample_rate: int) -> Tuple[array, arra
     ``c >= 1`` in ``codes[: s*span]``; ``blocks[b*(size-1) + c]`` is the
     count of ``c`` in ``codes[b*sample_rate - (b*sample_rate) % span :
     b*sample_rate]``.  Index 0 of each table is its pad.
+
+    Each code's column comes from its per-block counts (a ``translate``
+    marks the code's positions), summed within each superblock by
+    ``accumulate``: no loop runs per character.
     """
     totals = [codes.count(code) for code in range(size)]
     c_array = _cumulative_counts(totals)
-    span = superblock_span(sample_rate)
-    blocks = array("B", [0])
-    superblocks = array("i", [0])  # 32-bit, as the paper's Fig. 2 checkpoints
-    running = c_array[:size]
-    within = [0] * size
-    for lo in range(0, len(codes) // sample_rate * sample_rate + 1, sample_rate):
-        if not lo % span:
-            running = [r + w for r, w in zip(running, within)]
-            within = [0] * size
-            superblocks.extend(running[1:])
-        blocks.extend(within[1:])
-        for code in codes[lo:lo + sample_rate]:
-            within[code] += 1
-    return blocks, superblocks, totals
+    per_super = superblock_span(sample_rate) // sample_rate
+    n_blocks = len(codes) // sample_rate + 1
+    n_super = (n_blocks + per_super - 1) // per_super
+    width = size - 1
+    blocks = bytearray(1 + n_blocks * width)
+    superblocks = array("i", [0]) * (1 + n_super * width)  # 32-bit, as Fig. 2's
+    for code in range(1, size):
+        sums = _block_sums(codes.translate(bytes(code) + b"\x01" + bytes(255 - code)), sample_rate)
+        column = bytearray()
+        bases = array("i")
+        running = c_array[code]
+        for lo in range(0, n_blocks, per_super):
+            bases.append(running)
+            column.extend(accumulate(sums[lo:lo + per_super - 1], initial=0))
+            running += sum(sums[lo:lo + per_super])
+        blocks[code::width] = column
+        superblocks[code::width] = bases
+    return array("B", blocks), superblocks, totals
 
 
 def _lf_kernel(codes, blocks, superblocks, sample_rate, width, sentinel_row, tail_count):
@@ -239,9 +265,23 @@ class RankAll:
     )
 
     def __init__(self, bwt: str, alphabet: Alphabet, sample_rate: int = DEFAULT_SAMPLE_RATE):
+        self._build(bytes(alphabet.encode(bwt)), alphabet, sample_rate)
+
+    @classmethod
+    def from_codes(
+        cls, codes: bytes, alphabet: Alphabet, sample_rate: int = DEFAULT_SAMPLE_RATE
+    ) -> "RankAll":
+        """Build over the byte BWT ``codes`` (one code per byte, the
+        sentinel's 0 once), as an index build derives it from its suffix
+        array: no string form is made or encoded.
+        """
+        instance = cls.__new__(cls)
+        instance._build(codes, alphabet, sample_rate)
+        return instance
+
+    def _build(self, codes: bytes, alphabet: Alphabet, sample_rate: int) -> None:
         _check_shape(alphabet, sample_rate)
-        with OBS.span("rankall.build", length=len(bwt), sample_rate=sample_rate):
-            codes = bytes(alphabet.encode(bwt))
+        with OBS.span("rankall.build", length=len(codes), sample_rate=sample_rate):
             if codes.count(0) != 1:
                 raise IndexCorruptionError(
                     f"a BWT holds the sentinel exactly once, found {codes.count(0)}"

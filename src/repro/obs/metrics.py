@@ -236,25 +236,6 @@ class Histogram:
                 return float(self.max if self.max is not None else 0.0)
         return float(self.max if self.max is not None else 0.0)
 
-    def count_le(self, bound: float) -> int:
-        """Observations provably ``<= bound``: the summed counts of every
-        bucket whose upper bound is within it.  Bucket-resolution, like
-        :meth:`percentile` — observations in a straddling bucket are not
-        counted (they cannot be proven within the bound).
-
-        >>> h = Histogram("x", (1, 10, 100))
-        >>> for v in (0.5, 3, 3, 250): h.observe(v)
-        >>> h.count_le(10)
-        3
-        """
-        total = 0
-        for i, b in enumerate(self.buckets):
-            if b <= bound:
-                total += self.counts[i]
-            else:
-                break
-        return total
-
     def merge(self, other: "Histogram") -> "Histogram":
         """Element-wise merge of another histogram with identical buckets."""
         if other.buckets != self.buckets:

@@ -5,163 +5,143 @@ a space-economical construction of the human-genome BWT.  At reproduction
 scale the relevant property is *linear time*; SA-IS (Nong, Zhang & Chan,
 2009) provides it with a compact, dependency-free implementation.
 
-The function operates on integer sequences.  Callers are expected to append
-a unique smallest sentinel (code 0) — :func:`repro.suffix.suffix_array`
-does this for text inputs.
+The function operates on integer sequences: the code bytes of a text at
+the top level (:func:`repro.suffix.suffix_array` encodes it and appends
+the sentinel, code 0), and int lists of LMS-substring names when it
+recurses, since a reduced string may hold more than 256 names.  Every
+pass iterates a buffer directly; suffix types live in a ``bytearray``.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Sequence
 
-_L_TYPE = False
-_S_TYPE = True
 
-
-def _classify(text: Sequence[int]) -> List[bool]:
-    """Suffix type per position: S (True) or L (False).
-
-    ``suffix[i]`` is S-type iff ``text[i:] < text[i+1:]``; the final
-    sentinel is S by definition.
+def _classify(text: Sequence[int]):
+    """``(types, lms)``: ``types[i]`` is 1 when suffix ``i`` is S-type
+    (``text[i:] < text[i+1:]``; the final sentinel is S) and 0 when it is
+    L-type, and ``lms`` lists the left-most S-type positions, descending.
     """
     n = len(text)
-    types = [_S_TYPE] * n
+    types = bytearray(n)
+    types[-1] = 1
+    lms = []
+    s_type = 1
+    right = text[-1]
     for i in range(n - 2, -1, -1):
-        if text[i] > text[i + 1]:
-            types[i] = _L_TYPE
-        elif text[i] == text[i + 1]:
-            types[i] = types[i + 1]
-    return types
+        c = text[i]
+        if c < right:
+            s_type = 1
+        elif c > right:
+            if s_type:
+                lms.append(i + 1)
+            s_type = 0
+        if s_type:
+            types[i] = 1
+        right = c
+    return types, lms
 
 
-def _is_lms(types: Sequence[bool], i: int) -> bool:
-    """True when position ``i`` is a left-most S-type position."""
-    return i > 0 and types[i] is _S_TYPE and types[i - 1] is _L_TYPE
+def _induce(sa: List[int], text: Sequence[int], types: bytearray, ends: List[int]) -> None:
+    """Induce every L-type suffix from the bucket heads, left to right,
+    then every S-type suffix from the bucket tails, right to left.
+
+    ``ends[c]`` is one past the last slot of code ``c``'s bucket.  Both
+    passes iterate ``sa`` itself: a list iterator reads each slot when it
+    reaches it, so it sees the suffixes the pass itself placed.
+    """
+    heads = [0]
+    heads.extend(ends[:-1])
+    for p in sa:
+        if p > 0:
+            j = p - 1
+            if not types[j]:
+                c = text[j]
+                sa[heads[c]] = j
+                heads[c] += 1
+    tails = list(ends)
+    for p in reversed(sa):
+        if p > 0:
+            j = p - 1
+            if types[j]:
+                c = text[j]
+                tails[c] -= 1
+                sa[tails[c]] = j
 
 
-def _bucket_sizes(text: Sequence[int], n_codes: int) -> List[int]:
-    sizes = [0] * n_codes
-    for c in text:
-        sizes[c] += 1
-    return sizes
-
-
-def _bucket_heads(sizes: Sequence[int]) -> List[int]:
-    heads = [0] * len(sizes)
-    total = 0
-    for c, size in enumerate(sizes):
-        heads[c] = total
-        total += size
-    return heads
-
-
-def _bucket_tails(sizes: Sequence[int]) -> List[int]:
-    tails = [0] * len(sizes)
-    total = 0
-    for c, size in enumerate(sizes):
-        total += size
-        tails[c] = total - 1
-    return tails
-
-
-def _induce_l(sa: List[int], text: Sequence[int], types: Sequence[bool], sizes: Sequence[int]) -> None:
-    heads = _bucket_heads(sizes)
-    for i in range(len(sa)):
-        j = sa[i] - 1
-        if sa[i] > 0 and types[j] is _L_TYPE:
-            c = text[j]
-            sa[heads[c]] = j
-            heads[c] += 1
-
-
-def _induce_s(sa: List[int], text: Sequence[int], types: Sequence[bool], sizes: Sequence[int]) -> None:
-    tails = _bucket_tails(sizes)
-    for i in range(len(sa) - 1, -1, -1):
-        j = sa[i] - 1
-        if sa[i] > 0 and types[j] is _S_TYPE:
-            c = text[j]
-            sa[tails[c]] = j
-            tails[c] -= 1
-
-
-def _lms_substrings_equal(text: Sequence[int], types: Sequence[bool], a: int, b: int) -> bool:
-    """Compare the LMS substrings starting at ``a`` and ``b``."""
-    n = len(text)
-    if a == n - 1 or b == n - 1:
-        return a == b
-    i = 0
-    while True:
-        a_lms = i > 0 and _is_lms(types, a + i)
-        b_lms = i > 0 and _is_lms(types, b + i)
-        if a_lms and b_lms:
-            return True
-        if a_lms != b_lms:
-            return False
-        if text[a + i] != text[b + i]:
-            return False
-        i += 1
+def _place_lms(n: int, text: Sequence[int], ends: List[int], lms: Sequence[int]) -> List[int]:
+    """A suffix array holding only the LMS positions ``lms``, each at the
+    tail of its bucket; within a bucket they keep the order of ``lms``."""
+    sa = [-1] * n
+    tails = list(ends)
+    for p in reversed(lms):
+        c = text[p]
+        tails[c] -= 1
+        sa[tails[c]] = p
+    return sa
 
 
 def sais(text: Sequence[int], n_codes: int) -> List[int]:
     """Suffix array of integer sequence ``text`` via induced sorting.
 
-    ``text`` must end with a unique smallest symbol (value 0 occurring
-    exactly once, at the end).  ``n_codes`` is the number of distinct codes
-    (max value + 1).  Runs in O(n) time.
+    ``text`` (``bytes`` or a list of ints) must end with a unique smallest
+    symbol (value 0 occurring exactly once, at the end).  ``n_codes`` is
+    the number of distinct codes (max value + 1).  Runs in O(n) time.
 
     >>> sais([1, 2, 1, 3, 1, 2, 1, 0], 4)   # 'acagaca$' with a=1,c=2,g=3
     [7, 6, 4, 0, 2, 5, 1, 3]
+    >>> sais(b"\\x01\\x02\\x01\\x03\\x01\\x02\\x01\\x00", 4)
+    [7, 6, 4, 0, 2, 5, 1, 3]
     """
     n = len(text)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
+    if n <= 1:
+        return list(range(n))
 
-    types = _classify(text)
-    sizes = _bucket_sizes(text, n_codes)
+    types, lms = _classify(text)
+    lms.reverse()
+    if isinstance(text, (bytes, bytearray)):
+        sizes = [text.count(c) for c in range(n_codes)]
+    else:
+        sizes = [0] * n_codes
+        for c in text:
+            sizes[c] += 1
+    ends = list(accumulate(sizes))
 
     # Step 1: place LMS suffixes at their bucket tails (approximate order),
     # then induce L and S to sort all LMS *substrings*.
-    sa = [-1] * n
-    tails = _bucket_tails(sizes)
-    for i in range(n - 1, -1, -1):
-        if _is_lms(types, i):
-            c = text[i]
-            sa[tails[c]] = i
-            tails[c] -= 1
-    _induce_l(sa, text, types, sizes)
-    _induce_s(sa, text, types, sizes)
+    sa = _place_lms(n, text, ends, lms)
+    _induce(sa, text, types, ends)
+    ordered = [p for p in sa if p and types[p] and not types[p - 1]]
 
-    # Step 2: name LMS substrings in the order they appear in sa.
-    lms_order = [p for p in sa if _is_lms(types, p)]
-    names = [-1] * n
-    current = 0
-    prev = -1
-    for p in lms_order:
-        if prev >= 0 and not _lms_substrings_equal(text, types, prev, p):
-            current += 1
-        names[p] = current
-        prev = p
-    lms_positions = [i for i in range(n) if _is_lms(types, i)]
-    reduced = [names[i] for i in lms_positions]
+    # Step 2: name LMS substrings in that order.  ``sa`` is free again: it
+    # first holds each LMS substring's length (through the next LMS
+    # position, inclusive), then its name.  Substrings of equal length and
+    # characters also agree in suffix types, so length plus a slice
+    # compare decides equality.
+    for p, q in zip(lms, lms[1:]):
+        sa[p] = q - p + 1
+    sa[n - 1] = 1
+    name = -1
+    prev = prev_len = 0
+    for p in ordered:
+        length = sa[p]
+        if length != prev_len or text[p:p + length] != text[prev:prev + length]:
+            name += 1
+            prev, prev_len = p, length
+        sa[p] = name
 
-    # Step 3: order LMS suffixes — recurse if names collide.
-    if current + 1 == len(reduced):
-        order = [0] * len(reduced)
-        for idx, name in enumerate(reduced):
-            order[name] = idx
+    # Step 3: order the LMS suffixes.  Distinct names already give their
+    # order; colliding names recurse on the reduced string.
+    if name + 1 < len(lms):
+        reduced = [sa[p] for p in lms]
+        del sa, ordered
+        ordered = [lms[i] for i in sais(reduced, name + 1)]
+        del reduced
     else:
-        order = sais(reduced, current + 1)
+        del sa
 
     # Step 4: place LMS suffixes in their true order, induce again.
-    sa = [-1] * n
-    tails = _bucket_tails(sizes)
-    for idx in range(len(order) - 1, -1, -1):
-        p = lms_positions[order[idx]]
-        c = text[p]
-        sa[tails[c]] = p
-        tails[c] -= 1
-    _induce_l(sa, text, types, sizes)
-    _induce_s(sa, text, types, sizes)
+    sa = _place_lms(n, text, ends, ordered)
+    _induce(sa, text, types, ends)
     return sa

@@ -7,8 +7,10 @@ Three constructions with one contract:
 * :func:`suffix_array_doubling` — O(n log² n) prefix doubling; a useful
   mid-scale fallback and a second independent implementation for
   cross-checking.
-* :func:`suffix_array` — the production path: encodes the text (appending
-  the sentinel) and runs linear-time SA-IS (:mod:`repro.suffix.sais`).
+* :func:`suffix_array` — the production path: encodes the text to code
+  bytes (appending the sentinel) and runs linear-time SA-IS
+  (:mod:`repro.suffix.sais`) over them; a caller that already holds the
+  code bytes passes them instead.
 
 All return the suffix array ``H`` of ``text + '$'`` as 0-based start
 positions: ``H[i]`` is the start of the i-th smallest suffix.  ``H[0]`` is
@@ -17,21 +19,11 @@ always ``len(text)`` (the sentinel suffix).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from ..alphabet import Alphabet, infer_alphabet
 from ..errors import AlphabetError
 from .sais import sais
-
-
-def _encode_with_sentinel(text: str, alphabet: Optional[Alphabet]) -> tuple:
-    if alphabet is None:
-        alphabet = infer_alphabet(text) if text else Alphabet("a")
-    codes = list(alphabet.encode(text))
-    if 0 in codes:
-        raise AlphabetError("text may not contain the sentinel")
-    codes.append(0)
-    return codes, alphabet
 
 
 def suffix_array_naive(text: str) -> List[int]:
@@ -73,17 +65,28 @@ def suffix_array_doubling(text: str) -> List[int]:
     return sa
 
 
-def suffix_array(text: str, alphabet: Optional[Alphabet] = None) -> List[int]:
+def suffix_array(text: Union[str, bytes], alphabet: Optional[Alphabet] = None) -> List[int]:
     """Suffix array of ``text + '$'`` via SA-IS (linear time).
 
-    ``alphabet`` defaults to the smallest alphabet covering ``text``.
+    ``text`` is a string, encoded over ``alphabet`` (default: the smallest
+    alphabet covering it), or already its code bytes, each at least 1
+    (``Alphabet.encode_bytes`` output); ``alphabet`` is then unused.
 
     >>> suffix_array("acagaca")
     [7, 6, 4, 0, 2, 5, 1, 3]
+    >>> suffix_array(b"\\x01\\x02\\x01\\x03\\x01\\x02\\x01")
+    [7, 6, 4, 0, 2, 5, 1, 3]
     """
-    codes, _ = _encode_with_sentinel(text, alphabet)
-    n_codes = max(codes) + 1
-    return sais(codes, n_codes)
+    if isinstance(text, str):
+        if alphabet is None:
+            alphabet = infer_alphabet(text) if text else Alphabet("a")
+        if alphabet.size > 256:  # codes past one byte: an int list
+            alphabet.validate(text)
+            return sais(list(alphabet.encode(text)) + [0], alphabet.size)
+        text = alphabet.encode_bytes(text)
+    elif 0 in text:
+        raise AlphabetError("text may not contain the sentinel")
+    return sais(text + b"\x00", max(text, default=0) + 1)
 
 
 def rank_array(sa: Sequence[int]) -> List[int]:

@@ -66,9 +66,36 @@ class TestCoding:
         with pytest.raises(AlphabetError):
             DNA.validate("ac$a")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ac$a", "character '$' at position 2 is not in alphabet"),
+            ("acgn", "character 'n' at position 3 is not in alphabet"),
+            ("acgtA", "character 'A' at position 4 is not in alphabet"),
+            ("nnA$", "character 'n' at position 0 is not in alphabet"),
+        ],
+    )
+    def test_validate_names_the_first_offender(self, text, message):
+        for check in (DNA.validate, DNA.encode_bytes):
+            with pytest.raises(AlphabetError) as info:
+                check(text)
+            assert str(info.value) == message
+
+    def test_encode_bytes_matches_encode(self):
+        text = "acagacaacagacagtacagaca"
+        assert DNA.encode_bytes(text) == bytes(DNA.encode(text))
+        assert PROTEIN.encode_bytes("WAY") == bytes(PROTEIN.encode("WAY"))
+        assert DNA.encode_bytes("") == b""
+
+    def test_encode_bytes_needs_one_byte_codes(self):
+        wide = Alphabet(chr(c) for c in range(0x100, 0x200))
+        with pytest.raises(AlphabetError):
+            wide.encode_bytes(chr(0x100))
+
     def test_contains(self):
         assert DNA.contains("acgt")
         assert not DNA.contains("acgn")
+        assert not DNA.contains("ac$")
         assert DNA.contains("")
 
 

@@ -652,25 +652,6 @@ class TestHistogramBoundaries:
         for p in (1, 50, 100):
             assert h.percentile(p) == 7.0
 
-    def test_count_le_at_and_between_bounds(self):
-        h = Histogram("h", (1, 10, 100))
-        for value in (0.5, 1, 5, 10, 50, 250):
-            h.observe(value)
-        assert h.count_le(1) == 2
-        assert h.count_le(10) == 4
-        assert h.count_le(100) == 5
-        # A threshold between bounds only credits fully-covered buckets.
-        assert h.count_le(7) == 2
-        assert h.count_le(0.5) == 0
-
-    def test_count_le_never_counts_overflow(self):
-        h = Histogram("h", (1,))
-        h.observe(0.5)
-        h.observe(999)
-        # The overflow bucket has no finite upper bound, so it is never
-        # provably <= any finite threshold.
-        assert h.count_le(10**9) == 1
-
 
 class TestTraceValidation:
     """load_trace / Observability.load reject foreign documents (satellite 2)."""

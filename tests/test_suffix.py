@@ -1,10 +1,13 @@
 """Tests for the suffix-structure substrate (repro.suffix)."""
 
 import random
+import sys
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import AlphabetError
 from repro.suffix import (
     LCEOracle,
     SparseTableRMQ,
@@ -70,6 +73,65 @@ class TestSuffixArray:
         # abab... patterns force the recursive rename path.
         text = "ab" * 100
         assert suffix_array(text) == suffix_array_naive(text)
+
+
+def _sorted_suffixes(seq):
+    """Suffix array of an int sequence ending in its unique 0, by sorting."""
+    return sorted(range(len(seq)), key=lambda i: seq[i:])
+
+
+class TestSaisInputs:
+    """``sais`` runs over code bytes at the top level and over int lists
+    when it recurses; both must agree with a direct sort."""
+
+    def _texts(self, rng):
+        for _ in range(400):
+            top = rng.choice((1, 2, 3, 4, 20, 255))
+            n = rng.randint(0, 80)
+            if rng.random() < 0.3:  # periodic texts force renaming
+                unit = [rng.randint(1, top) for _ in range(rng.randint(1, 5))]
+                body = (unit * (n // len(unit) + 1))[:n]
+            else:
+                body = [rng.randint(1, top) for _ in range(n)]
+            yield body + [0], top + 1
+
+    def test_bytes_and_lists_match_naive(self):
+        for seq, n_codes in self._texts(random.Random(7)):
+            expected = _sorted_suffixes(seq)
+            assert sais(seq, n_codes) == expected
+            assert sais(bytes(seq), n_codes) == expected
+
+    def test_code_bytes_match_text(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            text = "".join(rng.choice("acgt") for _ in range(rng.randint(0, 120)))
+            codes = bytes("_acgt".index(ch) for ch in text)
+            assert suffix_array(codes) == suffix_array_naive(text)
+
+    def test_more_than_256_names(self, monkeypatch):
+        # 300 distinct LMS substrings (1 then a non-increasing 4-tuple over
+        # 2..9, so no LMS position inside), each twice: the reduced string
+        # holds 301 names with collisions, so it recurses on an int list.
+        module = sys.modules["repro.suffix.sais"]
+        levels = []
+        original = module.sais
+
+        def recording(text, n_codes):
+            levels.append(n_codes)
+            return original(text, n_codes)
+
+        monkeypatch.setattr(module, "sais", recording)
+        words = [w[::-1] for w in combinations_with_replacement(range(2, 10), 4)][:300]
+        body = [c for word in words for c in (1,) + word]
+        seq = bytes(body * 2 + [0])
+        assert module.sais(seq, 10) == _sorted_suffixes(seq)
+        assert levels[1] > 256
+        wide = [1 + i % 300 for i in range(900)] + [0]
+        assert module.sais(wide, 301) == _sorted_suffixes(wide)
+
+    def test_rejects_sentinel_in_code_bytes(self):
+        with pytest.raises(AlphabetError):
+            suffix_array(b"\x01\x00\x02")
 
 
 class TestLCP:
