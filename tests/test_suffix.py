@@ -109,9 +109,10 @@ class TestSaisInputs:
             assert suffix_array(codes) == suffix_array_naive(text)
 
     def test_more_than_256_names(self, monkeypatch):
-        # 300 distinct LMS substrings (1 then a non-increasing 4-tuple over
-        # 2..9, so no LMS position inside), each twice: the reduced string
-        # holds 301 names with collisions, so it recurses on an int list.
+        # 300 distinct words (1, then a non-increasing 4-tuple over 2..9,
+        # so no LMS position inside), each twice: the reduced string holds
+        # 302 names (the 300 words, the last one before the sentinel, and
+        # the sentinel) with collisions, so it recurses on an int list.
         module = sys.modules["repro.suffix.sais"]
         levels = []
         original = module.sais
