@@ -114,7 +114,6 @@ def make_record(
     stats: Optional[dict] = None,
     spans: Optional[dict] = None,
     shard: Optional[int] = None,
-    return_path: str = "",
     **extra: Any,
 ) -> Dict[str, Any]:
     """One telemetry record (JSON-compatible, every field top-level).
@@ -126,8 +125,7 @@ def make_record(
     elsewhere);
     ``stats`` is the query's :meth:`SearchStats.to_dict`; ``spans`` its
     span tree (:meth:`~repro.obs.tracing.Span.to_dict`) when tracing
-    was on; ``return_path`` the executor's result transport
-    (``arena``/``queue``/``mixed``).  ``trace_id`` (see
+    was on.  ``trace_id`` (see
     :func:`~repro.obs.recorder.new_trace_id`) is the correlation id
     histogram exemplars point at.  Unset optionals are omitted.
 
@@ -161,8 +159,6 @@ def make_record(
         record["spans"] = spans
     if shard is not None:
         record["shard"] = shard
-    if return_path:
-        record["return_path"] = return_path
     record.update(extra)
     return record
 
@@ -300,8 +296,8 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Aggregate a record list into the ``events summarize`` report.
 
     Groups query records by ``(engine, k)`` with exact (nearest-rank)
-    latency percentiles from the raw durations, counts batch records by
-    return path, and reports the overall event span and rate.  A routed
+    latency percentiles from the raw durations, counts batch records,
+    and reports the overall event span and rate.  A routed
     query is one record, so ``n_queries`` counts served queries on a
     sharded index as on a flat one.
     """
@@ -336,11 +332,6 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         group["p99_ms"] = round(_exact_percentile(durations, 99), 3)
         groups.append(group)
 
-    return_paths: Dict[str, int] = {}
-    for record in batches:
-        path = record.get("return_path") or "-"
-        return_paths[path] = return_paths.get(path, 0) + 1
-
     return {
         "format": "repro-wide-event-summary",
         "version": 1,
@@ -351,7 +342,6 @@ def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         "span_s": round(span_s, 3),
         "events_per_s": round(len(records) / span_s, 3) if span_s > 0 else 0.0,
         "by_engine": groups,
-        "batch_return_paths": return_paths,
     }
 
 
@@ -374,10 +364,6 @@ def render_event_summary(summary: Dict[str, Any]) -> str:
                 f"{group['p95_ms']:>9.3f} {group['p99_ms']:>9.3f} "
                 f"{group['max_shards']:>6}"
             )
-    if summary["batch_return_paths"]:
-        paths = ", ".join(f"{path}={count}" for path, count
-                          in sorted(summary["batch_return_paths"].items()))
-        lines += ["", f"batch return paths: {paths}"]
     return "\n".join(lines)
 
 
@@ -395,8 +381,6 @@ def render_event_lines(records: List[Dict[str, Any]],
             extra += f" shards={record['shards']}"
         if "shard" in record:
             extra += f" shard={record['shard']}"
-        if record.get("return_path"):
-            extra += f" path={record['return_path']}"
         if record.get("slow"):
             extra += " SLOW"
         lines.append(

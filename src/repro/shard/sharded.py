@@ -375,12 +375,14 @@ class ShardedIndex:
         identical code spaces regardless of which characters a shard's
         slice happens to contain.
 
-        ``build_workers >= 1`` builds the shards over a process pool
-        (:mod:`repro.shard.builder`): the text ships down through one
+        ``build_workers`` is an upper bound, as for batches: the shards
+        are built over ``min(build_workers, usable CPUs, shards)`` pool
+        workers (:mod:`repro.shard.builder`) when that is at least 2,
+        and serially in-process otherwise (``0``, the default, always
+        builds serially).  On the pool the text ships down through one
         shared-memory segment, each built shard's ``REPROIDX`` blob
         ships back through another, and the result — the deterministic
         writer guarantees it — is byte-identical to a serial build.
-        ``0`` (the default) builds serially in-process.
         """
         if not text:
             raise PatternError("target text must be non-empty")
@@ -406,13 +408,16 @@ class ShardedIndex:
             )
             for i, (start, length, core_start, core_end) in enumerate(plan)
         ]
+        from ..engine import executor
+
+        workers = min(build_workers, executor.usable_cpus(), len(plan))
         with OBS.span("shard.build", length=len(text), shards=n_shards,
                       overlap=overlap, build_workers=build_workers):
             shards = None
-            if build_workers >= 1 and len(plan) > 1:
+            if workers >= 2:
                 shards = build_shards_parallel(
                     text, plan, alphabet, occ_sample_rate, sa_sample_rate,
-                    build_workers,
+                    workers,
                 )
             if shards is None:
                 shards = []

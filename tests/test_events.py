@@ -74,7 +74,7 @@ class TestMakeWideEvent:
     def test_core_fields(self):
         event = make_record("query", engine="bwt_mismatch", k=2, m=24,
                             duration_ms=1.5, occurrences=3, shards=4,
-                            return_path="arena", trace_id="abc123",
+                            trace_id="abc123",
                             stats={"leaves": 7}, shard=1, custom="x")
         assert event["format"] == WIDE_EVENT_FORMAT
         assert event["version"] == WIDE_EVENT_VERSION
@@ -83,7 +83,6 @@ class TestMakeWideEvent:
         assert event["k"] == 2 and event["m"] == 24
         assert event["duration_ms"] == 1.5
         assert event["occurrences"] == 3 and event["shards"] == 4
-        assert event["return_path"] == "arena"
         assert event["trace_id"] == "abc123"
         assert event["stats"] == {"leaves": 7}
         assert event["shard"] == 1
@@ -93,8 +92,7 @@ class TestMakeWideEvent:
     def test_empty_optionals_are_omitted(self):
         event = make_record("query")
         assert event["shards"] == 0
-        for optional in ("return_path", "trace_id", "stats", "spans",
-                         "shard"):
+        for optional in ("trace_id", "stats", "spans", "shard"):
             assert optional not in event
 
 
@@ -178,7 +176,7 @@ class TestReaders:
                 duration_ms=duration, occurrences=1, shards=3,
                 trace_id=f"t{duration}"))
         records.append(make_record("batch", engine="bwt_mismatch", k=2,
-                                   return_path="arena", trace_id="b1"))
+                                   trace_id="b1"))
         records.append(make_record("error", engine="bwt_mismatch", k=2,
                                    error="PatternError"))
         return records
@@ -200,7 +198,6 @@ class TestReaders:
         assert group["p50_ms"] == 2.0
         assert group["p95_ms"] == 10.0
         assert group["p99_ms"] == 10.0
-        assert summary["batch_return_paths"] == {"arena": 1}
 
     def test_summarize_empty(self):
         summary = summarize_events([])
@@ -220,10 +217,9 @@ class TestReaders:
         records = self.sample_records()
         text = render_event_summary(summarize_events(records))
         assert "bwt_mismatch" in text
-        assert "batch return paths: arena=1" in text
+        assert "1 batch" in text
         lines = render_event_lines(records)
         assert "shards=3" in lines
-        assert "path=arena" in lines
         assert render_event_lines([]) == "(no events)"
 
 
@@ -382,8 +378,7 @@ class TestEventsCLI:
             log.emit(make_record("query", engine="bwt_mismatch", k=2,
                                  duration_ms=float(i), occurrences=1,
                                  trace_id=f"t{i}"))
-        log.emit(make_record("batch", engine="bwt_mismatch", k=2,
-                             return_path="arena"))
+        log.emit(make_record("batch", engine="bwt_mismatch", k=2))
         log.close()
         return path
 
@@ -407,7 +402,7 @@ class TestEventsCLI:
         assert main(["events", "summarize", path]) == 0
         out = capsys.readouterr().out
         assert "5 query" in out
-        assert "arena=1" in out
+        assert "1 batch" in out
 
     def test_summarize_json(self, tmp_path, capsys):
         path = self._events_file(tmp_path)

@@ -123,10 +123,11 @@ class TestProfilerFamilies:
 
 
 @pytest.mark.usefixtures("force_pool")
-class TestArenaAndBuildFamilies:
-    """The zero-copy tentpole's new families — `engine.arena.*`,
-    `shard.build_ms`, `engine.worker.poll_timeouts` — must reach a
-    strict-clean exposition and pass `repro-cli metrics-lint`."""
+class TestPoolAndBuildFamilies:
+    """The process pool's families (`engine.shm.nbytes`,
+    `engine.worker.*`) and `shard.build_ms` must reach a strict-clean
+    exposition and pass `repro-cli metrics-lint`; the retired result-arena
+    families stay out of it."""
 
     def _exposition(self) -> str:
         import random
@@ -154,8 +155,9 @@ class TestArenaAndBuildFamilies:
         text = self._exposition()
         assert "repro_shard_build_ms_bucket" in text
         assert 'repro_shard_build_ms_bucket{shard="0"' in text
-        assert "repro_engine_arena_nbytes" in text
-        assert "repro_engine_arena_records_total" in text
+        assert "repro_engine_shm_nbytes" in text
+        assert "repro_engine_worker_hydrations_total" in text
+        assert "repro_engine_arena" not in text
         assert lint_openmetrics(text) == []
         # and through the CLI entry point, as CI runs it
         path = tmp_path / "exposition.txt"
