@@ -12,8 +12,10 @@ compared
   (each worker hydrates the index and starts with a cold memo).
 
 All three must return identical occurrences; the cached run must report
-cross-query memo hits.  Reads/sec for each mode land in
-``benchmarks/results/batch_throughput.json``.
+cross-query memo hits.  Reads/sec for each mode land in the ``e1``
+section of ``benchmarks/results/batch_throughput.json``; E1c's
+high-hit batch writes its ``high_hit`` section.  Each section carries
+the stamp of the run that wrote it.
 
 ``workers`` is an upper bound (:func:`repro.engine.executor.pool_size`):
 a batch runs on the pool only when every worker gets at least
@@ -23,7 +25,6 @@ that constant is taken from (``batch_break_even.{txt,json}``).
 
 from __future__ import annotations
 
-import json
 import random
 import statistics
 import time
@@ -35,7 +36,7 @@ from repro.bench.workloads import fig11_workload
 from repro.core.matcher import KMismatchIndex
 from repro.engine import BatchExecutor, executor
 
-from conftest import write_json_result, write_result
+from conftest import write_json_result, write_json_section, write_result
 
 N_READS = 240
 READ_LENGTH = 60
@@ -119,10 +120,7 @@ def test_batch_throughput(benchmark, results_dir):
         ),
     )
     write_result(results_dir, "batch_throughput", table)
-    # Keep E1c's high-hit section (same JSON artifact) if it ran first.
-    json_path = results_dir / "batch_throughput.json"
-    previous = json.loads(json_path.read_text()) if json_path.exists() else {}
-    payload = {
+    write_json_section(results_dir, "batch_throughput", "e1", {
         "n_reads": N_READS,
         "read_length": READ_LENGTH,
         "k": K,
@@ -132,10 +130,7 @@ def test_batch_throughput(benchmark, results_dir):
         "seconds": {m: measured[m] for m in ("sequential", "cached", "parallel")},
         "reads_per_sec": throughput,
         "shared_reuse_hits": measured["shared_reuse_hits"],
-    }
-    if "high_hit" in previous:
-        payload["high_hit"] = previous["high_hit"]
-    write_json_result(results_dir, "batch_throughput", payload)
+    })
 
 
 @pytest.mark.benchmark(group="batch-throughput")
@@ -274,12 +269,7 @@ def test_high_hit_pool(benchmark, results_dir, monkeypatch):
     )
     table += f"\npool/serial: {pool_over_serial:.2f} (median per-pair ratio)"
     write_result(results_dir, "batch_throughput_high_hit", table)
-    # The high-hit section rides in batch_throughput.json next to E1's
-    # numbers; merge rather than overwrite so the two tests compose in
-    # any order (E1's write_json_result replaces the whole file).
-    json_path = results_dir / "batch_throughput.json"
-    payload = json.loads(json_path.read_text()) if json_path.exists() else {}
-    payload["high_hit"] = {
+    write_json_section(results_dir, "batch_throughput", "high_hit", {
         "n_reads": len(reads),
         "read_length": HIGH_HIT_UNIT - 6,
         "k": HIGH_HIT_K,
@@ -292,8 +282,7 @@ def test_high_hit_pool(benchmark, results_dir, monkeypatch):
         "seconds": seconds,
         "reads_per_sec": throughput,
         "pool_over_serial": pool_over_serial,
-    }
-    write_json_result(results_dir, "batch_throughput", payload)
+    })
 
 
 # Break-even sweep: batch sizes, and alternating serial / pool pairs

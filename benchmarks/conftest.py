@@ -76,3 +76,14 @@ def write_json_result(results_dir: Path, name: str, payload: dict) -> None:
     payload = {**payload, "provenance": provenance().removeprefix("# host: ")}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[stats written to {path}]")
+
+
+def write_json_section(results_dir: Path, name: str, section: str, payload: dict) -> None:
+    """Persist one section of a JSON artifact that several tests share,
+    stamped with :func:`provenance` under the section's own
+    ``"provenance"``; the other sections, stamps and all, are kept."""
+    path = results_dir / f"{name}.json"
+    document = json.loads(path.read_text()) if path.exists() else {}
+    document[section] = {**payload, "provenance": provenance().removeprefix("# host: ")}
+    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    print(f"[stats written to {path}, section {section!r}]")

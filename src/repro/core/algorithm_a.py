@@ -70,11 +70,12 @@ class _Chain:
     """A unary run of the index, recorded by the memo.
 
     ``codes[j]`` leads from the chain's ``j``-th range to the next, and
-    ``steps[j]`` is that range's children as :meth:`FMIndex.children`
-    returned them: the one triple ``(codes[j], lo, hi)`` of the next
-    range.  The recording query scored ``codes[j]`` against
-    ``pattern[offset + j]``; ``mm_rel`` lists the ``j`` where that
-    comparison failed (what the kangaroo merge needs).
+    ``steps[j]`` is that range's one child as :meth:`FMIndex.children`
+    returned it, the triple ``(codes[j], lo, hi)`` of the next range: a
+    tuple of ints, so one garbage collection untracks it.  The recording
+    query scored ``codes[j]`` against ``pattern[offset + j]``; ``mm_rel``
+    lists the ``j`` where that comparison failed (what the kangaroo merge
+    needs).
     """
 
     __slots__ = ("offset", "codes", "steps", "mm_rel")
@@ -82,7 +83,7 @@ class _Chain:
     def __init__(self, offset: int):
         self.offset = offset
         self.codes: List[int] = []
-        self.steps: List[Children] = []
+        self.steps: List[Tuple[int, int, int]] = []
         self.mm_rel: List[int] = []
 
 
@@ -150,9 +151,11 @@ class AlgorithmASearcher:
         self._enable_reuse = enable_reuse
         self._use_phi = use_phi
         self._min_memo_width = min_memo_width
-        #: ``lo * (n_rows + 1) + hi`` -> ``(gen, children)`` or
-        #: ``(gen, chain, t)``, the records of :class:`~repro.core.stree.Memo`;
-        #: ``gen`` is the query that recorded it.  Insertion order is age.
+        #: ``lo * (n_rows + 1) + hi`` -> ``(code, lo, hi, ..., gen)``, the
+        #: children as one flat tuple of ints that one collection untracks,
+        #: or ``(chain, t, gen)``, the records of
+        #: :class:`~repro.core.stree.Memo`; ``gen`` is the query that
+        #: recorded it.  Insertion order is age.
         self._memo: dict = {}
         self._generation = 0
         self._pattern: Optional[str] = None
@@ -271,19 +274,19 @@ class AlgorithmASearcher:
                 open_chain = _Chain(i)
             chain = open_chain
             t = len(chain.codes)
-            code, child_lo, child_hi = children[0]
+            code, child_lo, child_hi = step = children[0]
             chain.codes.append(code)
-            chain.steps.append(children)
+            chain.steps.append(step)
             if code != pattern_codes[i]:
                 chain.mm_rel.append(t)
-            memo[key] = (gen, chain, t)
+            memo[key] = (chain, t, gen)
             next_node = (child_lo, child_hi, i + 1)
 
         def replay(record: tuple, i: int, mm: Mismatches) -> Tuple[int, Mismatches, Children]:
             # Score the chain here up to its last character (or the
             # pattern's end); the loop scores that one, or the first
             # mismatch the budget cannot pay for.
-            recorded, chain, t = record
+            chain, t, recorded = record
             codes = chain.codes
             n = min(len(codes) - t, m - i) - 1
             if n > 0:
@@ -305,7 +308,7 @@ class AlgorithmASearcher:
                 stats.chars_replayed += n
                 i += n
                 t += n
-            return i, mm, chain.steps[t]
+            return i, mm, (chain.steps[t],)
 
         return Memo(memo, gen, extend, replay)
 

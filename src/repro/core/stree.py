@@ -164,13 +164,16 @@ class Memo(NamedTuple):
 
     ``table`` maps a range ``[lo, hi)`` at least ``min_width`` rows wide,
     keyed by the int ``lo * (n_rows + 1) + hi``, to one of two records,
-    each led by ``gen``, the search that recorded it:
+    each ending in ``gen``, the search that recorded it:
 
-    * ``(gen, children)``: the range's children, as :meth:`FMIndex.children`
-      returned them.  Only ints and tuples of ints, so the garbage
-      collector untracks the record;
-    * ``(gen, chain, t)``: the range has one child and is step ``t`` of a
+    * ``(code, lo, hi, code, lo, hi, ..., gen)``: the range's children,
+      the triples :meth:`FMIndex.children` returned laid end to end.  One
+      tuple of ints, so the first garbage collection it survives untracks
+      it; nested tuples would take one collection per level;
+    * ``(chain, t, gen)``: the range has one child and is step ``t`` of a
       unary chain of the index (:class:`repro.core.algorithm_a._Chain`).
+      Only a chain record has three items; a children record has
+      ``3n + 1``.
 
     The loop records a miss itself, except one with exactly one child:
     that extends a chain through ``extend(key, lo, hi, i, children)``.  A chain
@@ -212,14 +215,14 @@ def tree_search(
 
     ``memo``, when given, is Algorithm A's table (:class:`Memo`), probed
     with one ``dict.get`` on ranges at least ``min_width`` rows wide.  A
-    children hit is used in place; a chain hit may move the frame to a
-    deeper node on the same path.  Both count in ``reuse_hits`` (and in
-    ``shared_reuse_hits`` when an earlier search recorded them), and
-    their children count in ``chars_replayed``.  A miss calls
-    ``fm.children`` and records the result.  Children taken from the
-    index count in ``nodes_expanded``.  ``on_leaf(depth, mismatches)`` is
-    called once per leaf; a budget-cut leaf passes the mismatch that was
-    cut as its last pair.
+    children hit is read straight off the flat record; a chain hit may
+    move the frame to a deeper node on the same path.  Both count in
+    ``reuse_hits`` (and in ``shared_reuse_hits`` when an earlier search
+    recorded them), and their children count in ``chars_replayed``.  A
+    miss calls ``fm.children`` and records the result flat.  Children
+    taken from the index count in ``nodes_expanded``.
+    ``on_leaf(depth, mismatches)`` is called once per leaf; a budget-cut
+    leaf passes the mismatch that was cut as its last pair.
 
     A range one row wide that the memo does not take is one text
     position, so its only continuation is ``L[row]`` and its next row is
@@ -274,17 +277,20 @@ def tree_search(
                 if len(children) == 1:
                     extend(key, lo, hi, i, children)
                 else:
-                    table[key] = (gen, children)
+                    table[key] = sum(children, ()) + (gen,)
                 derived = False
             else:
                 reuse += 1
-                if record[0] != gen:
+                if record[-1] != gen:
                     shared += 1
-                if len(record) == 2:
-                    children = record[1]
-                else:
+                if len(record) == 3:
                     i, mm, children = replay(record, i, mm)
                     used = len(mm)
+                elif len(record) == 1:  # (gen,): a one-row range on the sentinel
+                    children = ()
+                else:
+                    it = iter(record)
+                    children = zip(it, it, it)
                 derived = True
         elif hi - lo == 1:
             row = lo

@@ -68,13 +68,14 @@ def memo_probe(fm, memo, stats):
             if len(children) == 1:
                 extend(key, lo, hi, i, children)
             else:
-                table[key] = (gen, children)
+                table[key] = tuple(x for child in children for x in child) + (gen,)
             return i, mm, children, False
         stats.reuse_hits += 1
-        if record[0] != gen:
+        if record[-1] != gen:
             stats.shared_reuse_hits += 1
-        if len(record) == 2:
-            return i, mm, record[1], True
+        if len(record) != 3:
+            it = iter(record[:-1])
+            return i, mm, tuple(zip(it, it, it)), True
         i, mm, children = replay(record, i, mm)
         return i, mm, children, True
 
