@@ -33,7 +33,7 @@ from pathlib import Path
 
 #: Record/report keys whose values are wall-clock or random.
 VOLATILE_KEYS = {
-    "ts", "duration_ms", "trace_id", "batch_trace_id", "spans", "profile",
+    "ts", "duration_ms", "trace_id", "batch_trace_id", "spans",
     "slow", "span_s", "events_per_s", "p50_ms", "p95_ms", "p99_ms",
 }
 

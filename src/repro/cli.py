@@ -33,10 +33,6 @@ Subcommands
 ``bench``          Run the fixed CI workload; with ``--check-regression``,
                    gate against a committed baseline JSON;
                    ``--update-baseline`` rewrites that baseline in one step.
-``profile``        Run ``search``/``map``/``bench`` under the span-attributed
-                   sampling profiler and write collapsed/folded stacks or
-                   speedscope JSON (``--hz``, ``--out``, ``--format``,
-                   ``--memory`` for tracemalloc index-build snapshots).
 
 Method names on ``search`` and ``compare`` are resolved through the
 engine registry (``repro.engine.REGISTRY``) — any registered mismatch
@@ -45,10 +41,10 @@ engine or alias works; ``repro-cli engines`` lists them.
 The ``index``, ``search``, ``map`` and ``compare`` subcommands accept
 ``--trace`` (print a span/metrics summary to stderr), ``--stats-json
 PATH`` (write the full machine-readable trace document), ``--wide-events
-PATH`` (append one JSON record per query/batch), ``--flight-json PATH``
-(dump the flight recorder on exit) and ``--profile PATH`` (sample the
-command under the wall-clock profiler; folded stacks, or speedscope
-JSON when PATH ends in ``.json``) — see ``docs/OBSERVABILITY.md``.
+PATH`` (append one JSON record per query/batch) and ``--flight-json PATH``
+(dump the flight recorder on exit) — see ``docs/OBSERVABILITY.md``.
+For function-level time, run a command under the standard library's
+profiler: ``python -m cProfile -o prof.out -m repro.cli search ...``.
 Setting ``REPRO_METRICS_PORT`` serves live telemetry over HTTP for the
 duration of any of those commands.
 
@@ -62,9 +58,8 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .bench.reporting import (
     format_seconds,
@@ -507,56 +502,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 3 if findings else 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import MEMORY_PROFILES, PROFILER, render_top, set_memory_profiling, write_profile
-
-    # The profiler flags are accepted both before the wrapped command
-    # (`profile --hz 200 search ...`) and after it (`profile search ...
-    # --hz 200`): REMAINDER swallows everything past the command name, so
-    # a second pass extracts trailing profiler flags and forwards the rest.
-    flags = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    flags.add_argument("--hz", type=float, default=None)
-    flags.add_argument("--out", default=None)
-    flags.add_argument("--format", choices=("folded", "speedscope"), default=None)
-    flags.add_argument("--memory", action="store_true", default=False)
-    flags.add_argument("--max-samples", type=int, default=None)
-    flags.add_argument("--max-seconds", type=float, default=None)
-    trailing, inner_rest = flags.parse_known_args(args.rest)
-    hz = trailing.hz if trailing.hz is not None else args.hz
-    out = trailing.out or args.out or "profile.folded"
-    fmt = trailing.format or args.format
-    if fmt is None:
-        fmt = "speedscope" if out.endswith(".json") else "folded"
-    memory = args.memory or trailing.memory
-    max_samples = (
-        trailing.max_samples if trailing.max_samples is not None else args.max_samples
-    )
-    max_seconds = (
-        trailing.max_seconds if trailing.max_seconds is not None else args.max_seconds
-    )
-
-    if memory:
-        set_memory_profiling(True)
-    # Span attribution needs live spans: enable the obs singleton for the
-    # wrapped command even when it carries no observability flags itself.
-    OBS.reset().enable()
-    PROFILER.start(hz=hz, max_samples=max_samples, max_seconds=max_seconds)
-    try:
-        code = main([args.profiled] + inner_rest)
-    finally:
-        profile = PROFILER.stop()
-        OBS.disable()
-        if memory:
-            set_memory_profiling(False)
-    write_profile(profile, out, fmt)
-    print(f"# profile ({fmt}) written to {out}", file=sys.stderr)
-    print(render_top(profile), file=sys.stderr)
-    if memory:
-        for memory_profile in MEMORY_PROFILES:
-            print(memory_profile.render(), file=sys.stderr)
-    return code
-
-
 def _cmd_events(args: argparse.Namespace) -> int:
     from .obs.events import (
         load_wide_events,
@@ -603,11 +548,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flight-json", default="", metavar="PATH",
                         help="dump the flight recorder (recent + pinned slow "
                              "queries) as JSON lines on exit")
-    parser.add_argument("--profile", default="", metavar="PATH",
-                        help="sample this command under the wall-clock profiler "
-                             "(rate: REPRO_PROFILE_HZ) and write span-attributed "
-                             "folded stacks — or speedscope JSON when PATH ends "
-                             "in .json — to PATH")
     parser.add_argument("--wide-events", default="", metavar="PATH",
                         help="append one JSON record per query/batch to PATH "
                              "(JSON lines; sampled via REPRO_EVENT_SAMPLE, "
@@ -829,70 +769,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "machine speed divides out)")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_prof = sub.add_parser(
-        "profile",
-        help="run search/map/bench under the span-attributed sampling profiler")
-    p_prof.add_argument("profiled", choices=("search", "map", "bench"),
-                        metavar="COMMAND",
-                        help="the subcommand to profile (search, map or bench); "
-                             "everything after it is forwarded verbatim")
-    p_prof.add_argument("--hz", type=float, default=None,
-                        help="sampling rate (default REPRO_PROFILE_HZ or 97)")
-    p_prof.add_argument("--out", default=None, metavar="PATH",
-                        help="profile output path (default profile.folded)")
-    p_prof.add_argument("--format", choices=("folded", "speedscope"), default=None,
-                        help="collapsed stacks (folded) or speedscope JSON "
-                             "(default: by PATH extension)")
-    p_prof.add_argument("--memory", action="store_true",
-                        help="also take tracemalloc snapshots around index "
-                             "builds (index.build.peak_bytes + top allocators)")
-    p_prof.add_argument("--max-samples", type=int, default=None,
-                        help="hard sample cap (default REPRO_PROFILE_MAX_SAMPLES)")
-    p_prof.add_argument("--max-seconds", type=float, default=None,
-                        help="hard duration cap (default REPRO_PROFILE_MAX_SECONDS)")
-    p_prof.add_argument("rest", nargs=argparse.REMAINDER,
-                        help="arguments for the profiled subcommand")
-    p_prof.set_defaults(func=_cmd_profile)
     return parser
-
-
-def _split_profile_argv(argv: List[str]) -> Tuple[List[str], List[str]]:
-    """Split ``profile ... COMMAND ...`` into (parsed head, forwarded rest).
-
-    argparse's ``REMAINDER`` binds zero-length when the wrapped command
-    name is immediately followed by an option token (``profile search
-    --hz 200 ...``), which would leave the forwarded arguments
-    "unrecognized".  Splitting by hand — skipping over the profile
-    subcommand's own value-taking flags — sidesteps that: everything
-    after the wrapped command name is forwarded verbatim.
-    """
-    value_flags = {"--hz", "--out", "--format", "--max-samples", "--max-seconds"}
-    i = 1
-    while i < len(argv):
-        token = argv[i]
-        if token in value_flags:
-            i += 2
-        elif token.startswith("-"):
-            i += 1
-        else:
-            return argv[: i + 1], argv[i + 1:]
-    return argv, []
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "profile":
-        head, rest = _split_profile_argv(list(argv))
-        args = build_parser().parse_args(head)
-        args.rest = rest
-    else:
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     trace = getattr(args, "trace", False) is True
     stats_json = getattr(args, "stats_json", "")
     flight_json = getattr(args, "flight_json", "")
-    profile_path = getattr(args, "profile", "") if args.command != "profile" else ""
     # serve-metrics owns its wide log's lifecycle (it prints the sink
     # summary on shutdown); every other command honours the flag and the
     # REPRO_EVENT_LOG environment fallback here.
@@ -900,10 +787,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command != "serve-metrics":
         wide_path = (getattr(args, "wide_events", "")
                      or os.environ.get("REPRO_EVENT_LOG", ""))
-    observing = (
-        trace or bool(stats_json) or bool(flight_json)
-        or bool(profile_path) or bool(wide_path)
-    )
+    observing = trace or bool(stats_json) or bool(flight_json) or bool(wide_path)
     metrics_port = os.environ.get("REPRO_METRICS_PORT", "")
     server = None
     if metrics_port and args.command != "serve-metrics":
@@ -917,23 +801,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         OBS.reset().enable()
         if wide_path:
             OBS.open_wide_log(wide_path)
-    if profile_path:
-        from .obs import PROFILER
-
-        PROFILER.start()
     try:
         return args.func(args)
     finally:
         if server is not None:
             server.stop()
-        if profile_path:
-            from .obs import PROFILER, write_profile
-
-            collected = PROFILER.stop()
-            fmt = "speedscope" if profile_path.endswith(".json") else "folded"
-            write_profile(collected, profile_path, fmt)
-            print(f"# profile ({fmt}, {collected.n_samples} sample(s)) "
-                  f"written to {profile_path}", file=sys.stderr)
         if observing:
             OBS.disable()
             if wide_path and OBS.wide_log is not None:

@@ -16,7 +16,7 @@ from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alphabet import DNA, Alphabet, infer_alphabet
-from ..obs import COUNT_BUCKETS, OBS, PROFILER, new_trace_id, profile_memory, record_query_error
+from ..obs import COUNT_BUCKETS, OBS, new_trace_id, record_query_error
 from ..bwt.fmindex import DEFAULT_SA_SAMPLE, FMIndex
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
 from ..dna import reverse_complement
@@ -180,10 +180,7 @@ class KMismatchIndex:
         #: M-tree of the most recent ``algorithm_a`` search with
         #: ``record_mtree=True`` (``None`` until then).
         self.last_mtree = None
-        # profile_memory is a no-op unless memory profiling is switched
-        # on (REPRO_PROFILE_MEMORY / repro-cli profile --memory); when on
-        # it publishes index.build.peak_bytes plus a top-allocator table.
-        with OBS.span("kmismatch.build", length=len(text)), profile_memory("index.build"):
+        with OBS.span("kmismatch.build", length=len(text)):
             self._fm = FMIndex(
                 text[::-1],
                 alphabet,
@@ -282,7 +279,6 @@ class KMismatchIndex:
             return occurrences, stats
         engine_name = REGISTRY.canonical_name(method)
         trace_id = new_trace_id()
-        profile_marker = PROFILER.marker() if PROFILER.is_running() else None
         start_ns = perf_counter_ns()
         # A raised query is a served query too: classify and count it in
         # query.errors{engine,k,kind} before re-raising (idempotently —
@@ -299,14 +295,6 @@ class KMismatchIndex:
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
         observe_queries(engine_name, k, len(occurrences), duration_ms, trace_id)
         fold_search((engine,), k, stats, len(occurrences))
-        # A slow query pins its own sample slice next to the record: the
-        # folded stacks the profiler collected while this query ran, so
-        # the flight recorder answers "where did that outlier spend its
-        # time" without a separate repro run.
-        extra = {}
-        slow_ms = OBS.recorder.slow_ms
-        if profile_marker is not None and slow_ms is not None and duration_ms >= slow_ms:
-            extra["profile"] = PROFILER.folded_since(profile_marker)
         OBS.record_event(
             "query",
             engine=engine_name,
@@ -317,7 +305,6 @@ class KMismatchIndex:
             trace_id=trace_id,
             stats=stats.to_dict(),
             spans=span.to_dict() if OBS.tracer.enabled else None,
-            **extra,
         )
         return occurrences, stats
 

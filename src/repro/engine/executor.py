@@ -54,7 +54,6 @@ from ..core.types import Occurrence, SearchStats
 from ..errors import PatternError, SerializationError
 from ..obs import (
     OBS,
-    PROFILER,
     READINESS,
     ObsDelta,
     count_query_error,
@@ -368,10 +367,6 @@ class BatchExecutor:
             self.stall_timeout,
             labels={"engine": engine_name, "k": k, **self._shard_labels()},
         )
-        # Mirror the parent's profiler into each worker: the worker samples
-        # itself at the same rate and ships its folded stacks back through
-        # the per-chunk ObsDelta payload (0.0 = parent is not profiling).
-        profile_hz = PROFILER.hz if PROFILER.is_running() else 0.0
         ctx = _mp.get_context()
         from multiprocessing import shared_memory
 
@@ -393,7 +388,7 @@ class BatchExecutor:
                     target=_pool_worker,
                     args=(
                         worker_id, shm.name, observe,
-                        kind, k, method, task_q, result_q, profile_hz,
+                        kind, k, method, task_q, result_q,
                         self.shard,
                     ),
                     daemon=True,
@@ -596,7 +591,6 @@ def _pool_worker(
     method: str,
     task_q,
     result_q,
-    profile_hz: float = 0.0,
     shard: Optional[int] = None,
 ) -> None:
     """Process-pool worker: hydrate once from shared memory, then pull
@@ -622,12 +616,6 @@ def _pool_worker(
     across ``fork`` are not double-reported and a worker serving many
     chunks ships each chunk's increments exactly once — labelled series
     and flight-recorder records included.
-
-    ``profile_hz > 0`` means the parent's sampling profiler was running
-    at launch: the worker runs its *own* profiler at that rate for its
-    lifetime, tagged with the pool slot, and each chunk's samples ride
-    the chunk's ObsDelta payload home (idle queue-wait samples between
-    chunks are deliberately not shipped — only attributed work is).
     """
     # Move the heap inherited over fork out of the collector's sight, so
     # this worker's collections (and its exit collect) walk only what it
@@ -647,12 +635,6 @@ def _pool_worker(
         # ObsDelta payload instead.  Detach without closing: the handle
         # belongs to the parent.
         OBS.wide_log = None
-    if profile_hz > 0:
-        # Under fork the child inherits the parent's Profiler *object*
-        # but not its sampler thread; start() sees a dead thread and
-        # spins up a fresh worker-local profile.
-        PROFILER._thread = None
-        PROFILER.start(hz=profile_hz, meta={"worker": worker_id})
     start = perf_counter()
     shm = shared_memory.SharedMemory(name=shm_name)
     # The index wraps `shm.buf` zero-copy — it holds memoryviews into the
@@ -698,8 +680,6 @@ def _pool_worker(
                 )
                 break
     finally:
-        if profile_hz > 0:
-            PROFILER.stop()
         # Drop every zero-copy view into the segment before detaching,
         # else close() raises BufferError ("exported pointers exist").
         del index

@@ -94,19 +94,6 @@ from .events import (
     summarize_events,
     tail_events,
 )
-from .profiling import (
-    MEMORY_PROFILES,
-    MemoryProfile,
-    PROFILER,
-    Profile,
-    Profiler,
-    SpanAttributer,
-    memory_profiling_enabled,
-    profile_memory,
-    render_top,
-    set_memory_profiling,
-    write_profile,
-)
 
 #: Identifier written into every exported trace document.
 TRACE_FORMAT = "repro-trace"
@@ -156,16 +143,6 @@ class Observability:
         self.metrics.reset()
         self.recorder.clear()
         return self
-
-    @property
-    def profiler(self) -> Profiler:
-        """The process-wide sampling profiler (:data:`PROFILER`).
-
-        Deliberately *not* reset by :meth:`reset` and not gated by
-        ``enabled``: profiling is its own explicit opt-in with its own
-        lifecycle (see :mod:`repro.obs.profiling`).
-        """
-        return PROFILER
 
     # -- convenience forwarding ----------------------------------------------
 
@@ -366,16 +343,4 @@ __all__ = [
     "classify_error",
     "count_query_error",
     "record_query_error",
-    # sampling / memory profiler (repro.obs.profiling)
-    "PROFILER",
-    "Profiler",
-    "Profile",
-    "SpanAttributer",
-    "MemoryProfile",
-    "MEMORY_PROFILES",
-    "profile_memory",
-    "set_memory_profiling",
-    "memory_profiling_enabled",
-    "write_profile",
-    "render_top",
 ]

@@ -44,7 +44,6 @@ from .metrics import (
     histogram_from_payload,
     iter_series,
 )
-from .profiling import PROFILER
 
 #: Content type the ``/metrics`` endpoint serves (Prometheus text format).
 OPENMETRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -333,7 +332,6 @@ class ObsDelta:
         "_before_metrics",
         "_before_roots",
         "_before_records",
-        "_before_profile",
         "payload",
     )
 
@@ -341,7 +339,6 @@ class ObsDelta:
         self._before_metrics: Dict[str, dict] = {}
         self._before_roots = 0
         self._before_records = 0
-        self._before_profile: Dict[tuple, int] = {}
         self.payload: Optional[dict] = None
 
     @classmethod
@@ -352,9 +349,6 @@ class ObsDelta:
         snap._before_roots = len(obs.tracer.finished)
         recorder = getattr(obs, "recorder", None)
         snap._before_records = recorder.total_recorded if recorder is not None else 0
-        # The process-wide profiler rides the same delta: snapshot its
-        # folded counts so finish() ships only this chunk's samples.
-        snap._before_profile = PROFILER.counts_snapshot()
         return snap
 
     def finish(self, obs) -> dict:
@@ -385,12 +379,6 @@ class ObsDelta:
             "records": records,
             "clock_ns": time_ns() - perf_counter_ns(),
         }
-        # Samples the profiler collected during this chunk (None when the
-        # profiler is off or idle) — per-worker sub-profiles ride home in
-        # the same payload as metrics/spans/records.
-        profile = PROFILER.delta_payload(self._before_profile)
-        if profile is not None:
-            self.payload["profile"] = profile
         return self.payload
 
 
@@ -421,6 +409,3 @@ def merge_obs_delta(obs, payload: Optional[dict]) -> None:
         for record in payload.get("records") or []:
             adopted = {k: v for k, v in record.items() if k not in ("seq", "slow")}
             recorder.record(adopted)
-    # Worker profile samples fold into the parent's profile under a
-    # worker:<slot> root frame (dropped when the parent never profiled).
-    PROFILER.adopt(payload.get("profile"))

@@ -19,15 +19,7 @@ singleton:
   step for a ``/metrics`` exemplar annotation;
 * ``GET /debug/metrics`` — the raw registry ``to_dict`` JSON (schema
   v2, labelled series nested under their family) — what
-  ``repro-cli stats --by ... --url ...`` consumes;
-* ``GET /debug/pprof`` — the sampling profiler's collapsed/folded
-  stacks as text (``frame;frame count`` lines, span-attributed).  When
-  no profile has been collected, ``?seconds=N[&hz=H]`` runs a blocking
-  one-shot capture (capped at 30 s) and serves that;
-* ``GET /debug/pprof/flamegraph`` — the same profile as speedscope JSON
-  (drop the response on https://www.speedscope.app);
-* ``GET /debug/pprof/heap`` — retained ``tracemalloc`` memory profiles
-  (peak bytes + top allocators per profiled region) as JSON.
+  ``repro-cli stats --by ... --url ...`` consumes.
 
 Start it with :func:`start_server` (daemon thread, ephemeral port
 supported for tests), via ``repro-cli serve-metrics``, or by setting
@@ -56,11 +48,6 @@ from .export import (
 
 #: Default port for `repro-cli serve-metrics` (0 = ephemeral).
 DEFAULT_PORT = 9109
-
-#: Serializes one-shot ``?seconds=N`` pprof captures: the profiler can
-#: run one capture at a time, so concurrent requesters race its
-#: is_running() check (TOCTOU) — the loser of this lock gets a 409.
-_PPROF_CAPTURE_LOCK = threading.Lock()
 
 
 class _ObsRequestHandler(BaseHTTPRequestHandler):
@@ -124,61 +111,13 @@ class _ObsRequestHandler(BaseHTTPRequestHandler):
             self._respond(
                 200, "application/json", json.dumps(OBS.metrics.to_dict()) + "\n"
             )
-        elif path in ("/debug/pprof", "/debug/pprof/flamegraph"):
-            from .profiling import PROFILER
-
-            query = parse_qs(parsed.query)
-            profile = PROFILER.profile
-            if profile is None or (not PROFILER.is_running() and query.get("seconds")):
-                try:
-                    seconds = min(30.0, float(query.get("seconds", ["0"])[0]))
-                    hz = float(query.get("hz", ["0"])[0]) or None
-                except ValueError:
-                    self._respond(400, "application/json",
-                                  json.dumps({"error": "seconds/hz must be numbers"}) + "\n")
-                    return
-                if seconds > 0:
-                    if not _PPROF_CAPTURE_LOCK.acquire(blocking=False):
-                        self._respond(
-                            409, "application/json",
-                            json.dumps({"error": "a capture is already running",
-                                        "hint": "retry once it finishes"}) + "\n",
-                        )
-                        return
-                    try:
-                        if not PROFILER.is_running():
-                            profile = PROFILER.capture(seconds, hz=hz)
-                    finally:
-                        _PPROF_CAPTURE_LOCK.release()
-            if profile is None:
-                self._respond(
-                    404,
-                    "application/json",
-                    json.dumps({"error": "no profile collected",
-                                "hint": "start the profiler (repro-cli profile / "
-                                        "--profile) or pass ?seconds=N"}) + "\n",
-                )
-            elif path.endswith("/flamegraph"):
-                self._respond(
-                    200, "application/json",
-                    json.dumps(profile.to_speedscope("repro live profile")) + "\n",
-                )
-            else:
-                self._respond(200, "text/plain; charset=utf-8", profile.to_folded())
-        elif path == "/debug/pprof/heap":
-            from .profiling import MEMORY_PROFILES
-
-            body = {"profiles": [mp.to_dict() for mp in MEMORY_PROFILES]}
-            self._respond(200, "application/json", json.dumps(body) + "\n")
         else:
             self._respond(
                 404,
                 "application/json",
                 json.dumps({"error": "not found",
                             "endpoints": ["/metrics", "/healthz", "/readyz",
-                                          "/debug/queries", "/debug/metrics",
-                                          "/debug/pprof", "/debug/pprof/flamegraph",
-                                          "/debug/pprof/heap"]}) + "\n",
+                                          "/debug/queries", "/debug/metrics"]}) + "\n",
             )
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002

@@ -25,13 +25,10 @@ Design constraints (in priority order):
    ``tests/test_obs.py`` pins the end-to-end overhead.
 2. **Thread safety.**  The active-span stack is per-thread (a dict keyed
    by :func:`threading.get_ident`, every operation a single dict op under
-   the GIL), so concurrent searches (a future batching/sharding layer)
-   each get their own span tree; finished roots are appended to a shared
-   list under the GIL.  Keying by thread id rather than a
-   ``threading.local`` lets the sampling profiler
-   (:mod:`repro.obs.profiling`) read *another* thread's innermost span —
-   ``sys._current_frames()`` hands out frames per thread id, and
-   :meth:`Tracer.active_stack` answers "what span is that thread in".
+   the GIL), so concurrent searches each get their own span tree;
+   finished roots are appended to a shared list under the GIL.  One dict
+   holds every thread's stack, so :meth:`Tracer.clear_stack` forgets them
+   all at once — the fork hygiene a pool worker needs.
 3. **Bounded memory.**  At most :data:`Tracer.max_roots` finished root
    spans are retained; older roots are dropped oldest-first.
 
@@ -273,21 +270,6 @@ class Tracer:
         """The innermost open span on this thread, or None."""
         stack = self._stacks.get(threading.get_ident())
         return stack[-1] if stack else None
-
-    def active_stack(self, thread_id: Optional[int] = None) -> List[Span]:
-        """A copy of the open-span stack of ``thread_id`` (default: this
-        thread), outermost first; empty when that thread has no open span.
-
-        This is the profiler's span-attribution hook: the sampler thread
-        passes the ids from :func:`sys._current_frames` and learns which
-        phase each sampled thread was in.  The copy is one C-level list
-        construction under the GIL, so a concurrent push/pop on the owner
-        thread cannot corrupt the read.
-        """
-        if thread_id is None:
-            thread_id = threading.get_ident()
-        stack = self._stacks.get(thread_id)
-        return list(stack) if stack else []
 
     def reset(self) -> None:
         """Drop all finished spans (open spans are unaffected)."""

@@ -415,83 +415,18 @@ class TestStatsBreakdown:
             server.shutdown()
 
 
-class TestProfileCli:
-    @pytest.fixture(autouse=True)
-    def clean_profiler(self):
-        from repro.obs import MEMORY_PROFILES, OBS, PROFILER, set_memory_profiling
-
-        yield
-        PROFILER.stop()
-        PROFILER.profile = None
-        OBS.disable()
-        OBS.reset()
-        set_memory_profiling(False)
-        MEMORY_PROFILES.clear()
-
-    @pytest.fixture
-    def big_genome(self, tmp_path):
-        """Large enough that the pure-Python index build takes long
-        enough to be sampled deterministically at a few hundred Hz."""
-        import random
-
-        rnd = random.Random(11)
-        path = tmp_path / "genome.txt"
-        path.write_text("".join(rnd.choice("acgt") for _ in range(20000)))
-        return path
-
-    def test_profile_search_folded(self, big_genome, tmp_path, capsys):
-        out = tmp_path / "prof.folded"
-        rc = main(["profile", "search", str(big_genome), "acgtacgtacgt",
-                   "-k", "2", "--hz", "300", "--out", str(out)])
-        assert rc == 0
-        folded = out.read_text()
-        assert folded, "profile output is empty"
-        assert "span:" in folded
-        assert "span:kmismatch.build" in folded  # build phase attributed
-        err = capsys.readouterr().err
-        assert "profile (folded) written to" in err
-
-    def test_profile_flags_before_command(self, big_genome, tmp_path):
-        out = tmp_path / "prof.json"
-        rc = main(["profile", "--hz", "300", "--out", str(out),
-                   "search", str(big_genome), "acgtacgtacgt", "-k", "2"])
-        assert rc == 0
-        import json
-
-        doc = json.loads(out.read_text())
-        assert doc["$schema"].startswith("https://www.speedscope.app/")
-        assert doc["profiles"][0]["type"] == "sampled"
-        frames = {f["name"] for f in doc["shared"]["frames"]}
-        assert any(name.startswith("span:") for name in frames)
-
-    def test_profile_memory_reports_build_peak(self, big_genome, tmp_path,
-                                               capsys):
-        out = tmp_path / "prof.folded"
-        rc = main(["profile", "search", str(big_genome), "acgtacgtacgt",
-                   "-k", "0", "--hz", "300", "--memory", "--out", str(out)])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "index.build: peak" in err
-
-    def test_profile_flag_on_search(self, big_genome, tmp_path, capsys):
-        out = tmp_path / "flag.folded"
-        rc = main(["search", str(big_genome), "acgtacgtacgt", "-k", "2",
-                   "--profile", str(out)])
-        assert rc == 0
-        assert "span:" in out.read_text()
-        assert "written to" in capsys.readouterr().err
-
-    def test_inner_failure_still_stops_profiler(self, tmp_path):
-        """An inner-command crash propagates (same contract as running
-        the command directly), but the profiler and obs singleton are
-        cleaned up on the way out."""
-        from repro.obs import OBS, PROFILER
-
-        with pytest.raises(FileNotFoundError):
-            main(["profile", "search", str(tmp_path / "missing.txt"),
-                  "acgt", "--out", str(tmp_path / "p.folded")])
-        assert not PROFILER.is_running()
-        assert not OBS.enabled
+class TestNoProfiler:
+    def test_profile_subcommand_and_flag_are_gone(self, genome_file, tmp_path):
+        """The sampling profiler is deleted: argparse rejects both its
+        subcommand and the ``--profile`` flag with its usage exit code."""
+        out = str(tmp_path / "p.folded")
+        for argv in (
+            ["profile", "search", str(genome_file), "tcaca", "-k", "2"],
+            ["search", str(genome_file), "tcaca", "-k", "2", "--profile", out],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
 
 
 class TestMetricsLint:

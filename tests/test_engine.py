@@ -508,56 +508,6 @@ class TestProcessPoolObsParity:
             if labels
         } == {("worker",)}
 
-    def test_process_mode_merges_worker_profiles(self, workload):
-        """When the parent profiler runs, worker processes sample
-        themselves at the same rate and ship their stacks home through
-        the ObsDelta payload; the merged profile roots them under
-        ``worker:<slot>`` frames (tentpole: continuous profiling)."""
-        from repro.obs import OBS, PROFILER
-
-        text, reads = workload
-        index = KMismatchIndex(text)
-        # Retry at increasing depth: the workload is fast and sampling
-        # is probabilistic — more reads per attempt, never a flaky pass.
-        worker_frames = set()
-        for attempt in range(4):
-            OBS.reset()
-            OBS.enable()
-            PROFILER.start(hz=500)
-            try:
-                index.search_batch(
-                    reads * (2 ** attempt), 2, method="stree",
-                    workers=2, chunk_size=5,
-                )
-            finally:
-                profile = PROFILER.stop()
-                OBS.disable()
-                OBS.reset()
-            worker_frames = {
-                frames[0]
-                for frames in profile.counts
-                if frames[0].startswith("worker:")
-            }
-            if worker_frames:
-                break
-        assert worker_frames, "no worker samples merged into the parent profile"
-        assert worker_frames <= {"worker:0", "worker:1"}
-
-    def test_process_mode_without_profiler_ships_no_profile(self, workload):
-        from repro.obs import OBS, PROFILER
-
-        text, reads = workload
-        index = KMismatchIndex(text)
-        OBS.reset()
-        OBS.enable()
-        try:
-            index.search_batch(reads, 2, method="stree",
-                               workers=2, chunk_size=5)
-        finally:
-            OBS.disable()
-            OBS.reset()
-        assert PROFILER.profile is None or not PROFILER.is_running()
-
     def test_chunk_count_reflects_split(self, workload):
         from repro.obs import OBS
 

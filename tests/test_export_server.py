@@ -28,6 +28,9 @@ from repro.obs import (
 )
 from repro.obs.server import MetricsServer
 
+#: The deleted sampling profiler's endpoints: they must answer 404.
+PROFILER_PATHS = ("/debug/pprof", "/debug/pprof/flamegraph", "/debug/pprof/heap")
+
 
 @pytest.fixture(autouse=True)
 def clean_obs():
@@ -142,6 +145,7 @@ class TestMetricsDelta:
             pass
         payload = snapshot.finish(OBS)
         OBS.disable()
+        assert set(payload) == {"metrics", "spans", "records", "clock_ns"}
         assert payload["metrics"]["pre.existing"]["value"] == 2
         assert [s["name"] for s in payload["spans"]] == ["new.root"]
         # Merging into a fresh singleton reproduces just the delta.
@@ -308,78 +312,15 @@ class TestServer:
         assert "slow" in payload
 
     def test_unknown_path_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._get(server, "/nope")
-        assert info.value.code == 404
-        assert "endpoints" in json.loads(info.value.read().decode())
-
-    def test_pprof_404_before_any_profile(self, server):
-        from repro.obs import PROFILER
-
-        PROFILER.stop()
-        PROFILER.profile = None
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._get(server, "/debug/pprof")
-        assert info.value.code == 404
-        assert "no profile" in json.loads(info.value.read().decode())["error"]
-
-    def test_pprof_serves_folded_and_flamegraph(self, server):
-        from repro.obs import PROFILER
-
-        OBS.enable()
-        PROFILER.start(hz=400)
-        try:
-            index = KMismatchIndex("acagacaacagacagtacagaca" * 500)
-            index.search("tcaca", k=2)
-        finally:
-            PROFILER.stop()
-            OBS.disable()
-        status, content_type, body = self._get(server, "/debug/pprof")
-        assert status == 200
-        assert content_type.startswith("text/plain")
-        assert "span:" in body
-        status, content_type, body = self._get(server, "/debug/pprof/flamegraph")
-        assert status == 200
-        assert content_type.startswith("application/json")
-        doc = json.loads(body)
-        assert doc["$schema"].startswith("https://www.speedscope.app/")
-        PROFILER.profile = None
-
-    def test_pprof_one_shot_capture(self, server):
-        from repro.obs import PROFILER
-
-        PROFILER.stop()
-        PROFILER.profile = None
-        status, _, body = self._get(server, "/debug/pprof?seconds=0.2&hz=100")
-        assert status == 200  # blocking capture, possibly idle stacks only
-
-    def test_pprof_bad_seconds_is_400(self, server):
-        with pytest.raises(urllib.error.HTTPError) as info:
-            self._get(server, "/debug/pprof?seconds=nope")
-        assert info.value.code == 400
-
-    def test_pprof_heap_serves_memory_profiles(self, server):
-        from repro.obs import MEMORY_PROFILES, profile_memory, set_memory_profiling
-
-        MEMORY_PROFILES.clear()
-        set_memory_profiling(True)
-        try:
-            with profile_memory("index.build"):
-                KMismatchIndex("acagacaacagacagtacagaca" * 20)
-        finally:
-            set_memory_profiling(False)
-        status, _, body = self._get(server, "/debug/pprof/heap")
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["profiles"]
-        assert payload["profiles"][-1]["name"] == "index.build"
-        assert payload["profiles"][-1]["peak_bytes"] > 0
-        MEMORY_PROFILES.clear()
+        for path in ("/nope", *PROFILER_PATHS):
+            with pytest.raises(urllib.error.HTTPError) as info:
+                self._get(server, path)
+            assert info.value.code == 404
+            assert "endpoints" in json.loads(info.value.read().decode())
 
 
 class TestHealthEndpoints:
-    """The deep readiness endpoint plus the pprof capture lock and
-    broken-pipe hardening."""
+    """The deep readiness endpoint plus broken-pipe hardening."""
 
     @pytest.fixture
     def server(self):
@@ -430,25 +371,7 @@ class TestHealthEndpoints:
             self._get(server, "/nope")
         endpoints = json.loads(info.value.read().decode())["endpoints"]
         assert "/readyz" in endpoints
-
-    def test_pprof_timed_capture_is_exclusive(self, server):
-        from repro.obs import server as server_mod
-
-        assert server_mod._PPROF_CAPTURE_LOCK.acquire(blocking=False)
-        try:
-            with pytest.raises(urllib.error.HTTPError) as info:
-                self._get(server, "/debug/pprof?seconds=0.2")
-            assert info.value.code == 409
-            payload = json.loads(info.value.read().decode())
-            assert "already running" in payload["error"]
-        finally:
-            server_mod._PPROF_CAPTURE_LOCK.release()
-        # Once the holder releases, a capture succeeds again.
-        status, _ = self._get(server, "/debug/pprof?seconds=0.1&hz=100")
-        assert status == 200
-        from repro.obs import PROFILER
-
-        PROFILER.profile = None
+        assert not set(PROFILER_PATHS) & set(endpoints)
 
     def test_respond_swallows_broken_pipe(self):
         from repro.obs.server import _ObsRequestHandler
