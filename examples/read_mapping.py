@@ -68,24 +68,6 @@ def main() -> None:
         print(f"  hit at {hit.start} with {hit.n_mismatches} mismatch(es) "
               f"at offsets {list(hit.mismatches)}")
 
-    # Paired-end mapping: the mate rescues ambiguous placements.
-    from repro.mapping import best_pair
-    from repro.simulate.pairs import PairedReadConfig, simulate_read_pairs
-
-    pairs = simulate_read_pairs(
-        genome,
-        PairedReadConfig(n_pairs=10, read_length=READ_LENGTH,
-                         insert_size=400, insert_std=40, seed=13),
-    )
-    rescued = 0
-    for pair in pairs:
-        placement = best_pair(index, pair.read1, pair.read2, k_max=K,
-                              min_fragment=100, max_fragment=800)
-        if placement is not None and placement.start == pair.position1:
-            rescued += 1
-    print(f"\npaired-end: {rescued}/{len(pairs)} pairs placed concordantly "
-          f"at their true fragment")
-
 
 if __name__ == "__main__":
     main()

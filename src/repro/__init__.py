@@ -17,7 +17,7 @@ Package map
 ``repro.bwt``        — BWT transform, rankall structure, FM-index
 ``repro.suffix``     — suffix arrays (SA-IS), LCP/RMQ/LCE, suffix tree
 ``repro.mismatch``   — R tables, merge(), kangaroo oracles
-``repro.strings``    — KMP, Boyer–Moore, Aho–Corasick, Hamming primitives
+``repro.strings``    — KMP, Aho–Corasick, Z-function, Hamming primitives
 ``repro.baselines``  — naive, Landau–Vishkin, Amir, Cole comparators
 ``repro.simulate``   — synthetic genomes and wgsim-style reads
 ``repro.bench``      — workload/reporting harness for the experiments
@@ -45,7 +45,6 @@ from .core.mtree import MTree
 from .core.stree import STreeSearcher
 from .core.types import Occurrence, SearchStats
 from .core.wildcard import WildcardSearcher
-from .collection import SequenceCollection
 from .dna import reverse_complement
 from .engine import REGISTRY, BatchExecutor, EngineRegistry, EngineSpec
 from .obs import OBS
@@ -79,7 +78,6 @@ __all__ = [
     "MTree",
     "Occurrence",
     "SearchStats",
-    "SequenceCollection",
     "reverse_complement",
     "REGISTRY",
     "EngineRegistry",

@@ -84,8 +84,3 @@ def percentile_cells(hist: Optional[Histogram]) -> List[str]:
     if hist is None or hist.count == 0:
         return ["-" for _ in PERCENTILES]
     return [format_seconds(hist.percentile(p) / 1e3) for p in PERCENTILES]
-
-
-def format_histogram(hist: Histogram, width: int = 40) -> str:
-    """ASCII rendering of one histogram (delegates to the obs layer)."""
-    return hist.render(width=width)

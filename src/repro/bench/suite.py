@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.registry import CAP_MISMATCH, REGISTRY, SearchEngine
+from ..engine.registry import REGISTRY, SearchEngine
 from ..core.matcher import KMismatchIndex, fold_search
 from ..core.types import SearchStats
 from ..obs import LATENCY_BUCKETS_MS, OBS, Histogram
@@ -30,11 +30,6 @@ from ..obs import LATENCY_BUCKETS_MS, OBS, Histogram
 #: registry aliases; :meth:`MethodSuite.run` accepts any registered
 #: mismatch engine name or alias.
 PAPER_METHODS = ("A()", "BWT", "Amir's", "Cole's")
-
-
-def available_methods() -> Tuple[str, ...]:
-    """Every registered mismatch engine the suite can time."""
-    return REGISTRY.names(capability=CAP_MISMATCH)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from ..simulate.catalog import GENOME_CATALOG, GenomeSpec, build_catalog_genome
 from ..simulate.reads import ReadConfig, simulate_reads
@@ -77,8 +77,3 @@ def catalog_workload(
 def fig11_workload(read_length: int = 100, n_reads: int = 0, seed: int = 7) -> Workload:
     """The Fig. 11 scenario: reads against the Rat genome stand-in."""
     return catalog_workload("Rat (Rnor_6.0)", read_length=read_length, n_reads=n_reads, seed=seed)
-
-
-def read_length_sweep(lengths: Sequence[int] = (100, 150, 200, 250, 300), seed: int = 7) -> List[Workload]:
-    """Workloads for the Fig. 11(b) read-length axis."""
-    return [fig11_workload(read_length=length, seed=seed) for length in lengths]

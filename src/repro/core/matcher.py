@@ -372,23 +372,6 @@ class KMismatchIndex:
         n, m = self._fm.text_length, len(pattern)
         return sorted(n - p - m for p in self._fm.locate(pattern[::-1]))
 
-    def best_match(self, pattern: str, k_max: int, method: str = "algorithm_a") -> List[Occurrence]:
-        """Occurrences at the *smallest* k ≤ ``k_max`` with any hit.
-
-        The aligner-style query: try k = 0, 1, ... until something
-        matches; return that k's full occurrence set (empty when nothing
-        matches within ``k_max``).  Every returned occurrence has the
-        same, minimal mismatch count.
-        """
-        if k_max < 0:
-            raise PatternError(f"k_max must be non-negative, got {k_max}")
-        for k in range(k_max + 1):
-            occurrences = self.search(pattern, k, method=method)
-            if occurrences:
-                best = min(o.n_mismatches for o in occurrences)
-                return [o for o in occurrences if o.n_mismatches == best]
-        return []
-
     # -- problem variants (paper Sec. II taxonomy) -----------------------------------
 
     def search_edit(self, pattern: str, k: int) -> List[EditOccurrence]:

@@ -80,10 +80,6 @@ class HealthMonitor:
         with self._lock:
             self._probes[name] = probe
 
-    def unregister_probe(self, name: str) -> None:
-        with self._lock:
-            self._probes.pop(name, None)
-
     def reset(self) -> None:
         """Drop every component and probe (fresh-server state)."""
         with self._lock:

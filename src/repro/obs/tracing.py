@@ -266,11 +266,6 @@ class Tracer:
         """A :class:`Timer` that doubles as a span when tracing is on."""
         return Timer(self.span(name, **attrs))
 
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, or None."""
-        stack = self._stacks.get(threading.get_ident())
-        return stack[-1] if stack else None
-
     def reset(self) -> None:
         """Drop all finished spans (open spans are unaffected)."""
         self.finished = []

@@ -17,7 +17,6 @@ available here, so this subpackage provides faithful synthetic stand-ins:
 
 from .genome import GenomeConfig, generate_genome, reverse_complement
 from .reads import ReadConfig, SimulatedRead, simulate_reads
-from .pairs import PairedReadConfig, ReadPair, simulate_read_pairs
 from .catalog import GENOME_CATALOG, GenomeSpec, build_catalog_genome
 
 __all__ = [
@@ -27,9 +26,6 @@ __all__ = [
     "ReadConfig",
     "SimulatedRead",
     "simulate_reads",
-    "PairedReadConfig",
-    "ReadPair",
-    "simulate_read_pairs",
     "GENOME_CATALOG",
     "GenomeSpec",
     "build_catalog_genome",

@@ -73,38 +73,6 @@ class TestMapRead:
         assert strands == {"+", "-"}
 
 
-class TestBestMatch:
-    def test_prefers_exact(self):
-        index = KMismatchIndex("acagaca")
-        occs = index.best_match("aca", k_max=2)
-        assert [o.start for o in occs] == [0, 4]
-        assert all(o.n_mismatches == 0 for o in occs)
-
-    def test_finds_minimal_k(self):
-        index = KMismatchIndex("acagaca")
-        occs = index.best_match("tcaca", k_max=4)
-        # Nothing at k=0/1; both Fig. 3 hits carry exactly 2 mismatches.
-        assert {o.n_mismatches for o in occs} == {2}
-        assert [o.start for o in occs] == [0, 2]
-
-    def test_empty_when_above_budget(self):
-        index = KMismatchIndex("aaaaaaa")
-        assert index.best_match("ttt", k_max=2) == []
-
-    def test_filters_to_minimum_within_k(self):
-        # At the first k with hits, only minimal-distance hits return.
-        index = KMismatchIndex("acagacat")
-        occs = index.best_match("acat", k_max=3)
-        best = min(o.n_mismatches for o in occs)
-        assert all(o.n_mismatches == best for o in occs)
-
-    def test_rejects_negative(self):
-        import pytest as _pytest
-
-        with _pytest.raises(PatternError):
-            KMismatchIndex("acgt").best_match("a", -1)
-
-
 class TestSearchBatch:
     def test_batch_matches_individual(self):
         index = KMismatchIndex("acagacagtt")

@@ -1,14 +1,11 @@
 """Tests for the classical string-matching substrate (repro.strings)."""
 
-import random
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import PatternError
 from repro.strings import (
     AhoCorasick,
-    boyer_moore_search,
     count_mismatches_capped,
     hamming_distance,
     hamming_within,
@@ -80,29 +77,6 @@ class TestKMP:
     @given(dna, dna1)
     def test_against_brute_force(self, text, pattern):
         assert kmp_search(text, pattern) == brute_occurrences(text, pattern)
-
-
-class TestBoyerMoore:
-    def test_simple(self):
-        assert boyer_moore_search("acagaca", "aca") == [0, 4]
-
-    def test_pattern_longer_than_text(self):
-        assert boyer_moore_search("ab", "abc") == []
-
-    def test_full_text_match(self):
-        assert boyer_moore_search("abc", "abc") == [0]
-
-    @given(dna, dna1)
-    def test_against_brute_force(self, text, pattern):
-        assert boyer_moore_search(text, pattern) == brute_occurrences(text, pattern)
-
-    def test_random_large_alphabet(self):
-        rng = random.Random(5)
-        alphabet = "abcdefghij"
-        for _ in range(50):
-            text = "".join(rng.choice(alphabet) for _ in range(200))
-            pattern = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-            assert boyer_moore_search(text, pattern) == brute_occurrences(text, pattern)
 
 
 class TestAhoCorasick:
