@@ -3,12 +3,14 @@
 Runs the same seeded workload (single queries, a few rejected reads and
 one serial batch) once per source tree, each in a fresh process with
 observability on and a ``--wide-events`` sink open, on an unsharded and
-on a 4-shard index.  It then compares what the serving surfaces show:
+on a 4-shard index.  It then compares what each run recorded:
 
-* ``/metrics`` — the registry payload: family set, counter and gauge
-  values, histogram observation counts (bucket placement of latency
-  histograms is timing, so only non-latency buckets are compared);
-* ``/debug/queries`` — every flight-recorder record, field by field;
+* the registry payload (``OBS.metrics.to_dict()``): family set, counter
+  and gauge values, histogram observation counts (bucket placement of
+  latency histograms is timing, so only non-latency buckets are
+  compared);
+* the flight-recorder dump (``OBS.recorder.to_dict()``): every record,
+  field by field;
 * ``events summarize --json`` over the sink.
 
 Time fields (timestamps, durations, latency percentiles, rates, trace

@@ -141,8 +141,9 @@ class MethodSuite:
         if OBS.enabled:
             # One dimensional family, per-engine/per-k children — the cut
             # the paper's Fig. 11(a) plots, reproducible straight from a
-            # /metrics scrape.  (The name-mangled suite.<method>.latency_ms
-            # twin is retired; see docs/OBSERVABILITY.md.)
+            # ``--stats-json`` trace.  (The name-mangled
+            # suite.<method>.latency_ms twin is retired; see
+            # docs/OBSERVABILITY.md.)
             OBS.metrics.histogram(
                 "suite.latency_ms", engine=REGISTRY.canonical_name(method), k=k
             ).merge(latency_hist)

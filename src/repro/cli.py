@@ -16,20 +16,12 @@ Subcommands
 ``stats``          Render a saved ``--stats-json`` trace file as text;
                    ``--by engine,k`` (or ``--by shard`` for routed
                    queries) regroups labelled series into dimensional
-                   tables, ``--url`` replays a live ``/debug/metrics``
-                   endpoint instead of a file.
-``serve-metrics``  Expose /metrics, /healthz, /readyz, /debug/queries and
-                   /debug/metrics over HTTP, optionally driving a read
-                   workload to populate them (``--wide-events PATH``
-                   appends one JSON record per query); shuts down
-                   cleanly on SIGTERM/SIGINT.
+                   tables.
 ``events``         Read telemetry records — a ``--wide-events`` log or a
                    ``--flight-json`` dump: ``tail`` (newest records;
                    ``--slow``, ``--spans``) and ``summarize``
                    (per-{engine,k} exact percentiles, batch return
                    paths, event rate).
-``metrics-lint``   Strictly validate an OpenMetrics exposition (file or
-                   live URL) — the CI scrape-and-lint step.
 ``bench``          Run the fixed CI workload; with ``--check-regression``,
                    gate against a committed baseline JSON;
                    ``--update-baseline`` rewrites that baseline in one step.
@@ -45,8 +37,6 @@ PATH`` (append one JSON record per query/batch) and ``--flight-json PATH``
 (dump the flight recorder on exit) — see ``docs/OBSERVABILITY.md``.
 For function-level time, run a command under the standard library's
 profiler: ``python -m cProfile -o prof.out -m repro.cli search ...``.
-Setting ``REPRO_METRICS_PORT`` serves live telemetry over HTTP for the
-duration of any of those commands.
 
 The CLI works on plain one-sequence-per-file text or minimal FASTA (the
 first record's sequence, headers stripped).
@@ -272,43 +262,11 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metrics_payload_problem(payload) -> str:
-    """Why ``payload`` is not a ``/debug/metrics`` registry document
-    ('' when it is one).  Guards ``stats --url`` against non-repro (or
-    pre-schema-v2) servers answering 200 with unrelated JSON — the CLI
-    reports one line and exits 2 instead of crashing mid-render."""
-    if not isinstance(payload, dict):
-        return f"top level is {type(payload).__name__}, expected an object"
-    for name, family in payload.items():
-        if not isinstance(family, dict) or "type" not in family:
-            return f"family {name!r} carries no 'type' field"
-    return ""
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.url:
-        from .obs.export import fetch_metrics_json
-
-        try:
-            payload = fetch_metrics_json(args.url)
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"error: cannot fetch {args.url}: {exc}", file=sys.stderr)
-            return 2
-        problem = _metrics_payload_problem(payload)
-        if problem:
-            print(f"error: {args.url} is not a schema-v2 metrics endpoint "
-                  f"({problem}); point --url at a repro-cli serve-metrics "
-                  f"server", file=sys.stderr)
-            return 2
-        document = {"metrics": payload}
-    elif args.trace_file:
-        try:
-            document = load_trace(args.trace_file)
-        except MetricError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        print("error: stats needs a TRACE file or --url URL", file=sys.stderr)
+    try:
+        document = load_trace(args.trace_file)
+    except MetricError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.by:
         from .obs.breakdown import parse_by, render_breakdown
@@ -321,126 +279,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                                families=args.family or None))
         return 0
     print(render_trace(document))
-    return 0
-
-
-def _cmd_serve_metrics(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from .errors import ReproError
-    from .obs import LABELS_DROPPED_METRIC, READINESS, index_canary
-    from .obs.server import MetricsServer
-
-    OBS.enable()
-    if args.slow_ms is not None:
-        OBS.recorder.slow_ms = args.slow_ms
-    if args.wide_events:
-        OBS.open_wide_log(args.wide_events)
-        print(f"# wide events -> {args.wide_events}", file=sys.stderr)
-    READINESS.reset()
-
-    # SIGTERM/SIGINT request a graceful stop: the event wakes the serve
-    # loop, the socket is closed and final state flushed — no
-    # KeyboardInterrupt traceback mid-request.  signal.signal only works
-    # on the main thread; in-process callers (tests) just skip it.
-    stop_event = threading.Event()
-    previous_handlers = {}
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous_handlers[sig] = signal.signal(
-                sig, lambda signum, frame: stop_event.set()
-            )
-        except ValueError:
-            pass
-    server = MetricsServer(host=args.host, port=args.port)
-    host, port = server.address
-    print(f"# serving /metrics /healthz /readyz /debug/queries "
-          f"/debug/metrics on http://{host}:{port}", file=sys.stderr)
-    server.start()
-    try:
-        if args.target:
-            text = read_sequence(Path(args.target))
-            if args.shards > 1:
-                # In-memory sharded index: the served workload then
-                # populates the router's query.shard_* families and the
-                # {shard}-labelled worker series for scrape checks.
-                index = ShardedIndex.build(text, args.shards)
-            else:
-                index = KMismatchIndex(text)
-            # /readyz now proves the serving path: a canary query against
-            # this exact index runs on every readiness check.
-            READINESS.register_probe("index", index_canary(index))
-            if args.reads:
-                reads = [
-                    line.strip().lower()
-                    for line in Path(args.reads).read_text().splitlines()
-                    if line.strip() and not line.startswith(("@", ">", "#"))
-                ]
-                raised = 0
-                for cycle in range(max(1, args.loop)):
-                    if stop_event.is_set():
-                        break
-                    for read in reads:
-                        if stop_event.is_set():
-                            break
-                        try:
-                            index.search_with_stats(read, args.k)
-                        except ReproError:
-                            # Counted in query.errors{engine,k,kind} by the
-                            # facade; a bad read does not kill the server.
-                            raised += 1
-                print(f"# ran {max(1, args.loop)} pass(es) over {len(reads)} "
-                      f"read(s), {raised} raised", file=sys.stderr)
-        if args.duration > 0:
-            stop_event.wait(args.duration)
-        else:
-            print("# Ctrl-C to stop", file=sys.stderr)
-            while not stop_event.wait(3600):
-                pass
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-        if OBS.wide_log is not None:
-            wide_state = OBS.wide_log.to_dict()
-            OBS.close_wide_log()
-            print(f"# wide events: {wide_state['lines_written']} written, "
-                  f"{wide_state['lines_sampled_out']} sampled out, "
-                  f"{wide_state['rotations']} rotation(s)", file=sys.stderr)
-        dropped = OBS.metrics.get(LABELS_DROPPED_METRIC)
-        print(f"# shutdown: socket closed; {len(OBS.metrics)} metric "
-              f"famil{'y' if len(OBS.metrics) == 1 else 'ies'}, "
-              f"{OBS.recorder.total_recorded} query record(s), "
-              f"{dropped.value if dropped is not None else 0} dropped label "
-              f"set(s)", file=sys.stderr)
-        OBS.disable()
-        for sig, handler in previous_handlers.items():
-            try:
-                signal.signal(sig, handler)
-            except ValueError:
-                pass
-    return 0
-
-
-def _cmd_metrics_lint(args: argparse.Namespace) -> int:
-    from .obs.promlint import fetch_exposition, lint_openmetrics
-
-    try:
-        text = fetch_exposition(args.source)
-    except OSError as exc:
-        print(f"error: cannot read {args.source}: {exc}", file=sys.stderr)
-        return 2
-    problems = lint_openmetrics(text)
-    for problem in problems:
-        print(problem)
-    n_samples = sum(
-        1 for line in text.splitlines() if line and not line.startswith("#")
-    )
-    if problems:
-        print(f"FAIL: {len(problems)} problem(s) in {n_samples} sample line(s)")
-        return 1
-    print(f"OK: {n_samples} sample line(s) clean")
     return 0
 
 
@@ -654,11 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eng.set_defaults(func=_cmd_engines)
 
     p_stats = sub.add_parser("stats", help="render a saved --stats-json trace file")
-    p_stats.add_argument("trace_file", metavar="TRACE", nargs="?", default="",
-                         help="trace file written by --stats-json (omit with --url)")
-    p_stats.add_argument("--url", default="", metavar="URL",
-                         help="replay a live endpoint's /debug/metrics instead "
-                              "of a trace file (e.g. http://127.0.0.1:9109)")
+    p_stats.add_argument("trace_file", metavar="TRACE",
+                         help="trace file written by --stats-json")
     p_stats.add_argument("--by", default="", metavar="LABELS",
                          help="comma-separated label dimensions (e.g. engine,k): "
                               "print labelled series regrouped per family")
@@ -666,34 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --by, restrict to this metric family "
                               "(repeatable)")
     p_stats.set_defaults(func=_cmd_stats)
-
-    p_serve = sub.add_parser(
-        "serve-metrics",
-        help="expose /metrics, /healthz and /debug/queries over HTTP")
-    p_serve.add_argument("target", nargs="?", default="",
-                         help="optional FASTA/plain-text target to index and query")
-    p_serve.add_argument("--reads", default="",
-                         help="file with one read per line to run against TARGET")
-    p_serve.add_argument("-k", type=int, default=2, help="mismatch bound for --reads")
-    p_serve.add_argument("--shards", type=int, default=1,
-                         help="serve TARGET through an in-memory N-shard index "
-                              "(populates the {shard}-labelled metric families)")
-    p_serve.add_argument("--loop", type=int, default=1,
-                         help="passes over the read file (populates metrics)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=9109,
-                         help="listen port (0 picks an ephemeral port)")
-    p_serve.add_argument("--duration", type=float, default=0,
-                         help="serve for this many seconds then exit (0 = forever)")
-    p_serve.add_argument("--slow-ms", type=float, default=None,
-                         help="pin queries at or above this latency (ms) in the "
-                              "flight recorder")
-    p_serve.add_argument("--wide-events", default="", metavar="PATH",
-                         help="append one JSON record per query/batch to "
-                              "PATH (JSON lines; sampled via REPRO_EVENT_SAMPLE, "
-                              "rotated at REPRO_EVENT_MAX_BYTES — read with "
-                              "`repro-cli events`)")
-    p_serve.set_defaults(func=_cmd_serve_metrics)
 
     p_events = sub.add_parser(
         "events",
@@ -727,14 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="read only the live file, not rotated "
                                "generations")
     p_ev_sum.set_defaults(func=_cmd_events)
-
-    p_lint = sub.add_parser(
-        "metrics-lint",
-        help="strictly validate an OpenMetrics exposition (file or live URL)")
-    p_lint.add_argument("source", metavar="FILE_OR_URL",
-                        help="exposition file, or an http(s) URL "
-                             "(/metrics appended when missing)")
-    p_lint.set_defaults(func=_cmd_metrics_lint)
 
     p_bench = sub.add_parser(
         "bench",
@@ -780,23 +579,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     trace = getattr(args, "trace", False) is True
     stats_json = getattr(args, "stats_json", "")
     flight_json = getattr(args, "flight_json", "")
-    # serve-metrics owns its wide log's lifecycle (it prints the sink
-    # summary on shutdown); every other command honours the flag and the
-    # REPRO_EVENT_LOG environment fallback here.
-    wide_path = ""
-    if args.command != "serve-metrics":
-        wide_path = (getattr(args, "wide_events", "")
-                     or os.environ.get("REPRO_EVENT_LOG", ""))
+    wide_path = (getattr(args, "wide_events", "")
+                 or os.environ.get("REPRO_EVENT_LOG", ""))
     observing = trace or bool(stats_json) or bool(flight_json) or bool(wide_path)
-    metrics_port = os.environ.get("REPRO_METRICS_PORT", "")
-    server = None
-    if metrics_port and args.command != "serve-metrics":
-        from .obs.server import start_server
-
-        observing = True
-        server = start_server(port=int(metrics_port))
-        print(f"# telemetry on http://{server.address[0]}:{server.address[1]} "
-              f"for the duration of this command", file=sys.stderr)
     if observing:
         OBS.reset().enable()
         if wide_path:
@@ -804,8 +589,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     finally:
-        if server is not None:
-            server.stop()
         if observing:
             OBS.disable()
             if wide_path and OBS.wide_log is not None:

@@ -52,22 +52,20 @@ def observe_queries(
     k: int,
     occurrences: int,
     duration_ms: Optional[float] = None,
-    trace_id: Optional[str] = None,
     n: int = 1,
 ) -> None:
     """Observe ``n`` served queries in the ``query.*`` families.
 
     ``query.count`` and ``query.occurrences``, each flat and per
     ``{engine,k}``; with ``duration_ms`` (one timed query), also
-    ``query.latency_ms`` and ``query.search_ms{engine,k}``, whose
-    exemplar is ``trace_id``.  Called by the facade for an unsharded
-    query and by the shard router once per routed query; callers check
-    ``OBS.enabled``.
+    ``query.latency_ms`` and ``query.search_ms{engine,k}``.  Called by
+    the facade for an unsharded query and by the shard router once per
+    routed query; callers check ``OBS.enabled``.
     """
     metrics = OBS.metrics
     if duration_ms is not None:
         metrics.histogram("query.latency_ms").observe(duration_ms)
-        metrics.histogram("query.search_ms", engine=engine, k=k).observe(duration_ms, trace_id)
+        metrics.histogram("query.search_ms", engine=engine, k=k).observe(duration_ms)
     metrics.counter("query.count").inc(n)
     metrics.counter("query.count", engine=engine, k=k).inc(n)
     metrics.counter("query.occurrences").inc(occurrences)
@@ -260,9 +258,8 @@ class KMismatchIndex:
         ``query.search_ms{engine,k}``, labelled ``query.count`` /
         ``query.occurrences`` children and the ``search.*`` fold of its
         :class:`SearchStats` — plus one telemetry record (flight
-        recorder and ``--wide-events`` sink) sharing the latency
-        observation's exemplar ``trace_id``.  Engine labels use the
-        registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
+        recorder and ``--wide-events`` sink) carrying a fresh
+        ``trace_id``.  Engine labels use the registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
         land in one series.  A shard leg (:attr:`shard` set) validates,
         counts its own failure in ``query.errors`` and searches; the
         router records the routed query.
@@ -293,7 +290,7 @@ class KMismatchIndex:
             record_query_error(engine_name, k, exc, m=len(pattern), trace_id=trace_id)
             raise
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
-        observe_queries(engine_name, k, len(occurrences), duration_ms, trace_id)
+        observe_queries(engine_name, k, len(occurrences), duration_ms)
         fold_search((engine,), k, stats, len(occurrences))
         OBS.record_event(
             "query",

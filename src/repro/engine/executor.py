@@ -54,7 +54,6 @@ from ..core.types import Occurrence, SearchStats
 from ..errors import PatternError, SerializationError
 from ..obs import (
     OBS,
-    READINESS,
     ObsDelta,
     count_query_error,
     merge_obs_delta,
@@ -84,11 +83,11 @@ class _WorkerWatchdog(threading.Thread):
     this daemon thread watches that heartbeat and, once it goes quiet
     past the deadline, fires exactly once: bumps
     ``engine.worker.stalled`` (with the batch's ``{engine,k,shard}``
-    labels) and flips the ``workers`` readiness component so ``/readyz``
-    answers 503.  Dead workers are caught separately (the collect loop
-    sees their exit codes); the watchdog is for the *live-but-stuck*
-    case — a worker wedged in a pathological query or a lost queue
-    message — which previously hung the batch silently forever.
+    labels) and records a ``worker_stalled`` event.  Dead workers are
+    caught separately (the collect loop sees their exit codes); the
+    watchdog is for the *live-but-stuck* case — a worker wedged in a
+    pathological query or a lost queue message — which previously hung
+    the batch silently forever.
     """
 
     def __init__(self, deadline_s: float, labels: Dict[str, object]):
@@ -113,11 +112,6 @@ class _WorkerWatchdog(threading.Thread):
                 self.stalled = True
                 OBS.count(WORKER_STALLED_METRIC)
                 OBS.count(WORKER_STALLED_METRIC, **self.labels)
-                READINESS.set_component(
-                    "workers", False,
-                    f"batch pool stalled: no chunk completed in "
-                    f"{self.deadline_s:.1f}s",
-                )
                 if OBS.enabled:
                     OBS.record_event("worker_stalled", deadline_s=self.deadline_s,
                                      **self.labels)
@@ -293,8 +287,8 @@ class BatchExecutor:
         parallel = workers > 1
         # One correlation id per batch run, threaded into the result's
         # ``extra`` and the batch's telemetry record — a
-        # BatchResult in hand resolves to its telemetry via
-        # /debug/queries?trace_id=... like a single query does.
+        # BatchResult in hand resolves to its records by ``trace_id``
+        # like a single query does.
         batch_trace_id = new_trace_id() if OBS.enabled else None
         start = perf_counter()
         with OBS.span(
@@ -417,10 +411,6 @@ class BatchExecutor:
         # flushes and exits at once instead of outliving the batch.
         task_q.close()
         task_q.join_thread()
-        # A batch that drained normally is the recovery signal: clear any
-        # stalled/dead verdict a previous batch left on readiness.
-        if not watchdog.stalled:
-            READINESS.set_component("workers", True, "batch pool completed normally")
         extra["shm_nbytes"] = len(blob)
         extra["worker_hydrate_ms"] = sorted(hydrations.values())
         # Records the workers returned (kmbench reads this name).
@@ -452,9 +442,8 @@ class BatchExecutor:
             chunk_out, chunk_stats, obs_payload = outcomes[chunk_id]
             if observe and obs_payload is not None:
                 # Tag the worker's shipped records with the batch's
-                # correlation id before re-recording them, so
-                # /debug/queries?trace_id=<batch> finds every per-query
-                # record the batch produced.
+                # correlation id before re-recording them, so the batch's
+                # ``trace_id`` selects every per-query record it produced.
                 if batch_trace_id:
                     for record in obs_payload.get("records") or []:
                         record.setdefault("batch_trace_id", batch_trace_id)
@@ -475,11 +464,10 @@ class BatchExecutor:
 
         Every drained message is a heartbeat for the stall watchdog.  A
         dead worker is counted as ``query.errors{...,kind="worker"}``
-        and flips the ``workers`` readiness component before raising.  A
-        shipped chunk failure merges its :class:`~repro.obs.ObsDelta`
-        payload first — the worker already classified and counted the
-        error, so the labelled ``query.errors`` series reach the parent
-        — and the raised ``RuntimeError`` is marked already-counted so
+        before raising.  A shipped chunk failure merges its
+        :class:`~repro.obs.ObsDelta` payload first — the worker already
+        classified and counted the error, so the labelled
+        ``query.errors`` series reach the parent — and the raised ``RuntimeError`` is marked already-counted so
         outer layers (shard router) do not count the same failure twice.
         """
         outcomes: Dict[int, tuple] = {}
@@ -500,10 +488,6 @@ class BatchExecutor:
                 dead = [p for p in procs if not p.is_alive() and p.exitcode not in (0, None)]
                 if dead:
                     count_query_error(engine, k, "worker")
-                    READINESS.set_component(
-                        "workers", False,
-                        f"batch worker died with exit code {dead[0].exitcode}",
-                    )
                     error = RuntimeError(
                         f"batch worker died with exit code {dead[0].exitcode} "
                         f"before completing its chunks"
@@ -512,9 +496,6 @@ class BatchExecutor:
                     raise error
                 if all(not p.is_alive() for p in procs):
                     count_query_error(engine, k, "worker")
-                    READINESS.set_component(
-                        "workers", False, "all batch workers exited with chunks missing"
-                    )
                     error = RuntimeError(
                         "all batch workers exited but "
                         f"{n_chunks - len(outcomes)} chunk results are missing"

@@ -61,17 +61,7 @@ from .metrics import (
     render_metrics,
 )
 from .tracing import NULL_SPAN, Span, Timer, Tracer, render_span_tree
-from .export import (
-    OPENMETRICS_CONTENT_TYPE,
-    ObsDelta,
-    fetch_metrics_json,
-    merge_metrics,
-    merge_obs_delta,
-    metrics_delta,
-    render_openmetrics,
-    sanitize_metric_name,
-)
-from .health import HealthMonitor, READINESS, index_canary
+from .export import ObsDelta, merge_metrics, merge_obs_delta, metrics_delta
 from .recorder import (
     DEFAULT_SLOW_MS,
     FlightRecorder,
@@ -98,7 +88,9 @@ from .events import (
 #: Identifier written into every exported trace document.
 TRACE_FORMAT = "repro-trace"
 #: Version 2 adds labelled metric families (schema v2 payloads with
-#: ``series`` lists) and histogram exemplars; v1 documents still load.
+#: ``series`` lists); v1 documents still load.  Keys a payload carries
+#: beyond the ones this build writes are ignored, so older v2 files
+#: keep rendering.
 TRACE_VERSION = 2
 
 
@@ -309,19 +301,11 @@ __all__ = [
     "render_trace",
     "render_span_tree",
     "render_metrics",
-    # export / aggregation (repro.obs.export)
-    "OPENMETRICS_CONTENT_TYPE",
-    "render_openmetrics",
-    "sanitize_metric_name",
+    # cross-process aggregation (repro.obs.export)
     "metrics_delta",
     "merge_metrics",
     "merge_obs_delta",
     "ObsDelta",
-    "fetch_metrics_json",
-    # deep health / readiness (repro.obs.health)
-    "HealthMonitor",
-    "READINESS",
-    "index_canary",
     # flight recorder (repro.obs.recorder)
     "FlightRecorder",
     "DEFAULT_SLOW_MS",

@@ -4,8 +4,7 @@
 questions straight from telemetry — "how does search time move with k?"
 (Fig. 11(a)), "how do the methods compare on probe volume?" (Table 2) —
 by regrouping a registry ``to_dict`` payload (schema v2, from a stats
-JSON file or a live ``/debug/metrics`` endpoint) along the requested
-label dimensions.
+JSON file) along the requested label dimensions.
 
 The regrouping is a projection: every labelled series is keyed by its
 values of the requested labels and series landing on the same key are

@@ -24,7 +24,7 @@ sites:
 * **Size-based rotation** — ``REPRO_EVENT_MAX_BYTES`` (default 64 MiB)
   rolls ``path`` to ``path.1`` (older generations shifting to ``.2``,
   ``.3``, ... up to ``REPRO_EVENT_BACKUPS``) before a write would cross
-  the bound, so a long-lived server cannot fill a disk.
+  the bound, so a long-running process cannot fill a disk.
 * **Loss accounting** — sampled-out and rotated-away lines are counted
   on the log object (and printed when the sink closes), never silently
   gone.
@@ -126,8 +126,8 @@ def make_record(
     ``stats`` is the query's :meth:`SearchStats.to_dict`; ``spans`` its
     span tree (:meth:`~repro.obs.tracing.Span.to_dict`) when tracing
     was on.  ``trace_id`` (see
-    :func:`~repro.obs.recorder.new_trace_id`) is the correlation id
-    histogram exemplars point at.  Unset optionals are omitted.
+    :func:`~repro.obs.recorder.new_trace_id`) is the record's
+    correlation id.  Unset optionals are omitted.
 
     Recorded span trees are bounded by ``REPRO_FLIGHT_SPAN_DEPTH`` /
     ``REPRO_FLIGHT_SPAN_ATTRS`` (see

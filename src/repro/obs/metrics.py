@@ -13,9 +13,8 @@ dependency:
 * :class:`Gauge` — a last-write-wins level (index payload bytes,
   hash-table size after a search);
 * :class:`Histogram` — fixed upper-bound buckets with count/sum/min/max,
-  percentile estimation, optional per-bucket exemplars, and a compact
-  ASCII rendering (per-query latency, S-tree depth, M-tree leaf count
-  distributions).
+  percentile estimation, and a compact ASCII rendering (per-query
+  latency, S-tree depth, M-tree leaf count distributions).
 
 Every name is a **metric family**: asking for the bare name returns the
 unlabelled instrument (exactly the pre-label behaviour), while passing
@@ -52,7 +51,7 @@ unlabelled-only registries are byte-identical to v1 — both directions of
 the round-trip hold.
 
 Updates are single attribute mutations under the GIL — safe for the
-threads that share a registry (the metrics server, the batch watchdog).
+threads that share a registry (the batch watchdog).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left
-from time import time
 from typing import Any, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
@@ -159,13 +157,6 @@ class Histogram:
     with ``v <= buckets[i]`` (and for the last slot, everything larger)
     — cumulative-free storage so merging histograms is element-wise.
 
-    Passing ``trace_id`` to :meth:`observe` attaches an **exemplar** to
-    the observation's bucket (last write wins per bucket): a pointer
-    from the aggregate to one concrete event — the flight-recorder
-    record holding that query's full span tree — which
-    :func:`~repro.obs.export.render_openmetrics` emits in OpenMetrics
-    ``# {trace_id="..."}`` syntax.
-
     >>> h = Histogram("latency_ms", (1, 10, 100))
     >>> for v in (0.5, 3, 3, 250): h.observe(v)
     >>> h.counts
@@ -175,7 +166,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "buckets", "counts", "count", "total", "min", "max",
-                 "labels", "exemplars")
+                 "labels")
     kind = "histogram"
 
     def __init__(self, name: str, buckets: Sequence[float] = LATENCY_BUCKETS_MS,
@@ -191,23 +182,16 @@ class Histogram:
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.labels = labels
-        #: bucket index -> {"trace_id", "value", "ts"} (last write wins).
-        self.exemplars: Dict[int, dict] = {}
 
-    def observe(self, value: float, trace_id: Optional[str] = None) -> None:
-        """Record one observation, optionally tagged with an exemplar."""
-        index = bisect_left(self.buckets, value)
-        self.counts[index] += 1
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        self.counts[bisect_left(self.buckets, value)] += 1
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if trace_id is not None:
-            self.exemplars[index] = {
-                "trace_id": trace_id, "value": value, "ts": time(),
-            }
 
     @property
     def mean(self) -> float:
@@ -248,9 +232,6 @@ class Histogram:
             self.min = other.min
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
-        # Incoming exemplars are the newer events (worker deltas, fresh
-        # batches): they take the bucket slot.
-        self.exemplars.update(other.exemplars)
         return self
 
     def to_dict(self) -> dict:
@@ -269,11 +250,6 @@ class Histogram:
         }
         if self.labels:
             payload["labels"] = dict(self.labels)
-        if self.exemplars:
-            payload["exemplars"] = {
-                str(index): dict(exemplar)
-                for index, exemplar in sorted(self.exemplars.items())
-            }
         return payload
 
     def render(self, width: int = 40) -> str:
@@ -557,8 +533,6 @@ def histogram_from_payload(payload: dict) -> Histogram:
     h.total = payload.get("sum", 0.0)
     h.min = payload.get("min")
     h.max = payload.get("max")
-    for index, exemplar in (payload.get("exemplars") or {}).items():
-        h.exemplars[int(index)] = dict(exemplar)
     return h
 
 

@@ -38,12 +38,10 @@ DEFAULT_SLOW_MS = float(os.environ.get("REPRO_SLOW_QUERY_MS", "250"))
 def new_trace_id() -> str:
     """A fresh 16-hex-char correlation id.
 
-    One id per recorded query, shared between the flight-recorder record
-    and the histogram exemplar the query's latency observation attaches
-    (see :class:`~repro.obs.metrics.Histogram`), so a ``/metrics`` bucket
-    annotation resolves to the record via ``/debug/queries?trace_id=...``.
-    Random rather than sequential: ids stay unique across the processes
-    of a pool batch without coordination.
+    One id per recorded query or batch, written into its record (and
+    into the ``--wide-events`` sink's sampling hash).  Random rather
+    than sequential: ids stay unique across the processes of a pool
+    batch without coordination.
     """
     return uuid.uuid4().hex[:16]
 
@@ -98,9 +96,9 @@ class FlightRecorder:
         Bound on the pinned list (oldest pinned records evicted first —
         the recorder never grows without bound).
 
-    Appends take a lock: recorders are shared by the metrics server's
-    threads and the batch watchdog, and a deque append alone is atomic
-    but the sequence counter update next to it is not.
+    Appends take a lock: a recorder is shared with the batch watchdog's
+    thread, and a deque append alone is atomic but the sequence counter
+    update next to it is not.
     """
 
     def __init__(
@@ -157,24 +155,8 @@ class FlightRecorder:
             self._recent.clear()
             self._slow.clear()
 
-    def find_trace(self, trace_id: str) -> List[Dict[str, Any]]:
-        """Every retained record carrying ``trace_id`` (ring + pinned,
-        deduplicated by ``seq``, oldest first) — the lookup behind
-        ``/debug/queries?trace_id=...``, i.e. how a ``/metrics`` exemplar
-        resolves to its full record.  A *batch* trace id matches too:
-        worker-shipped per-query records carry their batch's id as
-        ``batch_trace_id``, so one lookup returns the batch record plus
-        every query record the batch produced."""
-        matches: Dict[Any, Dict[str, Any]] = {}
-        with self._lock:
-            for record in list(self._recent) + list(self._slow):
-                if (record.get("trace_id") == trace_id
-                        or record.get("batch_trace_id") == trace_id):
-                    matches[record.get("seq")] = record
-        return [matches[seq] for seq in sorted(matches, key=lambda s: s or 0)]
-
     def to_dict(self) -> dict:
-        """JSON document served by ``/debug/queries`` and the CLI dump."""
+        """The recorder's settings and retained records as one JSON document."""
         return {
             "capacity": self.capacity,
             "slow_ms": self.slow_ms,

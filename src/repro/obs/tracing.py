@@ -125,8 +125,7 @@ class Span:
         process's monotonic timeline: pass the difference between the
         recording process's wall-clock anchor and the local one (see
         :func:`repro.obs.export.merge_obs_delta`) and adopted worker
-        spans interleave chronologically with locally recorded ones —
-        that is what ``/debug/queries`` sorts on.
+        spans interleave chronologically with locally recorded ones.
         """
         span = cls(str(payload.get("name", "?")), dict(payload.get("attrs") or {}), tracer)
         span.start_ns = int(payload.get("start_ns", 0)) + offset_ns

@@ -224,7 +224,7 @@ class QueryRouter:
             if not observe:
                 record_search_metrics(engine, k, stats, len(merged), tree=False)
             else:
-                observe_queries(engine, k, len(merged), duration_ms, trace_id)
+                observe_queries(engine, k, len(merged), duration_ms)
                 spec = REGISTRY.resolve(engine)
                 if spec.kind == "index":
                     fold_search([index.engine(spec.name) for index in sharded.shards],

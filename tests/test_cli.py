@@ -194,51 +194,6 @@ class TestCommands:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_metrics_port_env_serves_during_command(self, genome_file, capsys,
-                                                    monkeypatch):
-        import json as json_module
-        import urllib.request
-
-        import repro.cli as cli_module
-        from repro.obs.server import start_server
-
-        captured = {}
-        real_start = start_server
-
-        def capturing_start(host="127.0.0.1", port=0):
-            server = real_start(host=host, port=0)  # ephemeral port for the test
-            captured["url"] = server.url
-
-            class _Probe:
-                address = server.address
-                url = server.url
-
-                def stop(self_inner):
-                    with urllib.request.urlopen(server.url + "/healthz",
-                                                timeout=5) as response:
-                        captured["healthz"] = json_module.loads(response.read())
-                    server.stop()
-
-            return _Probe()
-
-        monkeypatch.setenv("REPRO_METRICS_PORT", "9109")
-        monkeypatch.setattr("repro.obs.server.start_server", capturing_start)
-        rc = cli_module.main(["search", str(genome_file), "tcaca", "-k", "1"])
-        assert rc == 0
-        assert captured["healthz"]["status"] == "ok"
-        assert "telemetry on" in capsys.readouterr().err
-
-    def test_serve_metrics_bounded_duration(self, genome_file, tmp_path, capsys):
-        reads = tmp_path / "reads.txt"
-        reads.write_text("acagaca\ncagacag\n")
-        rc = main(["serve-metrics", str(genome_file), "--reads", str(reads),
-                   "-k", "1", "--port", "0", "--duration", "0.05",
-                   "--slow-ms", "0"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "serving /metrics" in err
-        assert "2 read(s)" in err
-
     def test_simulate_and_compare(self, tmp_path, capsys):
         genome_path = tmp_path / "g.fa"
         rc = main([
@@ -350,70 +305,10 @@ class TestStatsBreakdown:
         assert "metrics" in capsys.readouterr().out
 
     def test_stats_requires_source(self, capsys):
-        assert main(["stats", "--by", "engine"]) == 2
-        assert "--url" in capsys.readouterr().err
-
-    def test_live_url_replay(self, capsys):
-        from repro import KMismatchIndex
-        from repro.obs import OBS
-        from repro.obs.server import MetricsServer
-
-        OBS.reset().enable()
-        try:
-            index = KMismatchIndex("acagacaacagacagtacagaca" * 10)
-            index.search_with_stats("acaga", 2, method="BWT")
-            server = MetricsServer(port=0)
-            server.start()
-            try:
-                url = f"http://{server.address[0]}:{server.address[1]}"
-                capsys.readouterr()
-                assert main(["stats", "--url", url, "--by", "engine,k"]) == 0
-                out = capsys.readouterr().out
-                assert "query.search_ms (histogram) by engine,k" in out
-                assert "stree" in out
-            finally:
-                server.stop()
-        finally:
-            OBS.disable()
-            OBS.reset()
-
-    def test_unreachable_url(self, capsys):
-        assert main(["stats", "--url", "http://127.0.0.1:1", "--by", "k"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert len(err.strip().splitlines()) == 1  # one line, no traceback
-
-    def test_non_v2_url(self, capsys):
-        """A reachable server that is not a schema-v2 metrics endpoint
-        gets a clear one-line error, exit 2, no traceback."""
-        import json
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        class NotOurs(BaseHTTPRequestHandler):
-            def do_GET(self):
-                body = json.dumps([1, 2, 3]).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), NotOurs)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            url = f"http://127.0.0.1:{server.server_address[1]}"
-            assert main(["stats", "--url", url]) == 2
-            err = capsys.readouterr().err
-            assert "not a schema-v2 metrics endpoint" in err
-            assert len(err.strip().splitlines()) == 1
-        finally:
-            server.shutdown()
-
+        with pytest.raises(SystemExit) as info:
+            main(["stats", "--by", "engine"])
+        assert info.value.code == 2
+        assert "TRACE" in capsys.readouterr().err
 
 class TestNoProfiler:
     def test_profile_subcommand_and_flag_are_gone(self, genome_file, tmp_path):
@@ -429,29 +324,78 @@ class TestNoProfiler:
             assert info.value.code == 2
 
 
-class TestMetricsLint:
-    def test_clean_exposition_file(self, tmp_path, capsys):
-        from repro.obs.export import render_openmetrics
-        from repro.obs.metrics import MetricsRegistry
+class TestNoHttpTelemetry:
+    def test_http_telemetry_stays_gone(self, genome_file, monkeypatch, capsys):
+        """The HTTP telemetry surface is deleted: its modules, exports,
+        subcommands, ``stats --url`` and the env knob that started a
+        server thread for the duration of a command."""
+        import importlib
+        import threading
 
-        registry = MetricsRegistry()
-        registry.counter("q", engine="stree", k=1).inc(2)
-        registry.histogram("lat", (1, 10), engine="stree").observe(
-            0.5, trace_id="abcd")
-        path = tmp_path / "expo.txt"
-        path.write_text(render_openmetrics(registry.to_dict()))
-        assert main(["metrics-lint", str(path)]) == 0
-        assert "clean" in capsys.readouterr().out
+        import repro.cli as cli_module
+        import repro.obs
 
-    def test_dirty_exposition_file(self, tmp_path, capsys):
-        path = tmp_path / "expo.txt"
-        path.write_text("# TYPE g gauge\ng inf\n# EOF\n")
-        assert main(["metrics-lint", str(path)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        for name in ("repro.obs.server", "repro.obs.promlint", "repro.obs.health"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(name)
+        for name in ("render_openmetrics", "READINESS", "HealthMonitor"):
+            assert name not in repro.obs.__all__
+        for argv in (["serve-metrics"], ["metrics-lint", "x"],
+                     ["stats", "--url", "u"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert main(["metrics-lint", str(tmp_path / "nope.txt")]) == 2
-        assert "error" in capsys.readouterr().err
+        seen = {}
+        real_search = cli_module._cmd_search
+
+        def counting_search(args):
+            seen["threads"] = threading.active_count()
+            return real_search(args)
+
+        monkeypatch.setenv("REPRO_METRICS_PORT", "0")
+        monkeypatch.setattr(cli_module, "_cmd_search", counting_search)
+        before = threading.active_count()
+        assert main(["search", str(genome_file), "tcaca", "-k", "1"]) == 0
+        assert seen["threads"] == before
+        assert threading.active_count() == before
+        assert "telemetry on" not in capsys.readouterr().err
+
+
+class TestOldTraceFiles:
+    #: A schema-v2 histogram family as earlier versions wrote it: each
+    #: series carried an ``exemplars`` map (bucket index -> trace id).
+    SEARCH_MS = {
+        "type": "histogram", "name": "query.search_ms",
+        "buckets": [0.1, 0.25, 0.5, 1.0],
+        "series": [{
+            "type": "histogram", "name": "query.search_ms",
+            "buckets": [0.1, 0.25, 0.5, 1.0], "counts": [0, 0, 1, 0, 0],
+            "count": 1, "sum": 0.45, "min": 0.45, "max": 0.45,
+            "p50": 0.5, "p90": 0.5, "p99": 0.5,
+            "labels": {"engine": "algorithm_a", "k": "2"},
+            "exemplars": {"2": {"trace_id": "a0330a1a28a54d16",
+                                "value": 0.45, "ts": 1760000000.0}},
+        }],
+    }
+
+    def test_v2_trace_with_exemplars_still_renders(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import load_trace, render_trace
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "format": "repro-trace", "version": 2, "meta": {"command": "search"},
+            "spans": [], "metrics": {"query.search_ms": self.SEARCH_MS},
+        }))
+        document = load_trace(str(path))
+        assert "query.search_ms{engine=algorithm_a,k=2}: count=1" in render_trace(document)
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        assert "query.search_ms{engine=algorithm_a,k=2}: count=1" in capsys.readouterr().out
+        assert main(["stats", str(path), "--by", "engine,k"]) == 0
+        assert "query.search_ms (histogram) by engine,k" in capsys.readouterr().out
 
 
 class TestShardedCli:
@@ -565,56 +509,3 @@ class TestShardedCli:
         assert "sharded" in header
         row = [line for line in out.splitlines() if line.startswith("algorithm_a ")][0]
         assert " yes " in row
-
-    def test_serve_metrics_sharded_exposes_shard_labels(
-        self, big_genome_file, tmp_path, capsys
-    ):
-        import json
-        import os
-        import signal
-        import threading
-        import time
-        from urllib.request import urlopen
-
-        genome, text = big_genome_file
-        reads = tmp_path / "reads.txt"
-        reads.write_text(text[30:60] + "\n" + text[420:450] + "\n")
-        events = tmp_path / "events.jsonl"
-        captured = {}
-
-        def grab_then_stop():
-            # Poll until the routed workload's {shard} series appear,
-            # then ask the server to shut down gracefully (SIGTERM is
-            # how serve-metrics is stopped in CI).
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                try:
-                    with urlopen("http://127.0.0.1:9188/metrics",
-                                 timeout=5.0) as response:
-                        body = response.read().decode()
-                    if 'shard="1"' in body:
-                        captured["text"] = body
-                        break
-                except OSError:
-                    pass
-                time.sleep(0.05)
-            os.kill(os.getpid(), signal.SIGTERM)
-
-        scraper = threading.Thread(target=grab_then_stop, daemon=True)
-        scraper.start()
-        rc = main(["serve-metrics", str(genome), "--reads", str(reads),
-                   "-k", "1", "--shards", "2", "--port", "9188",
-                   "--duration", "30", "--wide-events", str(events)])
-        scraper.join(timeout=20.0)
-        assert rc == 0
-        exposition = captured["text"]
-        assert 'repro_query_shard_ms_bucket{engine="algorithm_a"' in exposition
-        assert 'shard="0"' in exposition and 'shard="1"' in exposition
-        # The wide-event log read back: one routed record per query,
-        # each stamped with the fan-out across both shards.
-        capsys.readouterr()
-        assert main(["events", "summarize", str(events), "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["n_queries"] > 0
-        assert summary["by_engine"]
-        assert max(group["max_shards"] for group in summary["by_engine"]) == 2

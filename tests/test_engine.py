@@ -758,14 +758,13 @@ class TestWorkerWatchdog:
     """The stuck-worker watchdog must fire on a silent pool and stand
     down when messages keep flowing."""
 
-    def test_fires_on_stall_and_flips_readiness(self):
+    def test_fires_on_stall_and_records_it(self):
         import time
 
         from repro.engine.executor import _WorkerWatchdog
         from repro.engine.executor import WORKER_STALLED_METRIC
-        from repro.obs import OBS, READINESS
+        from repro.obs import OBS
 
-        READINESS.reset()
         OBS.reset()
         OBS.enable()
         watchdog = _WorkerWatchdog(0.1, labels={"engine": "stree", "k": 2})
@@ -783,19 +782,18 @@ class TestWorkerWatchdog:
         assert family.default.value == 1
         labels = [dict(c.labels) for c in family.labelled()]
         assert labels == [{"engine": "stree", "k": "2"}]
-        report = READINESS.check()
-        assert report["ready"] is False
-        assert "stalled" in report["components"]["workers"]["detail"]
+        (record,) = OBS.recorder.recent()
+        assert record["event"] == "worker_stalled"
+        assert record["deadline_s"] == 0.1
+        assert record["engine"] == "stree" and record["k"] == 2
         OBS.reset()
-        READINESS.reset()
 
     def test_progress_heartbeats_keep_it_quiet(self):
         import time
 
         from repro.engine.executor import _WorkerWatchdog
-        from repro.obs import OBS, READINESS
+        from repro.obs import OBS
 
-        READINESS.reset()
         OBS.reset()
         watchdog = _WorkerWatchdog(0.3, labels={})
         watchdog.start()
@@ -807,7 +805,6 @@ class TestWorkerWatchdog:
             watchdog.stop()
             watchdog.join(timeout=5.0)
         assert watchdog.stalled is False
-        assert READINESS.check()["ready"] is True
 
     def test_batch_executor_rejects_bad_stall_timeout(self):
         from repro.engine.executor import BatchExecutor

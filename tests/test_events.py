@@ -266,8 +266,9 @@ class TestObservabilityIntegration:
         assert len(batch_records) == 1
         trace_id = batch_records[0]["trace_id"]
         assert trace_id
-        # One recorder lookup by the batch id returns the batch record.
-        joined = OBS.recorder.find_trace(trace_id)
+        # The batch id selects the batch record from the recorder.
+        joined = [r for r in OBS.recorder.recent()
+                  if trace_id in (r.get("trace_id"), r.get("batch_trace_id"))]
         assert batch_records[0] in joined
 
         events = load_wide_events(path)
@@ -277,7 +278,7 @@ class TestObservabilityIntegration:
         assert batch_events[0]["items"] == len(reads)
         assert batch_events[0]["workers"] == 2
         # The pool workers' per-query records came home tagged with the
-        # batch id, so the one lookup finds them too.
+        # batch id, so the same selection finds them too.
         queries = [r for r in joined if r["event"] == "query"]
         assert sorted(r["m"] for r in queries) == [7] * len(reads)
 

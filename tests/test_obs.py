@@ -283,21 +283,6 @@ class TestLabelledMetrics:
         rebuilt = family_payload("counter", "q", series)
         assert dict(iter_series(rebuilt)) == series
 
-    def test_histogram_exemplar_capture_and_merge(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", (1, 10), engine="a")
-        h.observe(0.5, trace_id="aaaa")
-        h.observe(5, trace_id="bbbb")
-        h.observe(0.7, trace_id="cccc")  # same bucket: last wins
-        assert h.exemplars[0]["trace_id"] == "cccc"
-        assert h.exemplars[1]["trace_id"] == "bbbb"
-        payload = h.to_dict()
-        assert payload["exemplars"]["0"]["trace_id"] == "cccc"
-        other = Histogram("lat", (1, 10))
-        other.observe(500, trace_id="dddd")
-        h.merge(other)
-        assert h.exemplars[2]["trace_id"] == "dddd"
-
     def test_search_tags_query_metrics_with_engine_and_k(self):
         OBS.enable()
         index = KMismatchIndex("acagacaacagacagtacagaca")
@@ -321,20 +306,6 @@ class TestLabelledMetrics:
         assert ks == {"1", "2"}
         # The unlabelled anchors still total across engines.
         assert payload["query.count"]["value"] == 2
-
-    def test_search_exemplar_resolves_to_flight_record(self):
-        OBS.enable()
-        index = KMismatchIndex("acagacaacagacagtacagaca")
-        index.search_with_stats("tcaca", 2, method="BWT")
-        OBS.disable()
-        family = OBS.metrics.family("query.search_ms")
-        (child,) = family.labelled()
-        (exemplar,) = child.exemplars.values()
-        records = OBS.recorder.find_trace(exemplar["trace_id"])
-        assert len(records) == 1
-        assert records[0]["k"] == 2
-        assert records[0]["engine"] == "stree"
-
 
 class TestEngineIntegration:
     def test_search_produces_spans_for_every_layer(self):
@@ -858,3 +829,94 @@ class TestCrossProcessClockAlignment:
         assert adopted, "worker chunks should ship per-read spans"
         for span in adopted:
             assert before_ns < span.start_ns < after_ns
+
+
+class TestRetiredFamilies:
+    """The name-mangled per-engine series that the labelled
+    ``{engine,k}`` families replaced stay retired."""
+
+    RETIRED_PREFIXES = (
+        "search.stree.",
+        "search.algorithm_a.",
+        "search.wildcard.",
+        "search.kerrors.",
+    )
+
+    def test_retired_mangled_series_are_gone(self):
+        OBS.enable()
+        try:
+            index = KMismatchIndex("acagacaacagacagtacagaca" * 300)
+            index.search_with_stats("tcaca", 2, method="A()")
+            index.search_with_stats("tcaca", 1, method="BWT")
+            index.search_wildcard("tcnca", 1)
+            index.search_edit("tcaca", 1)
+        finally:
+            OBS.disable()
+        payload = OBS.metrics.to_dict()
+        for name in payload:
+            for prefix in self.RETIRED_PREFIXES:
+                assert not name.startswith(prefix), (
+                    f"retired name-mangled series {name!r} reappeared"
+                )
+            assert not (
+                name.startswith("suite.") and name.endswith(".latency_ms")
+            ), f"retired suite series {name!r} reappeared"
+        # ...and their labelled twins are present instead (the S-tree's
+        # per-leaf depth histogram is retired: engines write no metrics).
+        assert "search.leaves" in payload and "search.leaf_depth" not in payload
+        assert "search.reuse_hits" in payload
+        engines = {
+            dict(labels).get("engine")
+            for labels, _ in iter_series(payload["search.queries"])
+        }
+        assert {"wildcard", "kerrors"} <= engines
+
+    def test_suite_mangled_series_are_gone(self):
+        from repro.bench.suite import MethodSuite
+
+        OBS.enable()
+        try:
+            suite = MethodSuite("acagacaacagacagtacagaca" * 40,
+                                methods=("A()", "BWT"))
+            suite.run_all(["tcaca", "acaga"], k=1)
+        finally:
+            OBS.disable()
+        names = set(OBS.metrics.to_dict())
+        mangled = {
+            n for n in names
+            if n.startswith("suite.") and n != "suite.latency_ms"
+        }
+        assert not mangled, f"retired suite.<method>.* series: {mangled}"
+        assert "suite.latency_ms" in names
+
+
+@pytest.mark.usefixtures("force_pool")
+class TestPoolAndBuildFamilies:
+    """The process pool's families (`engine.shm.nbytes`,
+    `engine.worker.*`) and `shard.build_ms{shard}` reach the registry;
+    the retired result-arena families stay out of it."""
+
+    def test_families_exported(self):
+        from repro.engine import BatchExecutor
+        from repro.shard import ShardedIndex
+
+        rnd = random.Random(5)
+        unit = "".join(rnd.choice("acgt") for _ in range(30))
+        text = unit * 60
+        OBS.enable()
+        try:
+            ShardedIndex.build(text, 2, max_pattern=16, max_k=1, build_workers=2)
+            index = KMismatchIndex(text)
+            reads = [unit[i : i + 16] for i in range(6)]
+            BatchExecutor(workers=2, mode="process").run_search(index, reads, 1)
+        finally:
+            OBS.disable()
+        payload = OBS.metrics.to_dict()
+        shards = {
+            dict(labels).get("shard")
+            for labels, _ in iter_series(payload["shard.build_ms"])
+        }
+        assert "0" in shards
+        assert "engine.shm.nbytes" in payload
+        assert "engine.worker.hydrations" in payload
+        assert not [name for name in payload if name.startswith("engine.arena")]

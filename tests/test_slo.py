@@ -1,6 +1,5 @@
-"""Tests for the service-level signals the query path feeds: error
-accounting (``query.errors`` and its ``"error"`` record) and deep readiness
-(the health monitor and the index canary behind ``/readyz``)."""
+"""Tests for the service-level signal the query path feeds: error
+accounting (``query.errors`` and its ``"error"`` record)."""
 
 from __future__ import annotations
 
@@ -16,9 +15,7 @@ from repro.errors import (
 from repro.obs import (
     OBS,
     QUERY_ERRORS_METRIC,
-    HealthMonitor,
     classify_error,
-    index_canary,
     record_query_error,
 )
 
@@ -100,58 +97,3 @@ class TestErrorAccounting:
         kinds = {dict(c.labels)["kind"] for c in family.labelled()}
         assert kinds == {"pattern"}
 
-
-class TestHealth:
-    def test_empty_monitor_is_ready(self):
-        assert HealthMonitor().check() == {"ready": True, "components": {}}
-
-    def test_component_flips_readiness(self):
-        monitor = HealthMonitor()
-        monitor.set_component("workers", False, "pool stalled")
-        report = monitor.check()
-        assert report["ready"] is False
-        assert report["components"]["workers"]["detail"] == "pool stalled"
-        monitor.set_component("workers", True)
-        assert monitor.check()["ready"] is True
-
-    def test_probe_runs_on_every_check(self):
-        monitor = HealthMonitor()
-        state = {"ok": True}
-        monitor.register_probe("db", lambda: (state["ok"], "probed"))
-        assert monitor.check()["ready"] is True
-        state["ok"] = False
-        report = monitor.check()
-        assert report["ready"] is False
-        assert report["components"]["db"]["source"] == "probe"
-
-    def test_raising_probe_is_not_ready(self):
-        monitor = HealthMonitor()
-
-        def boom():
-            raise RuntimeError("no database")
-
-        monitor.register_probe("db", boom)
-        report = monitor.check()
-        assert report["ready"] is False
-        assert "no database" in report["components"]["db"]["detail"]
-
-    def test_index_canary_passes_on_healthy_index(self):
-        index = KMismatchIndex("acagacattagacagacat")
-        ok, detail = index_canary(index)()
-        assert ok is True and "canary query ok" in detail
-
-    def test_index_canary_fails_on_missing_pattern(self):
-        index = KMismatchIndex("acagacattagacagacat")
-        ok, detail = index_canary(index, pattern="ttttttt")()
-        assert ok is False and "not found" in detail
-
-    def test_index_canary_fails_on_raising_index(self):
-        class Broken:
-            text = "acgt"
-            text_length = 4
-
-            def contains(self, pattern, k):
-                raise IndexCorruptionError("checksum mismatch")
-
-        ok, detail = index_canary(Broken())()
-        assert ok is False and "checksum mismatch" in detail
