@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import islice
-from operator import attrgetter
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
@@ -228,7 +227,8 @@ class AlgorithmASearcher:
                 occurrences=len(occurrences),
             )
         self.last_mtree = mtree
-        return sorted(occurrences, key=attrgetter("start")), stats
+        occurrences.sort()
+        return occurrences, stats
 
     def _evict_memo(self, recorded_before: int) -> int:
         """Drop the oldest entries down to :data:`MEMO_LIMIT`.

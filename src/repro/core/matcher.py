@@ -10,10 +10,8 @@ index.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from operator import attrgetter
 from time import perf_counter_ns
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..alphabet import DNA, Alphabet, infer_alphabet
 from ..obs import COUNT_BUCKETS, OBS, new_trace_id, record_query_error
@@ -28,23 +26,17 @@ from .types import Occurrence, SearchStats
 from .wildcard import DEFAULT_WILDCARD
 
 
-@dataclass(frozen=True, order=True)
-class ReadHit:
+class ReadHit(NamedTuple):
     """One strand-aware mapping of a read (see :meth:`KMismatchIndex.map_read`).
 
     ``strand`` is ``'+'`` when the read matched the target as given and
     ``'-'`` when its reverse complement matched; ``occurrence`` is always
-    in forward-target coordinates.
+    in forward-target coordinates.  A named tuple ``(occurrence,
+    strand)``, so hits sort by ``(start, mismatches, strand)``.
     """
 
     occurrence: Occurrence
     strand: str
-
-
-#: Sort key for read hits: ``(start, mismatches, strand)``, exactly
-#: :class:`ReadHit`'s dataclass order, read in C instead of through
-#: Python-level ``__lt__`` calls.
-HIT_ORDER = attrgetter("occurrence.start", "occurrence.mismatches", "strand")
 
 
 def observe_queries(
@@ -417,13 +409,15 @@ class KMismatchIndex:
                 reverse_complement(read), k, method
             )
             stats.merge(reverse_stats)
-            hits = [ReadHit(occ, "+") for occ in forward]
-            hits += [ReadHit(occ, "-") for occ in reverse]
+            new = tuple.__new__
+            hits = [new(ReadHit, (occ, "+")) for occ in forward]
+            hits += [new(ReadHit, (occ, "-")) for occ in reverse]
             span.set(hits=len(hits))
         if OBS.enabled:
             OBS.metrics.counter("map_read.count").inc()
             OBS.metrics.counter("map_read.hits").inc(len(hits))
-        return sorted(hits, key=HIT_ORDER), stats
+        hits.sort()
+        return hits, stats
 
     def map_reads(
         self,

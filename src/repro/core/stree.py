@@ -24,7 +24,6 @@ explicit stack.  :class:`STreeSearcher` runs it as is; Algorithm A
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bwt.fmindex import FMIndex
@@ -243,6 +242,7 @@ def tree_search(
         table, gen, extend, replay = memo
         probe = table.get
         stride = fm.n_rows + 1
+    new = tuple.__new__
     occurrences: List[Occurrence] = []
     report = occurrences.append
     nodes = replayed = probes = rows = completed = phi_cuts = dead = budget_cuts = 0
@@ -263,7 +263,7 @@ def tree_search(
             positions = tuple([pos for pos, _ in mm])
             located, walked = locate_rows(lo, hi)
             locate_steps += walked
-            occurrences += [Occurrence(end - pos, positions) for pos in located]
+            occurrences += [new(Occurrence, (end - pos, positions)) for pos in located]
             if on_leaf is not None:
                 on_leaf(i, mm)
             continue
@@ -314,7 +314,7 @@ def tree_search(
                     rows += 1
                     located, walked = locate_rows(row, row + 1)
                     locate_steps += walked
-                    report(Occurrence(end - located[0], tuple([pos for pos, _ in mm])))
+                    report(new(Occurrence, (end - located[0], tuple([pos for pos, _ in mm]))))
                     break
                 if phi is not None and k - used < phi[i]:
                     phi_cuts += 1
@@ -427,4 +427,5 @@ class STreeSearcher:
             phi = compute_phi(fm, pattern_codes, k + 1, stats) if self._use_phi else None
             occurrences = tree_search(fm, pattern_codes, k, phi, stats)
             span.set(leaves=stats.leaves, occurrences=len(occurrences))
-        return sorted(occurrences, key=attrgetter("start")), stats
+        occurrences.sort()
+        return occurrences, stats

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """One approximate occurrence of the pattern in the target.
+
+    A named tuple ``(start, mismatches)``: it sorts by start, then
+    mismatch offsets, and equals (and hashes as) the plain tuple of its
+    fields.  Hot paths build it with ``tuple.__new__(Occurrence, (start,
+    mismatches))``, which skips the Python-level constructor.
 
     Attributes
     ----------

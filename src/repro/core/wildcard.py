@@ -14,7 +14,6 @@ nucleotide), the default here.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import List, Optional, Tuple
 
 from ..bwt.fmindex import FMIndex
@@ -70,7 +69,8 @@ class WildcardSearcher:
             ]
             out = self._walk(wanted, k, stats)
             span.set(occurrences=len(out))
-        return sorted(out, key=attrgetter("start")), stats
+        out.sort()
+        return out, stats
 
     # -- internals -----------------------------------------------------------
 
@@ -83,6 +83,7 @@ class WildcardSearcher:
         fm = self._fm
         m = len(wanted)
         end = fm.text_length - m
+        new = tuple.__new__
         out: List[Occurrence] = []
         stack: List[Tuple[int, int, int, Tuple[int, ...]]] = [(0, fm.n_rows, 0, ())]
         while stack:
@@ -91,7 +92,7 @@ class WildcardSearcher:
                 located, walked = fm.locate_rows(lo, hi)
                 stats.rows_located += len(located)
                 stats.locate_steps += walked
-                out += [Occurrence(end - pos, mm) for pos in located]
+                out += [new(Occurrence, (end - pos, mm)) for pos in located]
                 continue
             want = wanted[offset]
             for code, clo, chi in fm.children((lo, hi)):
@@ -120,5 +121,5 @@ def naive_wildcard_search(
                 if len(mismatches) > k:
                     break
         else:
-            out.append(Occurrence(start, tuple(mismatches)))
+            out.append(tuple.__new__(Occurrence, (start, tuple(mismatches))))
     return out

@@ -61,15 +61,12 @@ def pack_chunk(chunk_id: int, kind: str, results: Sequence[Sequence[object]]) ->
         for item_id, entries in enumerate(results):
             for entry in entries:
                 if kind == "map":
-                    occurrence = entry.occurrence
-                    flags = FLAG_REVERSE if entry.strand == "-" else 0
+                    (start, mismatches), strand = entry
+                    flags = FLAG_REVERSE if strand == "-" else 0
                 else:
-                    occurrence = entry
+                    start, mismatches = entry
                     flags = 0
-                mismatches = occurrence.mismatches
-                parts.append(header(
-                    occurrence.start, item_id, chunk_id, len(mismatches), flags
-                ))
+                parts.append(header(start, item_id, chunk_id, len(mismatches), flags))
                 if mismatches:
                     parts.append(_offsets(len(mismatches)).pack(*mismatches))
     except struct.error as exc:
@@ -92,6 +89,7 @@ def decode_chunk(
     from ..core.matcher import ReadHit
     from ..core.types import Occurrence
 
+    new = tuple.__new__
     out: List[List[object]] = [[] for _ in range(n_items)]
     unpack_header = RECORD_HEADER.unpack_from
     header_size = RECORD_HEADER.size
@@ -121,11 +119,8 @@ def decode_chunk(
             offset = stop
         else:
             mismatches = ()
-        occurrence = Occurrence(position, mismatches)
+        hit = new(Occurrence, (position, mismatches))
         if kind == "map":
-            out[item_id].append(
-                ReadHit(occurrence, "-" if flags & FLAG_REVERSE else "+")
-            )
-        else:
-            out[item_id].append(occurrence)
+            hit = new(ReadHit, (hit, "-" if flags & FLAG_REVERSE else "+"))
+        out[item_id].append(hit)
     return out

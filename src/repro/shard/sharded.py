@@ -32,7 +32,6 @@ query telemetry).  Its own fan-out emits
 
 from __future__ import annotations
 
-from operator import attrgetter
 from pathlib import Path
 from time import perf_counter_ns
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,7 +41,6 @@ from ..bwt.fmindex import DEFAULT_SA_SAMPLE
 from ..bwt.rankall import DEFAULT_SAMPLE_RATE
 from ..core.kerrors import EDIT_ORDER, EditOccurrence
 from ..core.matcher import (
-    HIT_ORDER,
     KMismatchIndex,
     ReadHit,
     fold_search,
@@ -138,7 +136,7 @@ class QueryRouter:
         return occurrences
 
     def _route(self, pattern, k, shard_fn, engine, window=None, rebase=None,
-               observe=False, order=attrgetter("start")):
+               observe=False, order=None):
         """Fan ``shard_fn`` out over the shards; merge owned hits globally.
 
         ``window`` is the longest target window a hit may cover
@@ -152,7 +150,8 @@ class QueryRouter:
         a k-mismatch query, which is also observed in the ``query.*``
         families, and whose ``search.*`` fold carries Algorithm A's memo
         summed over the shards.  ``order`` is the merge's sort key (by
-        default the start, which an owned k-mismatch hit has alone).
+        default the hits' own order: an owned k-mismatch hit has its
+        start alone).
 
         A raised routed query — seam-budget rejection, a shard failing
         mid-fanout — is counted in ``query.errors{engine,k,kind}``
@@ -174,7 +173,7 @@ class QueryRouter:
         sharded.check_seam_budget(window)
         if rebase is None:
             def rebase(occ, offset):
-                return Occurrence(occ.start + offset, occ.mismatches)
+                return tuple.__new__(Occurrence, (occ.start + offset, occ.mismatches))
 
         def run_shard(item):
             shard_id, spec, index = item
@@ -303,9 +302,8 @@ class QueryRouter:
                         for entry in shard_out
                         if spec.owns(self._result_start(entry) + spec.start)
                     )
-        order = HIT_ORDER if kind == "map" else attrgetter("start")
         for bucket in merged:
-            bucket.sort(key=order)
+            bucket.sort()
         return merged, stats
 
     @staticmethod
@@ -314,10 +312,12 @@ class QueryRouter:
 
     @staticmethod
     def _rebase_result(entry, spec: ShardSpec):
+        new = tuple.__new__
         if isinstance(entry, ReadHit):
-            occ = entry.occurrence
-            return ReadHit(Occurrence(occ.start + spec.start, occ.mismatches), entry.strand)
-        return Occurrence(entry.start + spec.start, entry.mismatches)
+            (start, mismatches), strand = entry
+            return new(ReadHit, (new(Occurrence, (start + spec.start, mismatches)), strand))
+        start, mismatches = entry
+        return new(Occurrence, (start + spec.start, mismatches))
 
 
 class ShardedIndex:
@@ -665,10 +665,12 @@ class ShardedIndex:
                 reverse_complement(read), k, method
             )
             stats.merge(reverse_stats)
-            hits = [ReadHit(occ, "+") for occ in forward]
-            hits += [ReadHit(occ, "-") for occ in reverse]
+            new = tuple.__new__
+            hits = [new(ReadHit, (occ, "+")) for occ in forward]
+            hits += [new(ReadHit, (occ, "-")) for occ in reverse]
             span.set(hits=len(hits))
-        return sorted(hits, key=HIT_ORDER), stats
+        hits.sort()
+        return hits, stats
 
     def map_reads(
         self,
