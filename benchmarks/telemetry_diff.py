@@ -9,15 +9,14 @@ on a 4-shard index.  It then compares what each run recorded:
   and gauge values, histogram observation counts (bucket placement of
   latency histograms is timing, so only non-latency buckets are
   compared);
-* the flight-recorder dump (``OBS.recorder.to_dict()``): every record,
-  field by field;
+* every record the sink wrote (``wide.jsonl``), field by field;
 * ``events summarize --json`` over the sink.
 
 Time fields (timestamps, durations, latency percentiles, rates, trace
 ids, span trees) are left out of every comparison.  The differences
-the one-record-per-query telemetry change makes on purpose are listed
-below as constants (``RETIRED``, ``RENAMED_EVENTS``, ``FILLED`` and the
-sharded ``events summarize`` counts); anything else fails::
+the telemetry changes make on purpose are listed below as constants
+(``RETIRED``, ``RENAMED_EVENTS``, ``FILLED``, ``DROPPED``, ``VERSIONS``
+and the sharded ``events summarize`` counts); anything else fails::
 
     python benchmarks/telemetry_diff.py OLD_SRC NEW_SRC
 
@@ -48,6 +47,13 @@ RENAMED_EVENTS = {"router": "query"}
 
 #: Record fields the old tree left at their default and the new one fills.
 FILLED = {"error": ("m",)}
+
+#: Record fields the new tree no longer writes: ``seq`` numbered the
+#: in-memory ring the records used to pass through.
+DROPPED = ("seq",)
+
+#: Record schema version bumps, old to new.
+VERSIONS = {2: 3}
 
 
 def run_workload(out: Path, shards: int) -> None:
@@ -82,7 +88,6 @@ def run_workload(out: Path, shards: int) -> None:
     OBS.disable()
     OBS.close_wide_log()
     (out / "metrics.json").write_text(json.dumps(OBS.metrics.to_dict()))
-    (out / "queries.json").write_text(json.dumps(OBS.recorder.to_dict()))
     (out / "meta.json").write_text(json.dumps(
         {"queries": routed, "rejected": len(reads) - routed}))
     with open(out / "events.json", "w") as handle:
@@ -147,6 +152,12 @@ def load(side: Path, name: str):
     return json.loads((side / name).read_text())
 
 
+def load_records(side: Path) -> list:
+    """The records one run's sink wrote, in write order."""
+    lines = (side / "wide.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
 def compare(old: Path, new: Path, sharded: bool) -> list:
     """Every unexpected difference between the two runs' surfaces."""
     problems = []
@@ -162,13 +173,13 @@ def compare(old: Path, new: Path, sharded: bool) -> list:
     problems += ["metrics" + p for p in missing_or_changed(
         metric_view(old_metrics), metric_view(new_metrics))]
 
-    old_records = load(old, "queries.json")["recent"]
-    new_records = load(new, "queries.json")["recent"]
+    old_records, new_records = load_records(old), load_records(new)
     for record in old_records:
         record["event"] = RENAMED_EVENTS.get(record["event"], record["event"])
-        for field in FILLED.get(record["event"], ()):
+        record["version"] = VERSIONS.get(record["version"], record["version"])
+        for field in FILLED.get(record["event"], ()) + DROPPED:
             record.pop(field, None)
-    problems += ["queries" + p for p in missing_or_changed(
+    problems += ["records" + p for p in missing_or_changed(
         stable(old_records), stable(new_records))]
 
     old_events, new_events = load(old, "events.json"), load(new, "events.json")

@@ -17,11 +17,10 @@ Subcommands
                    ``--by engine,k`` (or ``--by shard`` for routed
                    queries) regroups labelled series into dimensional
                    tables.
-``events``         Read telemetry records — a ``--wide-events`` log or a
-                   ``--flight-json`` dump: ``tail`` (newest records;
-                   ``--slow``, ``--spans``) and ``summarize``
-                   (per-{engine,k} exact percentiles, batch return
-                   paths, event rate).
+``events``         Read the telemetry records of a ``--wide-events`` log:
+                   ``tail`` (newest records; ``--slow``, ``--spans``) and
+                   ``summarize`` (per-{engine,k} exact percentiles, batch
+                   return paths, event rate).
 ``bench``          Run the fixed CI workload; with ``--check-regression``,
                    gate against a committed baseline JSON;
                    ``--update-baseline`` rewrites that baseline in one step.
@@ -32,9 +31,9 @@ engine or alias works; ``repro-cli engines`` lists them.
 
 The ``index``, ``search``, ``map`` and ``compare`` subcommands accept
 ``--trace`` (print a span/metrics summary to stderr), ``--stats-json
-PATH`` (write the full machine-readable trace document), ``--wide-events
-PATH`` (append one JSON record per query/batch) and ``--flight-json PATH``
-(dump the flight recorder on exit) — see ``docs/OBSERVABILITY.md``.
+PATH`` (write the full machine-readable trace document) and
+``--wide-events PATH`` (append one JSON record per query/batch, pool
+workers' queries included) — see ``docs/OBSERVABILITY.md``.
 For function-level time, run a command under the standard library's
 profiler: ``python -m cProfile -o prof.out -m repro.cli search ...``.
 
@@ -383,9 +382,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                         help="print a span/metrics summary to stderr when done")
     parser.add_argument("--stats-json", default="", metavar="PATH",
                         help="write the full trace document (spans + metrics) as JSON")
-    parser.add_argument("--flight-json", default="", metavar="PATH",
-                        help="dump the flight recorder (recent + pinned slow "
-                             "queries) as JSON lines on exit")
     parser.add_argument("--wide-events", default="", metavar="PATH",
                         help="append one JSON record per query/batch to PATH "
                              "(JSON lines; sampled via REPRO_EVENT_SAMPLE, "
@@ -504,20 +500,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_events = sub.add_parser(
         "events",
-        help="read telemetry records from a --wide-events log or a "
-             "--flight-json dump")
+        help="read telemetry records from a --wide-events log")
     ev_sub = p_events.add_subparsers(dest="events_command", required=True)
     p_ev_tail = ev_sub.add_parser(
         "tail", help="print the newest records, one line each")
     p_ev_tail.add_argument("events_file", metavar="EVENTS",
-                           help="record JSONL file (--wide-events or "
-                                "--flight-json)")
+                           help="record JSONL file written by --wide-events")
     p_ev_tail.add_argument("-n", type=int, default=20,
                            help="records to show (default 20; 0 = all)")
     p_ev_tail.add_argument("--json", dest="json_out", action="store_true",
                            help="print raw JSON lines instead of the table")
     p_ev_tail.add_argument("--slow", action="store_true",
-                           help="show only records pinned as slow")
+                           help="show only records marked slow (>= 250 ms)")
     p_ev_tail.add_argument("--spans", action="store_true",
                            help="render each record's span tree too")
     p_ev_tail.set_defaults(func=_cmd_events)
@@ -578,10 +572,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     trace = getattr(args, "trace", False) is True
     stats_json = getattr(args, "stats_json", "")
-    flight_json = getattr(args, "flight_json", "")
     wide_path = (getattr(args, "wide_events", "")
                  or os.environ.get("REPRO_EVENT_LOG", ""))
-    observing = trace or bool(stats_json) or bool(flight_json) or bool(wide_path)
+    observing = trace or bool(stats_json) or bool(wide_path)
     if observing:
         OBS.reset().enable()
         if wide_path:
@@ -597,10 +590,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"# wide events ({wide_state['lines_written']} written, "
                       f"{wide_state['lines_sampled_out']} sampled out) -> "
                       f"{wide_path}", file=sys.stderr)
-            if flight_json:
-                n = OBS.recorder.dump_jsonl(flight_json)
-                print(f"# flight recorder ({n} record(s)) written to {flight_json}",
-                      file=sys.stderr)
             if stats_json:
                 OBS.write_trace(stats_json, command=args.command)
                 print(f"# trace written to {stats_json}", file=sys.stderr)

@@ -249,10 +249,10 @@ class KMismatchIndex:
         dimensional series the paper's evaluation plots —
         ``query.search_ms{engine,k}``, labelled ``query.count`` /
         ``query.occurrences`` children and the ``search.*`` fold of its
-        :class:`SearchStats` — plus one telemetry record (flight
-        recorder and ``--wide-events`` sink) carrying a fresh
-        ``trace_id``.  Engine labels use the registry's canonical name, so ``"A()"`` and ``"algorithm_a"``
-        land in one series.  A shard leg (:attr:`shard` set) validates,
+        :class:`SearchStats` — plus, while a ``--wide-events`` sink is
+        open, one telemetry record carrying a fresh ``trace_id``.
+        Engine labels use the registry's canonical name, so ``"A()"``
+        and ``"algorithm_a"`` land in one series.  A shard leg (:attr:`shard` set) validates,
         counts its own failure in ``query.errors`` and searches; the
         router records the routed query.
         """
@@ -267,7 +267,8 @@ class KMismatchIndex:
                 raise
             return occurrences, stats
         engine_name = REGISTRY.canonical_name(method)
-        trace_id = new_trace_id()
+        recording = OBS.wide_log is not None
+        trace_id = new_trace_id() if recording else None
         start_ns = perf_counter_ns()
         # A raised query is a served query too: classify and count it in
         # query.errors{engine,k,kind} before re-raising (idempotently —
@@ -284,17 +285,18 @@ class KMismatchIndex:
         duration_ms = (perf_counter_ns() - start_ns) / 1e6
         observe_queries(engine_name, k, len(occurrences), duration_ms)
         fold_search((engine,), k, stats, len(occurrences))
-        OBS.record_event(
-            "query",
-            engine=engine_name,
-            k=k,
-            m=len(pattern),
-            duration_ms=duration_ms,
-            occurrences=len(occurrences),
-            trace_id=trace_id,
-            stats=stats.to_dict(),
-            spans=span.to_dict() if OBS.tracer.enabled else None,
-        )
+        if recording:
+            OBS.record_event(
+                "query",
+                engine=engine_name,
+                k=k,
+                m=len(pattern),
+                duration_ms=duration_ms,
+                occurrences=len(occurrences),
+                trace_id=trace_id,
+                stats=stats.to_dict(),
+                spans=span.to_dict() if OBS.tracer.enabled else None,
+            )
         return occurrences, stats
 
     def engine(self, method: str, fresh: bool = False, **knobs) -> SearchEngine:
@@ -370,8 +372,14 @@ class KMismatchIndex:
         pattern; see :mod:`repro.core.kerrors` for semantics and
         :func:`repro.core.kerrors.best_per_start` to reduce per start.
         """
-        self._alphabet.validate(pattern)
-        occurrences, stats = self.engine("kerrors").search(pattern, k)
+        try:
+            self._alphabet.validate(pattern)
+            occurrences, stats = self.engine("kerrors").search(pattern, k)
+        except Exception as exc:
+            # A shard leg leaves the count to the router.
+            if OBS.enabled and self.shard is None:
+                record_query_error("kerrors", k, exc, m=len(pattern))
+            raise
         if OBS.enabled and self.shard is None:
             record_search_metrics("kerrors", k, stats, len(occurrences), tree=False)
         return occurrences
@@ -380,7 +388,13 @@ class KMismatchIndex:
         self, pattern: str, k: int = 0, wildcard: str = DEFAULT_WILDCARD
     ) -> List[Occurrence]:
         """k-mismatch search where ``wildcard`` pattern positions match anything."""
-        occurrences, stats = self.engine("wildcard", wildcard=wildcard).search(pattern, k)
+        try:
+            occurrences, stats = self.engine("wildcard", wildcard=wildcard).search(pattern, k)
+        except Exception as exc:
+            # A shard leg leaves the count to the router.
+            if OBS.enabled and self.shard is None:
+                record_query_error("wildcard", k, exc, m=len(pattern))
+            raise
         if OBS.enabled and self.shard is None:
             record_search_metrics("wildcard", k, stats, len(occurrences), tree=False)
         return occurrences

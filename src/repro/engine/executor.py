@@ -60,6 +60,7 @@ from ..obs import (
     new_trace_id,
     record_query_error,
 )
+from ..obs.export import RecordBuffer
 from .records import decode_chunk, pack_chunk
 
 #: Default stuck-pool deadline in seconds (env ``REPRO_WORKER_STALL_S``):
@@ -314,20 +315,21 @@ class BatchExecutor:
             OBS.metrics.counter("engine.batch.items").inc(len(items))
             OBS.metrics.counter("engine.batch.chunks").inc(batch.n_chunks)
             OBS.metrics.gauge("engine.pool.workers").set(batch.workers)
-            OBS.record_event(
-                "batch",
-                engine=REGISTRY.canonical_name(method),
-                k=k,
-                duration_ms=(perf_counter() - start) * 1e3,
-                occurrences=sum(len(r) for r in batch.results),
-                trace_id=batch_trace_id,
-                stats=batch.stats.to_dict(),
-                kind=kind,
-                items=len(items),
-                chunks=batch.n_chunks,
-                workers=batch.workers,
-                mode=batch.mode,
-            )
+            if OBS.wide_log is not None:
+                OBS.record_event(
+                    "batch",
+                    engine=REGISTRY.canonical_name(method),
+                    k=k,
+                    duration_ms=(perf_counter() - start) * 1e3,
+                    occurrences=sum(len(r) for r in batch.results),
+                    trace_id=batch_trace_id,
+                    stats=batch.stats.to_dict(),
+                    kind=kind,
+                    items=len(items),
+                    chunks=batch.n_chunks,
+                    workers=batch.workers,
+                    mode=batch.mode,
+                )
         return batch
 
     def _run_parallel(
@@ -356,6 +358,9 @@ class BatchExecutor:
 
         workers = min(workers, len(chunks))
         observe = OBS.enabled
+        # Workers build per-query records only when they have somewhere
+        # to go: the parent's open sink.
+        keep_records = observe and OBS.wide_log is not None
         engine_name = REGISTRY.canonical_name(method)
         watchdog = _WorkerWatchdog(
             self.stall_timeout,
@@ -381,7 +386,7 @@ class BatchExecutor:
                 proc = ctx.Process(
                     target=_pool_worker,
                     args=(
-                        worker_id, shm.name, observe,
+                        worker_id, shm.name, observe, keep_records,
                         kind, k, method, task_q, result_q,
                         self.shard,
                     ),
@@ -442,7 +447,7 @@ class BatchExecutor:
             chunk_out, chunk_stats, obs_payload = outcomes[chunk_id]
             if observe and obs_payload is not None:
                 # Tag the worker's shipped records with the batch's
-                # correlation id before re-recording them, so the batch's
+                # correlation id before they reach the sink, so the batch's
                 # ``trace_id`` selects every per-query record it produced.
                 if batch_trace_id:
                     for record in obs_payload.get("records") or []:
@@ -567,6 +572,7 @@ def _pool_worker(
     worker_id: int,
     shm_name: str,
     observe: bool,
+    keep_records: bool,
     kind: str,
     k: int,
     method: str,
@@ -591,12 +597,14 @@ def _pool_worker(
     happens *before* the first chunk's telemetry snapshot, so its own
     counters and spans never leak into per-chunk deltas; the cost is
     reported separately through one ``("hydrated", ...)`` message.
+    ``keep_records`` (the parent has a sink open) makes the worker
+    collect its records in a :class:`~repro.obs.export.RecordBuffer`.
 
     Per-chunk telemetry deltas are taken against a snapshot at chunk
     entry (see :class:`repro.obs.ObsDelta`), so counters inherited
     across ``fork`` are not double-reported and a worker serving many
     chunks ships each chunk's increments exactly once — labelled series
-    and flight-recorder records included.
+    and records included.
     """
     # Move the heap inherited over fork out of the collector's sight, so
     # this worker's collections (and its exit collect) walk only what it
@@ -611,11 +619,11 @@ def _pool_worker(
         # Under fork the worker inherits the parent's open engine.batch
         # span; drop it so worker spans finish as roots and get shipped.
         OBS.tracer.clear_stack()
-        # A fork-inherited sink would write worker records through the
-        # parent's file handle; they reach the parent's ring through the
-        # ObsDelta payload instead.  Detach without closing: the handle
-        # belongs to the parent.
-        OBS.wide_log = None
+    # A fork-inherited sink would write worker records through the
+    # parent's file handle; the worker collects them for its ObsDelta
+    # payload instead, and the parent writes them.  Detach without
+    # closing: the handle belongs to the parent.
+    OBS.wide_log = RecordBuffer() if keep_records else None
     start = perf_counter()
     shm = shared_memory.SharedMemory(name=shm_name)
     # The index wraps `shm.buf` zero-copy — it holds memoryviews into the

@@ -32,8 +32,8 @@ Instrumented code follows three rules:
   ``enabled`` flag: ``if OBS.enabled: ...`` — one attribute read on
   the disabled path.
 * **Per-query telemetry** is one record: :meth:`Observability.record_event`
-  keeps it in the flight recorder and writes it to the open
-  ``--wide-events`` sink (schema in :mod:`repro.obs.events`).
+  builds it only while a ``--wide-events`` sink is open and writes it
+  there (schema in :mod:`repro.obs.events`).
 
 The trace-file format written by :meth:`Observability.export` /
 ``repro-cli --stats-json`` is documented in ``docs/OBSERVABILITY.md``.
@@ -42,7 +42,7 @@ The trace-file format written by :meth:`Observability.export` /
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Optional
 
 from .metrics import (
     COUNT_BUCKETS,
@@ -62,12 +62,6 @@ from .metrics import (
 )
 from .tracing import NULL_SPAN, Span, Timer, Tracer, render_span_tree
 from .export import ObsDelta, merge_metrics, merge_obs_delta, metrics_delta
-from .recorder import (
-    DEFAULT_SLOW_MS,
-    FlightRecorder,
-    new_trace_id,
-    prune_span_tree,
-)
 from .events import (
     QUERY_ERRORS_METRIC,
     WIDE_EVENT_FORMAT,
@@ -77,6 +71,7 @@ from .events import (
     count_query_error,
     load_wide_events,
     make_record,
+    new_trace_id,
     record_query_error,
     render_event_lines,
     render_event_summary,
@@ -103,14 +98,12 @@ class Observability:
     budget the test suite enforces.
     """
 
-    __slots__ = ("tracer", "metrics", "enabled", "recorder", "wide_log")
+    __slots__ = ("tracer", "metrics", "enabled", "wide_log")
 
     def __init__(self):
         self.tracer = Tracer(enabled=False)
         self.metrics = MetricsRegistry()
         self.enabled = False
-        #: Bounded ring of recent query/batch records (+ pinned slow ones).
-        self.recorder = FlightRecorder()
         #: Optional sampling/rotating record sink (:meth:`open_wide_log`).
         self.wide_log = None
 
@@ -129,11 +122,10 @@ class Observability:
         return self
 
     def reset(self) -> "Observability":
-        """Drop all collected spans, metrics and flight-recorder records
-        (enabled state and any open sink unchanged)."""
+        """Drop all collected spans and metrics (enabled state and any
+        open sink unchanged)."""
         self.tracer.reset()
         self.metrics.reset()
-        self.recorder.clear()
         return self
 
     # -- convenience forwarding ----------------------------------------------
@@ -153,7 +145,7 @@ class Observability:
         if self.enabled:
             self.metrics.counter(name, **labels).inc(n)
 
-    # -- flight recorder / sink ---------------------------------------------
+    # -- record sink ----------------------------------------------------------
 
     def open_wide_log(self, path: str, sample=None, max_bytes=None,
                       backups=None) -> WideEventLog:
@@ -175,18 +167,20 @@ class Observability:
             self.wide_log.close()
             self.wide_log = None
 
-    def record_event(self, event: str, **fields) -> dict:
-        """Build, retain and (if a sink is open) write one record.
+    def record_event(self, event: str, **fields) -> Optional[dict]:
+        """Build and write one record when a sink is open; returns it
+        (``None`` with no sink, when nothing is built).
 
         The one telemetry record per query, routed query, batch or
-        error (fields: :func:`~repro.obs.events.make_record`).  It lands
-        in the flight recorder's ring (pinned too when it crosses the
-        slow threshold) and in the sampled, rotating sink.  Call sites
-        guard with ``if OBS.enabled`` — this method does not.
+        error (fields: :func:`~repro.obs.events.make_record`), written
+        to the sampled, rotating sink.  Call sites guard with ``if
+        OBS.enabled`` — this method does not — and the query paths also
+        check ``wide_log`` before computing costly fields.
         """
-        record = self.recorder.record(make_record(event, **fields))
-        if self.wide_log is not None:
-            self.wide_log.emit(record)
+        if self.wide_log is None:
+            return None
+        record = make_record(event, **fields)
+        self.wide_log.emit(record)
         return record
 
     # -- export ---------------------------------------------------------------
@@ -306,12 +300,8 @@ __all__ = [
     "merge_metrics",
     "merge_obs_delta",
     "ObsDelta",
-    # flight recorder (repro.obs.recorder)
-    "FlightRecorder",
-    "DEFAULT_SLOW_MS",
-    "new_trace_id",
-    "prune_span_tree",
     # the record schema, its sink and reader (repro.obs.events)
+    "new_trace_id",
     "WIDE_EVENT_FORMAT",
     "WIDE_EVENT_VERSION",
     "WideEventLog",

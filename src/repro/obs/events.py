@@ -5,11 +5,11 @@ built by :func:`make_record` — one flat JSON object carrying *every*
 dimension an operator might later group by (engine, ``k``, pattern
 length, occurrence count, shard fan-out, latency, the
 :class:`~repro.core.types.SearchStats` counts, trace id).
-:meth:`repro.obs.Observability.record_event` puts it in the flight
-recorder's ring and, when a sink is open, appends the same record to
-the :class:`WideEventLog`, so ``--flight-json`` dumps and
-``--wide-events`` logs share one schema and one reader
-(``repro-cli events {tail,summarize}``).
+:meth:`repro.obs.Observability.record_event` builds it only while a
+:class:`WideEventLog` sink is open (``--wide-events``) and appends it
+there; ``repro-cli events {tail,summarize}`` reads it back.  Records a
+process-pool worker writes ride home in its chunk's
+:class:`~repro.obs.export.ObsDelta` and reach the same sink.
 
 Three production concerns are handled by the sink rather than by call
 sites:
@@ -46,6 +46,7 @@ import math
 import os
 import threading
 import time
+import uuid
 from typing import Any, Dict, IO, List, Optional
 
 from ..errors import (
@@ -54,16 +55,19 @@ from ..errors import (
     PatternError,
     SerializationError,
 )
-from .recorder import prune_span_tree
 from .tracing import render_span_tree
 
 #: Format tag written into every record.
 WIDE_EVENT_FORMAT = "repro-wide-event"
 
-#: Record schema version.  Version 2 is the single record schema: the
-#: flight-recorder fields (``stats``, ``spans``, ``seq``, ``slow``) and
-#: the shard stamp joined the version-1 wide-event fields.
-WIDE_EVENT_VERSION = 2
+#: Record schema version.  Version 2 made one record schema (``stats``,
+#: ``spans``, ``slow`` and the shard stamp joined the version-1 fields);
+#: version 3 drops the in-memory ring's ``seq`` number.
+WIDE_EVENT_VERSION = 3
+
+#: A record whose ``duration_ms`` reaches this is marked ``slow``
+#: (``repro-cli events tail --slow`` selects those).
+SLOW_QUERY_MS = 250.0
 
 #: Default kept fraction (head-based sampling) — env REPRO_EVENT_SAMPLE.
 DEFAULT_EVENT_SAMPLE = float(os.environ.get("REPRO_EVENT_SAMPLE", "1.0"))
@@ -78,6 +82,17 @@ DEFAULT_EVENT_BACKUPS = int(os.environ.get("REPRO_EVENT_BACKUPS", "3"))
 
 #: Counter family bumped once per raised query (labels: engine, k, kind).
 QUERY_ERRORS_METRIC = "query.errors"
+
+
+def new_trace_id() -> str:
+    """A fresh 16-hex-char correlation id.
+
+    One id per recorded query or batch, written into its record (and
+    into the sink's sampling hash).  Random rather than sequential: ids
+    stay unique across the processes of a pool batch without
+    coordination.
+    """
+    return uuid.uuid4().hex[:16]
 
 
 def sample_keep(trace_id: Optional[str], sample: float,
@@ -125,15 +140,9 @@ def make_record(
     elsewhere);
     ``stats`` is the query's :meth:`SearchStats.to_dict`; ``spans`` its
     span tree (:meth:`~repro.obs.tracing.Span.to_dict`) when tracing
-    was on.  ``trace_id`` (see
-    :func:`~repro.obs.recorder.new_trace_id`) is the record's
-    correlation id.  Unset optionals are omitted.
-
-    Recorded span trees are bounded by ``REPRO_FLIGHT_SPAN_DEPTH`` /
-    ``REPRO_FLIGHT_SPAN_ATTRS`` (see
-    :func:`~repro.obs.recorder.prune_span_tree`; 0 or unset =
-    unlimited), so one deep trace cannot make every retained record
-    heavyweight.
+    was on.  ``trace_id`` (see :func:`new_trace_id`) is the record's
+    correlation id.  Unset optionals are omitted.  ``slow`` marks a
+    ``duration_ms`` of at least :data:`SLOW_QUERY_MS`.
     """
     record: Dict[str, Any] = {
         "format": WIDE_EVENT_FORMAT,
@@ -146,16 +155,13 @@ def make_record(
         "duration_ms": round(float(duration_ms), 6),
         "occurrences": occurrences,
         "shards": shards,
+        "slow": duration_ms >= SLOW_QUERY_MS,
     }
     if trace_id:
         record["trace_id"] = trace_id
     if stats is not None:
         record["stats"] = stats
     if spans is not None:
-        max_depth = int(os.environ.get("REPRO_FLIGHT_SPAN_DEPTH", "0") or 0)
-        max_attrs = int(os.environ.get("REPRO_FLIGHT_SPAN_ATTRS", "0") or 0)
-        if max_depth or max_attrs:
-            spans = prune_span_tree(spans, max_depth, max_attrs)
         record["spans"] = spans
     if shard is not None:
         record["shard"] = shard
@@ -250,9 +256,8 @@ class WideEventLog:
 
 def load_wide_events(path: str,
                      include_backups: bool = True) -> List[Dict[str, Any]]:
-    """Parse a record JSONL file (a ``--wide-events`` log, rotated
-    generations included oldest first, or a ``--flight-json`` dump),
-    blank lines skipped."""
+    """Parse a ``--wide-events`` record log (rotated generations
+    included oldest first), blank lines skipped."""
     paths: List[str] = []
     if include_backups:
         generation = 1
@@ -275,7 +280,7 @@ def load_wide_events(path: str,
 def tail_events(path: str, n: int = 20,
                 slow_only: bool = False) -> List[Dict[str, Any]]:
     """The newest ``n`` records of the live file (no backups; ``n = 0``
-    means all), only the ones pinned as slow with ``slow_only``."""
+    means all), only the ones marked ``slow`` with ``slow_only``."""
     records = load_wide_events(path, include_backups=False)
     if slow_only:
         records = [record for record in records if record.get("slow")]
@@ -459,9 +464,11 @@ def record_query_error(engine: str, k: Any, exc: BaseException,
 __all__ = [
     "WIDE_EVENT_FORMAT",
     "WIDE_EVENT_VERSION",
+    "SLOW_QUERY_MS",
     "DEFAULT_EVENT_SAMPLE",
     "DEFAULT_EVENT_MAX_BYTES",
     "DEFAULT_EVENT_BACKUPS",
+    "new_trace_id",
     "sample_keep",
     "make_record",
     "WideEventLog",

@@ -11,9 +11,10 @@ one chunk added on top of a baseline snapshot (fork-safe: inherited
 pre-fork totals subtract out), and :func:`merge_metrics` folds such a
 delta back into the parent's registry.  Both operate per *series*, so
 labelled children survive the hop with their label sets intact.
-:class:`ObsDelta` bundles the metric delta with the span trees and
-flight-recorder records the chunk finished, which is exactly the
-payload ``repro.engine.executor._pool_worker`` ships home.
+:class:`ObsDelta` bundles the metric delta with the span trees the
+chunk finished and the records it wrote into the worker's
+:class:`RecordBuffer`, which is exactly the payload
+``repro.engine.executor._pool_worker`` ships home.
 """
 
 from __future__ import annotations
@@ -110,38 +111,48 @@ def merge_metrics(registry: MetricsRegistry, payload: Dict[str, dict]) -> None:
                 ).merge(incoming)
 
 
+class RecordBuffer(list):
+    """A pool worker's sink: the records its current chunk wrote.
+
+    The worker installs one as ``OBS.wide_log`` when the parent has a
+    sink open; :class:`ObsDelta` ships its contents home and empties it.
+    """
+
+    __slots__ = ()
+    emit = list.append
+
+
 class ObsDelta:
     """One chunk's observability payload: metric deltas, span trees, and
-    freshly appended flight-recorder records.
+    the records the chunk wrote.
 
     Built worker-side by :meth:`capture`/:meth:`finish`, shipped as a
     plain dict (picklable), merged parent-side by :func:`merge_obs_delta`.
     Shipping the records (not just the metrics) puts a worker query's
-    record, ``trace_id`` and span tree in the parent's flight recorder,
-    whichever process ran the search.
+    record, ``trace_id`` and span tree in the parent's sink, whichever
+    process ran the search.
     """
 
     __slots__ = (
         "_before_metrics",
         "_before_roots",
-        "_before_records",
         "payload",
     )
 
     def __init__(self):
         self._before_metrics: Dict[str, dict] = {}
         self._before_roots = 0
-        self._before_records = 0
         self.payload: Optional[dict] = None
 
     @classmethod
     def capture(cls, obs) -> "ObsDelta":
-        """Snapshot ``obs`` (an :class:`~repro.obs.Observability`) now."""
+        """Snapshot ``obs`` (an :class:`~repro.obs.Observability`) now;
+        a :class:`RecordBuffer` sink starts the chunk empty."""
         snap = cls()
         snap._before_metrics = obs.metrics.to_dict()
         snap._before_roots = len(obs.tracer.finished)
-        recorder = getattr(obs, "recorder", None)
-        snap._before_records = recorder.total_recorded if recorder is not None else 0
+        if isinstance(obs.wide_log, RecordBuffer):
+            obs.wide_log.clear()
         return snap
 
     def finish(self, obs) -> dict:
@@ -151,21 +162,14 @@ class ObsDelta:
         the wall clock (wall time at the monotonic clock's zero), so the
         receiving process can rebase them onto *its* monotonic timeline
         and interleave worker spans with its own chronologically.
-        ``records`` are the flight-recorder entries appended since
-        capture (identified by their ``seq``; a fork-inherited ring's
-        pre-existing records subtract out the same way metrics do).
+        ``records`` are what a :class:`RecordBuffer` sink collected
+        since capture, in write order, every one of them.
         """
         spans = [span.to_dict() for span in obs.tracer.finished[self._before_roots :]]
         records: List[dict] = []
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            seen = set()
-            for record in recorder.recent() + recorder.slow():
-                seq = record.get("seq", 0)
-                if seq > self._before_records and seq not in seen:
-                    seen.add(seq)
-                    records.append(record)
-            records.sort(key=lambda r: r.get("seq", 0))
+        if isinstance(obs.wide_log, RecordBuffer):
+            records = obs.wide_log[:]
+            obs.wide_log.clear()
         self.payload = {
             "metrics": metrics_delta(self._before_metrics, obs.metrics.to_dict()),
             "spans": spans,
@@ -182,10 +186,9 @@ def merge_obs_delta(obs, payload: Optional[dict]) -> None:
     difference against the local anchor rebases adopted span start times
     onto the local monotonic clock (the anchors share the wall-clock
     reference, so their difference is exactly the monotonic offset
-    between the two processes).  Shipped flight-recorder records are
-    re-recorded locally: they get fresh ``seq`` numbers on the local
-    ring (their worker-side ordering is preserved) and re-run the local
-    slow-query pinning.
+    between the two processes).  Shipped records go to the local sink,
+    in the worker's order, through its head sampling; with no sink open
+    they are dropped.
     """
     if not payload:
         return
@@ -197,8 +200,7 @@ def merge_obs_delta(obs, payload: Optional[dict]) -> None:
         if clock_ns is not None:
             offset_ns = int(clock_ns) - (time_ns() - perf_counter_ns())
         obs.tracer.adopt(spans, offset_ns)
-    recorder = getattr(obs, "recorder", None)
-    if recorder is not None:
+    sink = obs.wide_log
+    if sink is not None:
         for record in payload.get("records") or []:
-            adopted = {k: v for k, v in record.items() if k not in ("seq", "slow")}
-            recorder.record(adopted)
+            sink.emit(record)

@@ -158,7 +158,7 @@ class QueryRouter:
         before re-raising (idempotently: per-shard facades count their
         own failures first and tag the exception).
         """
-        trace_id = new_trace_id() if OBS.enabled else None
+        trace_id = new_trace_id() if OBS.enabled and OBS.wide_log is not None else None
         try:
             return self._route_inner(pattern, k, shard_fn, engine, window,
                                      rebase, observe, order, trace_id)
@@ -229,18 +229,19 @@ class QueryRouter:
                     fold_search([index.engine(spec.name) for index in sharded.shards],
                                 k, stats, len(merged))
             # ``shards`` > 0 marks the routed query; its legs wrote none.
-            OBS.record_event(
-                "query",
-                engine=engine,
-                k=k,
-                m=len(pattern),
-                duration_ms=duration_ms,
-                occurrences=len(merged),
-                shards=len(items),
-                trace_id=trace_id,
-                stats=stats.to_dict(),
-                spans=span.to_dict() if OBS.tracer.enabled else None,
-            )
+            if OBS.wide_log is not None:
+                OBS.record_event(
+                    "query",
+                    engine=engine,
+                    k=k,
+                    m=len(pattern),
+                    duration_ms=duration_ms,
+                    occurrences=len(merged),
+                    shards=len(items),
+                    trace_id=trace_id,
+                    stats=stats.to_dict(),
+                    spans=span.to_dict() if OBS.tracer.enabled else None,
+                )
         return merged, stats
 
     # -- batch fan-out ----------------------------------------------------------
@@ -638,7 +639,11 @@ class ShardedIndex:
 
     def search_edit(self, pattern: str, k: int) -> List[EditOccurrence]:
         """k-errors (Levenshtein) windows over the sharded target."""
-        self._alphabet.validate(pattern)
+        try:
+            self._alphabet.validate(pattern)
+        except Exception as exc:
+            record_query_error("kerrors", k, exc, m=len(pattern))
+            raise
         return self.router.search_edit(pattern, k)
 
     def search_wildcard(

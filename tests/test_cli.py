@@ -136,10 +136,10 @@ class TestCommands:
 
     def test_search_streams_events_and_flight_json(self, genome_file, tmp_path,
                                                    capsys):
+        """``--wide-events`` writes the search's one record."""
         events = tmp_path / "events.jsonl"
-        flight = tmp_path / "flight.jsonl"
         rc = main(["search", str(genome_file), "tcaca", "-k", "2",
-                   "--wide-events", str(events), "--flight-json", str(flight)])
+                   "--wide-events", str(events)])
         assert rc == 0
         from repro.obs import load_wide_events
 
@@ -147,44 +147,38 @@ class TestCommands:
         assert len(event_records) == 1
         assert event_records[0]["event"] == "query"
         assert event_records[0]["engine"] == "algorithm_a"
-        flight_records = load_wide_events(str(flight))
-        assert len(flight_records) == 1
-        assert flight_records[0]["stats"]["rank_queries"] > 0
-        # One record, one schema: the sink line is the ring's record.
-        assert flight_records == event_records
-        err = capsys.readouterr().err
-        assert "wide events" in err and "flight recorder" in err
+        assert event_records[0]["stats"]["rank_queries"] > 0
+        assert "wide events" in capsys.readouterr().err
 
     def test_flightrecorder_renders_dump(self, genome_file, tmp_path, capsys):
-        flight = tmp_path / "flight.jsonl"
+        """``events tail`` renders a search's sink log, span tree included."""
+        events = tmp_path / "events.jsonl"
         assert main(["search", str(genome_file), "tcaca", "-k", "2",
-                     "--flight-json", str(flight)]) == 0
+                     "--wide-events", str(events)]) == 0
         capsys.readouterr()
-        rc = main(["events", "tail", str(flight), "-n", "0", "--spans"])
+        rc = main(["events", "tail", str(events), "-n", "0", "--spans"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "algorithm_a" in out
         assert "kmismatch.search" in out  # --spans renders the span tree
-        # Nothing crosses the default 250 ms slow threshold here.
-        assert main(["events", "tail", str(flight), "--slow"]) == 0
+        # Nothing crosses the 250 ms slow threshold here.
+        assert main(["events", "tail", str(events), "--slow"]) == 0
         assert capsys.readouterr().out.strip() == "(no events)"
 
     def test_events_tail_slow_shows_only_slow_records(self, tmp_path, capsys):
         import json as json_module
 
-        from repro.obs import FlightRecorder, make_record
+        from repro.obs import WideEventLog, make_record
 
-        recorder = FlightRecorder(capacity=4, slow_ms=100.0)
-        recorder.record(make_record("query", engine="algorithm_a",
-                                    duration_ms=1.0))
-        recorder.record(make_record("query", engine="stree",
-                                    duration_ms=900.0))
-        flight = tmp_path / "flight.jsonl"
-        recorder.dump_jsonl(str(flight))
-        assert main(["events", "tail", str(flight), "--slow", "--json"]) == 0
+        events = tmp_path / "events.jsonl"
+        log = WideEventLog(str(events), sample=1.0)
+        log.emit(make_record("query", engine="algorithm_a", duration_ms=1.0))
+        log.emit(make_record("query", engine="stree", duration_ms=900.0))
+        log.close()
+        assert main(["events", "tail", str(events), "--slow", "--json"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [json_module.loads(line)["engine"] for line in lines] == ["stree"]
-        assert main(["events", "tail", str(flight), "--slow"]) == 0
+        assert main(["events", "tail", str(events), "--slow"]) == 0
         out = capsys.readouterr().out
         assert "stree" in out and "SLOW" in out and "algorithm_a" not in out
 

@@ -758,15 +758,17 @@ class TestWorkerWatchdog:
     """The stuck-worker watchdog must fire on a silent pool and stand
     down when messages keep flowing."""
 
-    def test_fires_on_stall_and_records_it(self):
+    def test_fires_on_stall_and_records_it(self, tmp_path):
         import time
 
         from repro.engine.executor import _WorkerWatchdog
         from repro.engine.executor import WORKER_STALLED_METRIC
-        from repro.obs import OBS
+        from repro.obs import OBS, load_wide_events
 
+        path = str(tmp_path / "events.jsonl")
         OBS.reset()
         OBS.enable()
+        OBS.open_wide_log(path)
         watchdog = _WorkerWatchdog(0.1, labels={"engine": "stree", "k": 2})
         watchdog.start()
         try:
@@ -777,12 +779,13 @@ class TestWorkerWatchdog:
             watchdog.stop()
             watchdog.join(timeout=5.0)
             OBS.disable()
+            OBS.close_wide_log()
         assert watchdog.stalled is True
         family = OBS.metrics.family(WORKER_STALLED_METRIC)
         assert family.default.value == 1
         labels = [dict(c.labels) for c in family.labelled()]
         assert labels == [{"engine": "stree", "k": "2"}]
-        (record,) = OBS.recorder.recent()
+        (record,) = load_wide_events(path)
         assert record["event"] == "worker_stalled"
         assert record["deadline_s"] == 0.1
         assert record["engine"] == "stree" and record["k"] == 2

@@ -33,6 +33,7 @@ def clean_obs():
     OBS.reset()
     yield
     OBS.disable()
+    OBS.close_wide_log()
     OBS.reset()
 
 
@@ -53,8 +54,8 @@ class TestSampling:
         assert 120 < kept < 280
 
     def test_multi_layer_events_share_the_verdict(self):
-        # Every record that carries one trace id (the ring's copy and
-        # the sink's, in any process) gets the same verdict.
+        # Every record that carries one trace id (written in any
+        # process) gets the same verdict.
         for i in range(50):
             trace_id = f"query-{i}"
             verdicts = {sample_keep(trace_id, 0.3) for _ in ("matcher",
@@ -69,7 +70,7 @@ class TestSampling:
 
 
 class TestMakeWideEvent:
-    """make_record builds the one record the ring and the sink share."""
+    """make_record builds the one record the sink writes."""
 
     def test_core_fields(self):
         event = make_record("query", engine="bwt_mismatch", k=2, m=24,
@@ -231,11 +232,12 @@ class TestObservabilityIntegration:
         record = OBS.record_event("query", engine="x", k=1, trace_id="t1")
         OBS.close_wide_log()
         assert OBS.wide_log is None
-        OBS.record_event("query", engine="y", k=1)
+        # With no sink open no record is built.
+        assert OBS.record_event("query", engine="y", k=1) is None
         events = load_wide_events(path)
-        # The sink holds exactly the ring's record, seq and slow included.
         assert events == [record]
-        assert [r["engine"] for r in OBS.recorder.recent()] == ["x", "y"]
+        assert events[0]["version"] == WIDE_EVENT_VERSION == 3
+        assert events[0]["slow"] is False and "seq" not in events[0]
 
     def test_matcher_emits_wide_query_events(self, tmp_path):
         path = str(tmp_path / "wide.jsonl")
@@ -261,20 +263,15 @@ class TestObservabilityIntegration:
         index.search_batch(reads, 1, workers=2)
         OBS.close_wide_log()
 
-        batch_records = [r for r in OBS.recorder.recent()
-                         if r["event"] == "batch"]
-        assert len(batch_records) == 1
-        trace_id = batch_records[0]["trace_id"]
-        assert trace_id
-        # The batch id selects the batch record from the recorder.
-        joined = [r for r in OBS.recorder.recent()
-                  if trace_id in (r.get("trace_id"), r.get("batch_trace_id"))]
-        assert batch_records[0] in joined
-
         events = load_wide_events(path)
         batch_events = [e for e in events if e["event"] == "batch"]
         assert len(batch_events) == 1
-        assert batch_events[0]["trace_id"] == trace_id
+        trace_id = batch_events[0]["trace_id"]
+        assert trace_id
+        # The batch id selects the batch record from the sink.
+        joined = [r for r in events
+                  if trace_id in (r.get("trace_id"), r.get("batch_trace_id"))]
+        assert batch_events[0] in joined
         assert batch_events[0]["items"] == len(reads)
         assert batch_events[0]["workers"] == 2
         # The pool workers' per-query records came home tagged with the
@@ -309,9 +306,12 @@ class TestObservabilityIntegration:
         # A process-pool batch: each worker hydrates its shard with the
         # shard stamp, so its legs ship home no per-query records.
         OBS.reset()
+        batch_path = str(tmp_path / "batch.jsonl")
+        OBS.open_wide_log(batch_path)
         reads = [text[301 * i:301 * i + 20] for i in range(6)]
         index.search_batch(reads, 1, workers=2)
-        recent = OBS.recorder.recent()
+        OBS.close_wide_log()
+        recent = load_wide_events(batch_path)
         assert [r["event"] for r in recent] == ["batch"] * 4
         assert OBS.metrics.counter("query.count").value == len(reads)
         routed_hits = OBS.metrics.counter("query.occurrences").value
@@ -362,11 +362,59 @@ class TestObservabilityIntegration:
         with pytest.raises(AlphabetError):
             index.search("acxgaca", 1)
         OBS.close_wide_log()
-        (error,) = OBS.recorder.recent()
-        assert load_wide_events(path) == [error]
+        (error,) = load_wide_events(path)
         assert error["event"] == "error" and error["m"] == 7
         assert error["kind"] == "pattern" and error["error"] == "AlphabetError"
         assert error["trace_id"]
+
+
+class TestPoolRecords:
+    """Every query a pool worker serves reaches the parent's sink."""
+
+    @staticmethod
+    def query_records(path):
+        return [r for r in load_wide_events(path) if r["event"] == "query"]
+
+    @pytest.mark.usefixtures("force_pool")
+    def test_pool_queries_reach_the_sink(self, tmp_path):
+        import random
+
+        rnd = random.Random(35)
+        text = "".join(rnd.choice("acgt") for _ in range(3000))
+        reads = [text[p:p + 40] for p in (rnd.randrange(2960) for _ in range(48))]
+        index = KMismatchIndex(text)
+        OBS.enable()
+        served = {}
+        for workers in (0, 2):
+            path = str(tmp_path / f"workers{workers}.jsonl")
+            OBS.open_wide_log(path)
+            index.map_reads(reads, 1, method="stree", workers=workers)
+            OBS.close_wide_log()
+            (batch,) = [r for r in load_wide_events(path) if r["event"] == "batch"]
+            assert batch["mode"] == ("process" if workers else "serial")
+            served[workers] = [
+                (r["engine"], r["k"], r["m"], r["occurrences"], r["stats"])
+                for r in self.query_records(path)
+            ]
+        # Two strand queries per read, in read order on both paths.
+        assert len(served[0]) == 2 * len(reads)
+        assert served[2] == served[0]
+
+    @pytest.mark.usefixtures("force_pool")
+    def test_no_record_lost_to_a_bound(self, tmp_path):
+        text = "acagacattagacagacatg" * 20
+        reads = [text[i % 360:i % 360 + 24] for i in range(400)]
+        index = KMismatchIndex(text)
+        path = str(tmp_path / "events.jsonl")
+        OBS.enable()
+        OBS.open_wide_log(path)
+        index.map_reads(reads, 0, workers=2, chunk_size=200)
+        OBS.close_wide_log()
+        records = self.query_records(path)
+        assert len(records) == 2 * len(reads) == 800
+        (batch,) = [r for r in load_wide_events(path) if r["event"] == "batch"]
+        assert batch["mode"] == "process" and batch["chunks"] == 2
+        assert {r["batch_trace_id"] for r in records} == {batch["trace_id"]}
 
 
 class TestEventsCLI:

@@ -1,5 +1,5 @@
-"""Tests for telemetry export: snapshot deltas, the flight recorder and
-its sink."""
+"""Tests for telemetry export: snapshot deltas, the records pool workers
+ship home, and the record sink."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import pytest
 from repro import KMismatchIndex
 from repro.obs import (
     OBS,
-    FlightRecorder,
     MetricsRegistry,
     ObsDelta,
+    WideEventLog,
     load_wide_events,
     make_record,
     merge_metrics,
@@ -19,6 +19,8 @@ from repro.obs import (
     render_event_lines,
     tail_events,
 )
+from repro.obs.events import SLOW_QUERY_MS
+from repro.obs.export import RecordBuffer
 
 
 @pytest.fixture(autouse=True)
@@ -27,6 +29,7 @@ def clean_obs():
     OBS.reset()
     yield
     OBS.disable()
+    OBS.close_wide_log()
     OBS.reset()
 
 
@@ -99,54 +102,12 @@ class TestMetricsDelta:
         assert [s.name for s in OBS.tracer.finished] == ["new.root"]
 
 
-class TestFlightRecorder:
-    def test_ring_evicts_oldest(self):
-        recorder = FlightRecorder(capacity=3, slow_ms=None)
-        for i in range(5):
-            recorder.record(make_record("query", engine="a", duration_ms=i))
-        recent = recorder.recent()
-        assert len(recent) == 3
-        assert [r["seq"] for r in recent] == [3, 4, 5]
-        assert recorder.total_recorded == 5
-
-    def test_slow_queries_survive_ring_eviction(self):
-        recorder = FlightRecorder(capacity=2, slow_ms=100.0)
-        recorder.record(make_record("query", engine="a", duration_ms=500.0))
-        for _ in range(10):
-            recorder.record(make_record("query", engine="a", duration_ms=1.0))
-        assert all(r["seq"] != 1 for r in recorder.recent())  # evicted from ring
-        slow = recorder.slow()
-        assert len(slow) == 1 and slow[0]["seq"] == 1 and slow[0]["slow"]
-
-    def test_slow_threshold_disabled(self):
-        recorder = FlightRecorder(capacity=4, slow_ms=None)
-        recorder.record(make_record("query", duration_ms=10_000))
-        assert recorder.slow() == []
-        assert recorder.recent()[0]["slow"] is False
-
-    def test_dump_jsonl_includes_evicted_slow_records_once(self, tmp_path):
-        recorder = FlightRecorder(capacity=2, slow_ms=100.0)
-        recorder.record(make_record("query", duration_ms=500.0))
-        for _ in range(4):
-            recorder.record(make_record("query", duration_ms=1.0))
-        path = tmp_path / "fr.jsonl"
-        n = recorder.dump_jsonl(str(path))
-        records = load_wide_events(str(path))
-        assert n == len(records) == 3  # 2 ring + 1 evicted-but-pinned
-        assert sorted(r["seq"] for r in records) == [1, 4, 5]
-        assert len({r["seq"] for r in records}) == 3
-
-    def test_clear_keeps_sequence(self):
-        recorder = FlightRecorder(capacity=4)
-        recorder.record(make_record("query"))
-        recorder.clear()
-        assert len(recorder) == 0
-        record = recorder.record(make_record("query"))
-        assert record["seq"] == 2
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+class TestSlowRecords:
+    def test_slow_flag_from_duration(self):
+        assert SLOW_QUERY_MS == 250.0
+        assert make_record("query", duration_ms=249.9)["slow"] is False
+        assert make_record("query", duration_ms=250.0)["slow"] is True
+        assert make_record("error")["slow"] is False
 
     def test_render_records_table(self):
         records = [
@@ -154,47 +115,50 @@ class TestFlightRecorder:
                         duration_ms=1.5, occurrences=3),
             make_record("batch", engine="stree", duration_ms=900.0),
         ]
-        records[0]["seq"], records[1]["seq"] = 1, 2
-        records[1]["slow"] = True
         text = render_event_lines(records)
         assert "algorithm_a" in text and "SLOW" in text
         assert text.splitlines()[0].count("SLOW") == 0
         assert render_event_lines([]) == "(no events)"
 
     def test_tail_slow_only_keeps_the_slow_record(self, tmp_path):
-        recorder = FlightRecorder(capacity=4, slow_ms=100.0)
-        recorder.record(make_record("query", engine="algorithm_a",
-                                    duration_ms=1.0))
-        recorder.record(make_record("query", engine="stree",
-                                    duration_ms=900.0))
-        path = tmp_path / "fr.jsonl"
-        recorder.dump_jsonl(str(path))
-        assert [r["engine"] for r in tail_events(str(path), n=0)] == [
+        path = str(tmp_path / "events.jsonl")
+        log = WideEventLog(path, sample=1.0)
+        log.emit(make_record("query", engine="algorithm_a", duration_ms=1.0))
+        log.emit(make_record("query", engine="stree", duration_ms=900.0))
+        log.close()
+        assert [r["engine"] for r in tail_events(path, n=0)] == [
             "algorithm_a", "stree"]
-        slow = tail_events(str(path), n=0, slow_only=True)
+        slow = tail_events(path, n=0, slow_only=True)
         assert [r["engine"] for r in slow] == ["stree"]
         assert slow[0]["slow"] is True
 
 
 class TestEventLog:
     def test_obs_record_event_feeds_recorder_and_log(self, tmp_path):
+        """``record_event`` writes to the open sink and, with none
+        open, builds nothing."""
         path = tmp_path / "events.jsonl"
         OBS.open_wide_log(str(path))
-        OBS.record_event("query", engine="algorithm_a", k=2, m=8,
-                         duration_ms=3.0, occurrences=1)
+        record = OBS.record_event("query", engine="algorithm_a", k=2, m=8,
+                                  duration_ms=3.0, occurrences=1)
         OBS.close_wide_log()
-        assert len(OBS.recorder.recent()) == 1
+        assert OBS.record_event("query", engine="stree") is None
         records = load_wide_events(str(path))
-        assert records == OBS.recorder.recent()
+        assert records == [record]
         assert records[0]["engine"] == "algorithm_a"
         assert records[0]["event"] == "query"
+        assert "seq" not in records[0]
 
-    def test_search_records_into_flight_recorder(self):
+    def test_search_records_into_flight_recorder(self, tmp_path):
+        """A traced search writes one record, stats and spans included."""
+        path = str(tmp_path / "events.jsonl")
         OBS.enable()
+        OBS.open_wide_log(path)
         index = KMismatchIndex("acagacaacagacagtacagaca")
         index.search("tcaca", k=2)
         OBS.disable()
-        records = OBS.recorder.recent()
+        OBS.close_wide_log()
+        records = load_wide_events(path)
         assert len(records) == 1
         record = records[0]
         assert record["event"] == "query"
@@ -234,18 +198,26 @@ class TestLabelledDelta:
         assert merged.count == 1
         assert merged.counts == [0, 1, 0]
 
-    def test_obs_delta_ships_flight_records(self):
+    def test_obs_delta_ships_flight_records(self, tmp_path):
+        """A worker's record buffer ships what the chunk wrote, and the
+        parent writes it to its own sink."""
         OBS.enable()
+        OBS.wide_log = RecordBuffer()
         OBS.record_event("query", engine="stree", k=1, m=5, duration_ms=0.4,
                          occurrences=0, trace_id="aaaa1111")
         snapshot = ObsDelta.capture(OBS)
         OBS.record_event("query", engine="stree", k=2, m=5, duration_ms=0.6,
                          occurrences=3, trace_id="bbbb2222")
         payload = snapshot.finish(OBS)
+        assert OBS.wide_log == []
+        OBS.wide_log = None
         OBS.disable()
         OBS.reset()
         assert [r["trace_id"] for r in payload["records"]] == ["bbbb2222"]
+        path = str(tmp_path / "events.jsonl")
+        OBS.open_wide_log(path)
         OBS.enable()
         merge_obs_delta(OBS, payload)
         OBS.disable()
-        assert [r["trace_id"] for r in OBS.recorder.recent()] == ["bbbb2222"]
+        OBS.close_wide_log()
+        assert load_wide_events(path) == payload["records"]

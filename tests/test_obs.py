@@ -396,10 +396,12 @@ class TestDisabledOverhead:
             baseline = min(baseline, best_of())
         assert disabled_again <= 1.25 * baseline
 
-    def test_disabled_search_makes_no_registry_lookups_spans_or_records(self, monkeypatch):
+    def test_disabled_search_makes_no_registry_lookups_spans_or_records(
+            self, monkeypatch, tmp_path):
         """The count-based twin of the timing guard above: after an
         enable/disable cycle, a search looks up no metric family, opens no
-        span and writes no record.  Counts do not flake on a loaded host."""
+        span and writes no record, though a sink stays open.  Counts do
+        not flake on a loaded host."""
         from repro.obs.tracing import Span
 
         genome = ("acagacatta" * 40)[:400]
@@ -423,15 +425,19 @@ class TestDisabledOverhead:
         monkeypatch.setattr(MetricsRegistry, "_family", counting_family)
         monkeypatch.setattr(Span, "__init__", counting_span_init)
         monkeypatch.setattr(Observability, "record_event", counting_record_event)
-        OBS.enable()
-        index.search("acagacatta", k=2)
-        OBS.disable()
-        # The counters see an enabled search ...
-        assert lookups and spans and records
-        del lookups[:], spans[:], records[:]
-        # ... and nothing of a disabled one.
-        for _ in range(3):
-            assert index.search("acagacatta", k=2)
+        OBS.open_wide_log(str(tmp_path / "events.jsonl"))
+        try:
+            OBS.enable()
+            index.search("acagacatta", k=2)
+            OBS.disable()
+            # The counters see an enabled search ...
+            assert lookups and spans and records
+            del lookups[:], spans[:], records[:]
+            # ... and nothing of a disabled one.
+            for _ in range(3):
+                assert index.search("acagacatta", k=2)
+        finally:
+            OBS.close_wide_log()
         assert (lookups, spans, records) == ([], [], [])
 
     def test_disabled_span_call_is_cheap(self):
@@ -681,68 +687,23 @@ class TestTraceValidation:
 
 
 class TestFlightSpanPruning:
-    """REPRO_FLIGHT_SPAN_DEPTH / _ATTRS bound recorded span trees."""
+    """A record keeps the span tree it is given."""
 
-    def _tree(self):
-        from repro.obs import prune_span_tree  # noqa: F401 - availability
+    def test_make_record_unlimited_by_default(self):
+        from repro.obs import make_record
 
-        return {
+        tree = {
             "name": "root", "start_ns": 0, "duration_ns": 30,
             "attrs": {"a": 1, "b": 2, "c": 3},
             "children": [
                 {"name": "mid", "start_ns": 5, "duration_ns": 20, "attrs": {},
                  "children": [
-                     {"name": "leaf1", "start_ns": 6, "duration_ns": 1,
-                      "attrs": {}, "children": []},
-                     {"name": "leaf2", "start_ns": 8, "duration_ns": 1,
+                     {"name": "leaf", "start_ns": 6, "duration_ns": 1,
                       "attrs": {}, "children": []},
                  ]},
             ],
         }
-
-    def test_depth_cap_marks_dropped_descendants(self):
-        from repro.obs import prune_span_tree
-
-        pruned = prune_span_tree(self._tree(), max_depth=2)
-        assert pruned["name"] == "root"
-        mid = pruned["children"][0]
-        assert mid["children"] == []
-        assert mid["children_dropped"] == 2
-        assert "children_dropped" not in pruned
-
-    def test_attr_cap_marks_dropped_attrs(self):
-        from repro.obs import prune_span_tree
-
-        pruned = prune_span_tree(self._tree(), max_attrs=1)
-        assert pruned["attrs"] == {"a": 1}
-        assert pruned["attrs_dropped"] == 2
-        # Depth untouched: the full tree survives.
-        assert pruned["children"][0]["children"][1]["name"] == "leaf2"
-
-    def test_unlimited_leaves_tree_untouched(self):
-        from repro.obs import prune_span_tree
-
-        tree = self._tree()
-        assert prune_span_tree(tree) == tree
-        assert tree["children"][0]["children"], "input must not be mutated"
-
-    def test_make_record_reads_env_knobs(self, monkeypatch):
-        from repro.obs import make_record
-
-        monkeypatch.setenv("REPRO_FLIGHT_SPAN_DEPTH", "1")
-        monkeypatch.setenv("REPRO_FLIGHT_SPAN_ATTRS", "1")
-        record = make_record("query", spans=self._tree())
-        assert record["spans"]["children"] == []
-        assert record["spans"]["children_dropped"] == 3
-        assert record["spans"]["attrs_dropped"] == 2
-
-    def test_make_record_unlimited_by_default(self, monkeypatch):
-        from repro.obs import make_record
-
-        monkeypatch.delenv("REPRO_FLIGHT_SPAN_DEPTH", raising=False)
-        monkeypatch.delenv("REPRO_FLIGHT_SPAN_ATTRS", raising=False)
-        record = make_record("query", spans=self._tree())
-        assert record["spans"] == self._tree()
+        assert make_record("query", spans=tree)["spans"] == tree
 
 
 class TestCrossProcessClockAlignment:

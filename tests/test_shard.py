@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.matcher import KMismatchIndex
 from repro.errors import AlphabetError, IndexCorruptionError, PatternError
-from repro.obs import COUNT_BUCKETS, OBS
+from repro.obs import COUNT_BUCKETS, OBS, load_wide_events
 from repro.shard import ShardManifest, ShardSpec, ShardedIndex, plan_shards
 
 
@@ -284,7 +284,7 @@ class TestShardTelemetry:
             OBS.disable()
             OBS.reset()
 
-    def test_routed_query_is_recorded_and_folded_once(self):
+    def test_routed_query_is_recorded_and_folded_once(self, tmp_path):
         """A routed query writes one record and folds once: ``search.*``
         and ``query.*`` count the reads exactly as a flat index does."""
         rnd = random.Random(45)
@@ -292,13 +292,16 @@ class TestShardTelemetry:
         sharded = ShardedIndex.build(text, 4, max_pattern=24, max_k=2)
         reads = [text[97 * i : 97 * i + 20] for i in range(12)]
 
-        def serve(index):
+        def serve(index, name):
+            path = str(tmp_path / name)
             OBS.reset().enable()
+            OBS.open_wide_log(path)
             try:
                 for read in reads:
                     index.search(read, 2)
             finally:
                 OBS.disable()
+                OBS.close_wide_log()
             metrics = OBS.metrics
             counts = tuple(
                 metrics.counter(name, engine="algorithm_a", k=2).value
@@ -311,12 +314,12 @@ class TestShardTelemetry:
             ]
             # Observation counts, and the hits the occurrence fold summed.
             observed = [h.count for h in hists] + [hists[0].total]
-            records = OBS.recorder.recent()
+            records = load_wide_events(path)
             OBS.reset()
             return counts, observed, records
 
-        flat_counts, flat_observed, flat_records = serve(KMismatchIndex(text))
-        counts, observed, records = serve(sharded)
+        flat_counts, flat_observed, flat_records = serve(KMismatchIndex(text), "flat.jsonl")
+        counts, observed, records = serve(sharded, "sharded.jsonl")
         assert counts == flat_counts
         assert counts[0] == counts[1] == len(reads)
         assert observed == flat_observed
@@ -353,13 +356,15 @@ class TestShardTelemetry:
             OBS.disable()
             OBS.reset()
 
-    def test_routed_failures_count_once(self):
+    def test_routed_failures_count_once(self, tmp_path):
         """A rejected read, a seam-budget rejection and a failure inside
         one shard leg each count once in ``query.errors``, with one
         error record and no query record."""
         text = "acagacagatta" * 30
         sharded = ShardedIndex.build(text, 4, max_pattern=12, max_k=2)
+        path = str(tmp_path / "events.jsonl")
         OBS.reset().enable()
+        OBS.open_wide_log(path)
         try:
             with pytest.raises(AlphabetError):
                 sharded.search("acgx" * 3, 1)
@@ -369,13 +374,15 @@ class TestShardTelemetry:
                 sharded.search("acagacag", 1, method="kerrors")
             errors = OBS.metrics.counter("query.errors")
             assert errors.value == 3
-            records = OBS.recorder.recent()
+            OBS.close_wide_log()
+            records = load_wide_events(path)
             assert [r["event"] for r in records] == ["error"] * 3
             # The leg's own failure names the shard it came from.
             assert [r.get("shard") for r in records] == [None, None, 0]
             assert OBS.metrics.counter("query.count").value == 0
         finally:
             OBS.disable()
+            OBS.close_wide_log()
             OBS.reset()
 
     @pytest.mark.usefixtures("force_pool")

@@ -16,6 +16,7 @@ from repro.obs import (
     OBS,
     QUERY_ERRORS_METRIC,
     classify_error,
+    load_wide_events,
     record_query_error,
 )
 
@@ -26,6 +27,7 @@ def clean_obs():
     OBS.reset()
     yield
     OBS.disable()
+    OBS.close_wide_log()
     OBS.reset()
 
 
@@ -97,3 +99,32 @@ class TestErrorAccounting:
         kinds = {dict(c.labels)["kind"] for c in family.labelled()}
         assert kinds == {"pattern"}
 
+    @pytest.mark.parametrize("sharded", [False, True], ids=["flat", "sharded"])
+    @pytest.mark.parametrize("variant", ["search_edit", "search_wildcard"])
+    def test_rejected_variant_pattern_counts_once(self, variant, sharded, tmp_path):
+        """A rejected k-errors or wildcard pattern counts once in
+        ``query.errors{engine,k,kind}`` and writes one ``error`` record,
+        on either facade, as ``search`` does."""
+        from repro.shard import ShardedIndex
+
+        text = "acagacattagacagacat" * 30
+        index = (ShardedIndex.build(text, 3, max_pattern=16, max_k=2)
+                 if sharded else KMismatchIndex(text))
+        path = str(tmp_path / "events.jsonl")
+        OBS.enable()
+        OBS.open_wide_log(path)
+        try:
+            with pytest.raises(AlphabetError):
+                getattr(index, variant)("acxg", 1)
+        finally:
+            OBS.close_wide_log()
+        engine = {"search_edit": "kerrors", "search_wildcard": "wildcard"}[variant]
+        family = OBS.metrics.family(QUERY_ERRORS_METRIC)
+        assert family is not None and family.default.value == 1
+        labelled = {tuple(c.labels): c.value for c in family.labelled()}
+        assert labelled == {
+            (("engine", engine), ("k", "1"), ("kind", "pattern")): 1,
+        }
+        (record,) = load_wide_events(path)
+        assert record["event"] == "error" and record["engine"] == engine
+        assert record["kind"] == "pattern" and record["m"] == 4
